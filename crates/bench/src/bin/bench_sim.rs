@@ -9,11 +9,9 @@
 //! scheduling noise only ever biases the figure *down* (`Exact` dense
 //! tables are skipped above `n = 5000`, where they would need
 //! gigabytes), and records the gain-table footprint plus a peak-RSS
-//! proxy (`VmHWM` from `/proc/self/status`). Sparse worlds are measured
-//! a second time on the sharded SIR plane (`crn-shard`), with the report
-//! asserted bit-identical to the sequential run; the top-level `cores`
-//! field says whether that figure is a speedup (multi-core) or an
-//! overhead measurement (single-core).
+//! proxy (`VmHWM` from `/proc/self/status`). The top-level `cores` field
+//! records the host's available parallelism; every figure here is
+//! single-threaded.
 //!
 //! It also times the headline of the split API: a radio-only
 //! re-customization (an SU transmit-power bump) against a full
@@ -37,7 +35,6 @@
 use crn_bench::synthetic::{grid_radio, grid_topology};
 use crn_bench::take_flag;
 use crn_interference::PhyParams;
-use crn_shard::{build_plane, ShardConfig, ShardMode};
 use crn_sim::{
     InterferenceModel, InvariantChecker, MacConfig, SimWorld, Simulator, Topology, TraceLog,
 };
@@ -84,18 +81,11 @@ struct ModelStats {
     events_per_sec: f64,
 }
 
-struct ShardedStats {
-    shards: u32,
-    events: u64,
-    events_per_sec: f64,
-}
-
 struct SizeStats {
     n: usize,
     topology_build_s: f64,
     dense: Option<ModelStats>,
     sparse: ModelStats,
-    sharded: Option<ShardedStats>,
     vm_hwm_kb: Option<u64>,
 }
 
@@ -159,7 +149,7 @@ fn measure(
     model: InterferenceModel,
     sim_seconds: f64,
     check_invariants: bool,
-) -> (ModelStats, Arc<SimWorld>, crn_sim::SimReport) {
+) -> ModelStats {
     let params = grid_radio(model);
     let started = Instant::now();
     let world =
@@ -215,7 +205,7 @@ fn measure(
     }
     let report = report.expect("five runs happened");
     assert!(report.attempts > 0, "capped run must make progress");
-    let stats = ModelStats {
+    ModelStats {
         construct_ms: (topology_build_s + customize_s) * 1e3,
         customize_s,
         recustomize_s,
@@ -224,57 +214,7 @@ fn measure(
         gain_table_bytes,
         events,
         events_per_sec: best_eps,
-    };
-    (stats, world, report)
-}
-
-/// Throughput of the same capped run on the sharded SIR plane (best of
-/// five, like the sequential figure; the timed region includes the
-/// per-run partition build, which is a real per-run cost). The shard
-/// count is `max(cores, 4)` so the partition machinery is exercised even
-/// on small hosts — on a single-core box this honestly measures the
-/// plane's *overhead*, and the top-level `cores` field says which is
-/// which. Every sharded report is asserted bit-identical to the
-/// sequential one before its timing counts. `None` when the world
-/// cannot shard (no sparse reverse index).
-fn measure_sharded(
-    world: &Arc<SimWorld>,
-    sequential: &crn_sim::SimReport,
-    sim_seconds: f64,
-) -> Option<ShardedStats> {
-    let shards = u32::try_from(cores()).unwrap_or(u32::MAX).max(4);
-    let mac = MacConfig {
-        max_sim_time: sim_seconds,
-        ..MacConfig::default()
-    };
-    let cfg = ShardConfig::with_mode(ShardMode::Fixed(shards));
-    build_plane(world, &mac, &cfg)?;
-    let mut events = 0u64;
-    let mut best_eps = 0.0f64;
-    for _ in 0..5 {
-        let started = Instant::now();
-        let plane = build_plane(world, &mac, &cfg).expect("shardability checked above");
-        let (report, trace) = Simulator::builder(world.clone())
-            .mac(mac)
-            .seed(42)
-            .sir_plane(plane)
-            .probe(TraceLog::bounded(64))
-            .build()
-            .unwrap()
-            .run_with_probe();
-        let wall = started.elapsed().as_secs_f64();
-        assert_eq!(
-            &report, sequential,
-            "sharded run diverged from the sequential report"
-        );
-        events = trace.len() as u64 + trace.dropped();
-        best_eps = best_eps.max(events as f64 / wall.max(1e-9));
     }
-    Some(ShardedStats {
-        shards,
-        events,
-        events_per_sec: best_eps,
-    })
 }
 
 /// Peak resident set size in kB (`VmHWM`), where procfs exists.
@@ -332,19 +272,6 @@ fn size_json(s: &SizeStats) -> String {
         }
     }
     let _ = writeln!(out, "      \"sparse\": {},", model_json(&s.sparse));
-    match &s.sharded {
-        Some(sh) => {
-            let _ = writeln!(
-                out,
-                "      \"sharded\": {{\"shards\": {}, \"events\": {}, \
-                 \"events_per_sec\": {:.0}}},",
-                sh.shards, sh.events, sh.events_per_sec
-            );
-        }
-        None => {
-            let _ = writeln!(out, "      \"sharded\": null,");
-        }
-    }
     match s.vm_hwm_kb {
         Some(kb) => {
             let _ = writeln!(out, "      \"vm_hwm_kb\": {kb}");
@@ -378,17 +305,14 @@ fn measure_size(n: usize, sim_seconds: f64, check_invariants: bool) -> SizeStats
     let started = Instant::now();
     let topology = Arc::new(grid_topology(n));
     let topology_build_s = started.elapsed().as_secs_f64();
-    let model = InterferenceModel::Truncated { epsilon: EPSILON };
-    let (sparse, sparse_world, sparse_report) = measure(
+    let sparse = measure(
         n,
         &topology,
         topology_build_s,
-        model,
+        InterferenceModel::Truncated { epsilon: EPSILON },
         sim_seconds,
         check_invariants,
     );
-    let sharded = measure_sharded(&sparse_world, &sparse_report, sim_seconds);
-    drop(sparse_world);
     let dense = (n <= DENSE_CAP).then(|| {
         measure(
             n,
@@ -398,14 +322,12 @@ fn measure_size(n: usize, sim_seconds: f64, check_invariants: bool) -> SizeStats
             sim_seconds,
             check_invariants,
         )
-        .0
     });
     SizeStats {
         n,
         topology_build_s,
         dense,
         sparse,
-        sharded,
         vm_hwm_kb: vm_hwm_kb(),
     }
 }

@@ -10,7 +10,6 @@ use crn_interference::{pcr, PcrConstants, PhyParams};
 use crn_serve::client::Client;
 use crn_serve::server::{ServeConfig, Server};
 use crn_serve::store::StoreConfig;
-use crn_shard::{ShardConfig, ShardMode};
 use crn_sim::{FaultsConfig, InterferenceModel, InvariantChecker, Traffic};
 use crn_theory::DelayBounds;
 use crn_workloads::export::{trace_to_string, TraceFormat};
@@ -25,10 +24,9 @@ pub const USAGE: &str = "\
 usage:
   crn run    [--sus N] [--pus N] [--side S] [--pt P] [--seed K] [--algo ALGO]
              [--interference exact|truncated:EPS] [--check-invariants] [--map]
-             [--faults PLAN.json | --fault-preset none|churn:RATE] [--shards N|auto]
+             [--faults PLAN.json | --fault-preset none|churn:RATE]
   crn trace  [run flags] [--format jsonl|csv] [--out FILE]
   crn sweep  <a|b|c|d|e|f|all|churn> [--preset paper|scaled|tiny] [--reps R] [--threads T]
-             [--shards N|auto]
   crn pcr    [--alpha A] [--eta-db E] [--pp P] [--ps P] [--big-r R] [--r r]
   crn bounds [--sus N] [--pus N] [--side S] [--pt P]
   crn serve  [--addr H:P] [--workers N] [--queue-cap Q] [--cache-cap C] [--topo-cache-cap T]
@@ -226,7 +224,6 @@ fn cmd_run(mut args: Vec<String>) -> Result<String, CliError> {
     // config, yielding a real end-to-end invariant violation (and exit
     // code 1). Used by the exit-code integration tests.
     let inject_fairness_skip = presence(&mut args, "--inject-fairness-skip");
-    let shards = ShardConfig::with_mode(take(&mut args, "--shards", ShardMode::Sequential)?);
     let params = scenario_params(&mut args)?;
     ensure_consumed(&args)?;
     if inject_fairness_skip && !check_invariants {
@@ -240,20 +237,11 @@ fn cmd_run(mut args: Vec<String>) -> Result<String, CliError> {
     let scenario = Scenario::generate(&params).map_err(CliError::runtime)?;
     // `run_checked` shares `run`'s derived seed, so the checked report is
     // identical to the unchecked one — the oracle observes, never perturbs.
-    // Sharded execution is bit-identical too, so `--shards` never changes
-    // the printed report.
     let (outcome, oracle) = if check_invariants {
-        let (outcome, oracle) = scenario
-            .run_checked_sharded(algo, &shards)
-            .map_err(CliError::runtime)?;
+        let (outcome, oracle) = scenario.run_checked(algo).map_err(CliError::runtime)?;
         (outcome, Some(oracle))
     } else {
-        (
-            scenario
-                .run_sharded(algo, &shards)
-                .map_err(CliError::runtime)?,
-            None,
-        )
+        (scenario.run(algo).map_err(CliError::runtime)?, None)
     };
     let r = &outcome.report;
     let mut out = String::new();
@@ -342,9 +330,8 @@ fn run_with_injected_fairness_skip(
             params.num_sus, params.num_pus, params.area_side
         ),
     );
-    let sim_seed = rigged.seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let (_outcome, oracle) = scenario
-        .run_probed(algo, sim_seed, Traffic::Snapshot, checker)
+        .run_probed(algo, scenario.sim_seed(), Traffic::Snapshot, checker)
         .map_err(CliError::runtime)?;
     match oracle.first_violation() {
         Some(v) => Err(CliError::runtime(format!("invariant violation: {v}"))),
@@ -362,21 +349,10 @@ fn cmd_trace(mut args: Vec<String>) -> Result<String, CliError> {
     let algo = parse_algo(&take(&mut args, "--algo", "addc".to_owned())?)?;
     let format: TraceFormat = take(&mut args, "--format", "jsonl".to_owned())?.parse()?;
     let out_path: String = take(&mut args, "--out", String::new())?;
-    let shards = ShardConfig::with_mode(take(&mut args, "--shards", ShardMode::Sequential)?);
     let params = scenario_params(&mut args)?;
     ensure_consumed(&args)?;
     let scenario = Scenario::generate(&params).map_err(CliError::runtime)?;
-    // Same derived seed as `run_traced`; sharded execution yields the
-    // identical trace, so `--shards` is accepted here like any run flag.
-    let (outcome, log) = scenario
-        .run_probed_sharded(
-            algo,
-            params.seed.wrapping_add(0x9E37_79B9_7F4A_7C15),
-            Traffic::Snapshot,
-            crn_sim::TraceLog::unbounded(),
-            &shards,
-        )
-        .map_err(CliError::runtime)?;
+    let (outcome, log) = scenario.run_traced(algo).map_err(CliError::runtime)?;
     let rendered = trace_to_string(&log, format);
     if out_path.is_empty() {
         return Ok(rendered);
@@ -397,7 +373,6 @@ fn cmd_sweep(mut args: Vec<String>) -> Result<String, CliError> {
     let preset: PresetKind = take(&mut args, "--preset", "tiny".to_owned())?.parse()?;
     let reps: u32 = take(&mut args, "--reps", 0)?;
     let threads: usize = take(&mut args, "--threads", 1)?;
-    let shards = ShardConfig::with_mode(take(&mut args, "--shards", ShardMode::Sequential)?);
     let churn = presence(&mut args, "churn");
     let mut specs: Vec<crn_workloads::SweepSpec> = if args.iter().any(|a| a == "all") {
         args.clear();
@@ -427,11 +402,8 @@ fn cmd_sweep(mut args: Vec<String>) -> Result<String, CliError> {
         if reps > 0 {
             spec.reps = reps;
         }
-        let records = run_sweep(
-            &spec,
-            SweepOptions::with_threads(threads).shards(shards.clone()),
-        )
-        .map_err(CliError::runtime)?;
+        let records =
+            run_sweep(&spec, SweepOptions::with_threads(threads)).map_err(CliError::runtime)?;
         let _ = writeln!(out, "## {} [{preset}, {} reps]\n", spec.figure, spec.reps);
         let _ = writeln!(out, "{}", markdown_figure(&aggregate(&records)));
     }

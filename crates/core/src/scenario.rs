@@ -1,7 +1,6 @@
 use crate::{coolest_tree, ScenarioParams};
 use crn_geometry::{Deployment, GridIndex, Point, Region};
 use crn_interference::pcr;
-use crn_shard::ShardConfig;
 use crn_sim::{
     BuildError, InvariantChecker, Probe, RadioParams, SimReport, SimWorld, Simulator, TraceLog,
     Violation, WorldError,
@@ -302,44 +301,27 @@ impl Scenario {
         Ok(tree)
     }
 
+    /// The simulator seed every run method uses: the master seed plus a
+    /// fixed odd offset. Distinct from the deployment stream but common to
+    /// algorithms, so comparisons see the same primary-network behaviour
+    /// profile.
+    #[must_use]
+    pub fn sim_seed(&self) -> u64 {
+        self.params.seed.wrapping_add(0x9E37_79B9_7F4A_7C15)
+    }
+
     /// Runs a full data collection task under `algorithm` with the
-    /// scenario's derived simulation seed.
+    /// scenario's derived simulation seed ([`Scenario::sim_seed`]).
     ///
     /// # Errors
     ///
     /// Propagates tree or world assembly failures.
     pub fn run(&self, algorithm: CollectionAlgorithm) -> Result<CollectionOutcome, ScenarioError> {
-        // Distinct from the deployment stream but common to algorithms, so
-        // comparisons see the same primary-network behaviour profile.
-        self.run_with_seed(
+        let (outcome, _noop) = self.run_probed(
             algorithm,
-            self.params.seed.wrapping_add(0x9E37_79B9_7F4A_7C15),
-        )
-    }
-
-    /// Like [`Scenario::run`], with the SIR plane spread across spatial
-    /// shards per `shards` (see `crn_shard`). Sharded runs are
-    /// **bit-identical** to sequential ones — same outcome, same report —
-    /// so this only changes how the work is executed. Falls back to the
-    /// sequential engine when `shards` resolves to no plane (sequential
-    /// mode, single core on `auto`, or an exact-model world without the
-    /// sparse reverse index).
-    ///
-    /// # Errors
-    ///
-    /// Propagates tree or world assembly failures.
-    pub fn run_sharded(
-        &self,
-        algorithm: CollectionAlgorithm,
-        shards: &ShardConfig,
-    ) -> Result<CollectionOutcome, ScenarioError> {
-        let sim_seed = self.params.seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let (outcome, _noop) = self.run_probed_sharded(
-            algorithm,
-            sim_seed,
+            self.sim_seed(),
             crn_sim::Traffic::Snapshot,
             crn_sim::NoopProbe,
-            shards,
         )?;
         Ok(outcome)
     }
@@ -367,25 +349,9 @@ impl Scenario {
             interval: interval_slots * self.params.mac.slot,
             snapshots,
         };
-        self.run_inner(
-            algorithm,
-            self.params.seed.wrapping_add(0x9E37_79B9_7F4A_7C15),
-            traffic,
-        )
-    }
-
-    /// Like [`Scenario::run`] but with an explicit simulator seed (used by
-    /// repetition sweeps).
-    ///
-    /// # Errors
-    ///
-    /// Propagates tree or world assembly failures.
-    pub fn run_with_seed(
-        &self,
-        algorithm: CollectionAlgorithm,
-        sim_seed: u64,
-    ) -> Result<CollectionOutcome, ScenarioError> {
-        self.run_inner(algorithm, sim_seed, crn_sim::Traffic::Snapshot)
+        let (outcome, _noop) =
+            self.run_probed(algorithm, self.sim_seed(), traffic, crn_sim::NoopProbe)?;
+        Ok(outcome)
     }
 
     /// Like [`Scenario::run`], additionally capturing the run's full
@@ -403,20 +369,10 @@ impl Scenario {
     ) -> Result<(CollectionOutcome, TraceLog), ScenarioError> {
         self.run_probed(
             algorithm,
-            self.params.seed.wrapping_add(0x9E37_79B9_7F4A_7C15),
+            self.sim_seed(),
             crn_sim::Traffic::Snapshot,
             TraceLog::unbounded(),
         )
-    }
-
-    fn run_inner(
-        &self,
-        algorithm: CollectionAlgorithm,
-        sim_seed: u64,
-        traffic: crn_sim::Traffic,
-    ) -> Result<CollectionOutcome, ScenarioError> {
-        let (outcome, _noop) = self.run_probed(algorithm, sim_seed, traffic, crn_sim::NoopProbe)?;
-        Ok(outcome)
     }
 
     /// The assembled simulator world for `algorithm`, built on first use
@@ -576,22 +532,6 @@ impl Scenario {
         &self,
         algorithm: CollectionAlgorithm,
     ) -> Result<(CollectionOutcome, InvariantChecker), ScenarioError> {
-        self.run_checked_sharded(algorithm, &ShardConfig::default())
-    }
-
-    /// [`Scenario::run_checked`] over the sharded SIR plane (see
-    /// [`Scenario::run_sharded`]): the trace-level oracle holds sharded
-    /// execution to the same invariants as sequential runs.
-    ///
-    /// # Errors
-    ///
-    /// As [`Scenario::run_checked`].
-    pub fn run_checked_sharded(
-        &self,
-        algorithm: CollectionAlgorithm,
-        shards: &ShardConfig,
-    ) -> Result<(CollectionOutcome, InvariantChecker), ScenarioError> {
-        let sim_seed = self.params.seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
         let checker = InvariantChecker::new(self.world(algorithm)?, self.params.mac).with_repro(
             self.params.seed,
             format!(
@@ -599,12 +539,11 @@ impl Scenario {
                 self.params.num_sus, self.params.num_pus, self.params.area_side
             ),
         );
-        let (outcome, oracle) = self.run_probed_sharded(
+        let (outcome, oracle) = self.run_probed(
             algorithm,
-            sim_seed,
+            self.sim_seed(),
             crn_sim::Traffic::Snapshot,
             checker,
-            shards,
         )?;
         match oracle.first_violation() {
             Some(v) => Err(ScenarioError::Invariant(Box::new(v.clone()))),
@@ -614,9 +553,9 @@ impl Scenario {
 
     /// Shared run path: fetches the cached world for `algorithm`, attaches
     /// `probe`, runs, and returns the probe alongside the outcome. This is
-    /// the generic backbone under [`Scenario::run`], [`Scenario::run_traced`],
-    /// and [`Scenario::run_checked`] — bring your own [`Probe`] for anything
-    /// they don't cover.
+    /// the backbone under every other run method, which all pass
+    /// [`Scenario::sim_seed`] — bring your own [`Probe`], seed or
+    /// [`crn_sim::Traffic`] for anything they don't cover.
     ///
     /// # Errors
     ///
@@ -628,24 +567,6 @@ impl Scenario {
         traffic: crn_sim::Traffic,
         probe: P,
     ) -> Result<(CollectionOutcome, P), ScenarioError> {
-        self.run_probed_sharded(algorithm, sim_seed, traffic, probe, &ShardConfig::default())
-    }
-
-    /// [`Scenario::run_probed`] over the sharded SIR plane (see
-    /// [`Scenario::run_sharded`]). The generic backbone under every other
-    /// run method.
-    ///
-    /// # Errors
-    ///
-    /// Propagates tree, world, or simulator assembly failures.
-    pub fn run_probed_sharded<P: Probe>(
-        &self,
-        algorithm: CollectionAlgorithm,
-        sim_seed: u64,
-        traffic: crn_sim::Traffic,
-        probe: P,
-        shards: &ShardConfig,
-    ) -> Result<(CollectionOutcome, P), ScenarioError> {
         let prepared = self.prepared(algorithm)?;
         // Fault schedules resolve against the *master* seed, not the sim
         // seed, so algorithm comparisons and repetition sweeps face the
@@ -655,16 +576,15 @@ impl Scenario {
             self.params.mac.slot,
             self.params.seed,
         )?;
-        let mut builder = Simulator::builder(Arc::clone(&prepared.world))
+        let (report, probe): (SimReport, P) = Simulator::builder(prepared.world)
             .mac(self.params.mac)
             .activity(self.params.activity)
             .seed(sim_seed)
             .traffic(traffic)
-            .faults(faults);
-        if let Some(plane) = crn_shard::build_plane(&prepared.world, &self.params.mac, shards) {
-            builder = builder.sir_plane(plane);
-        }
-        let (report, probe): (SimReport, P) = builder.probe(probe).build()?.run_with_probe();
+            .faults(faults)
+            .probe(probe)
+            .build()?
+            .run_with_probe();
         Ok((
             CollectionOutcome {
                 algorithm,
@@ -738,38 +658,6 @@ mod tests {
             .run(CollectionAlgorithm::Addc)
             .unwrap();
         assert_eq!(baseline, planned);
-    }
-
-    #[test]
-    fn run_sharded_is_bit_identical_at_every_mode() {
-        // The exact path the CLI (`--shards`) and serve layer take:
-        // whatever the shard mode, the outcome must equal `run`'s
-        // bit-for-bit (report PartialEq compares floats exactly) —
-        // which is also what licenses serve to cache across modes.
-        let mut p = small_params(6);
-        p.interference = crn_sim::InterferenceModel::Truncated { epsilon: 0.1 };
-        let s = Scenario::generate(&p).unwrap();
-        let baseline = s.run(CollectionAlgorithm::Addc).unwrap();
-        for mode in [
-            crn_shard::ShardMode::Sequential,
-            crn_shard::ShardMode::Auto,
-            crn_shard::ShardMode::Fixed(1),
-            crn_shard::ShardMode::Fixed(2),
-            crn_shard::ShardMode::Fixed(4),
-        ] {
-            let sharded = s
-                .run_sharded(CollectionAlgorithm::Addc, &ShardConfig::with_mode(mode))
-                .unwrap();
-            assert_eq!(baseline, sharded, "shards={mode} diverged from run()");
-        }
-        let (checked, oracle) = s
-            .run_checked_sharded(
-                CollectionAlgorithm::Addc,
-                &ShardConfig::with_mode(crn_shard::ShardMode::Fixed(3)),
-            )
-            .unwrap();
-        assert!(oracle.is_clean());
-        assert_eq!(baseline, checked);
     }
 
     #[test]
@@ -848,9 +736,22 @@ mod tests {
     #[test]
     fn explicit_sim_seed_changes_outcome() {
         let s = Scenario::generate(&small_params(4)).unwrap();
-        let a = s.run_with_seed(CollectionAlgorithm::Addc, 1).unwrap();
-        let b = s.run_with_seed(CollectionAlgorithm::Addc, 2).unwrap();
-        assert_ne!(a.report.delay, b.report.delay);
+        let with_seed = |seed| {
+            s.run_probed(
+                CollectionAlgorithm::Addc,
+                seed,
+                crn_sim::Traffic::Snapshot,
+                crn_sim::NoopProbe,
+            )
+            .unwrap()
+            .0
+        };
+        assert_ne!(with_seed(1).report.delay, with_seed(2).report.delay);
+        // `run` is `run_probed` at the derived seed.
+        assert_eq!(
+            s.run(CollectionAlgorithm::Addc).unwrap(),
+            with_seed(s.sim_seed())
+        );
     }
 
     #[test]

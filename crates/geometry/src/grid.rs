@@ -136,87 +136,6 @@ impl GridIndex {
         self.for_each_within(center, radius, |_| n += 1);
         n
     }
-
-    /// Grid dimensions as `(cols, rows)`.
-    #[must_use]
-    pub fn dims(&self) -> (usize, usize) {
-        (self.cols, self.rows)
-    }
-
-    /// The cell edge length the index was built with.
-    #[must_use]
-    pub fn cell_size(&self) -> f64 {
-        self.cell
-    }
-
-    /// Bucket index of the cell holding `p` (points outside the region
-    /// clamp into the boundary cells, exactly as [`GridIndex::build`]
-    /// assigns them).
-    #[must_use]
-    pub fn cell_of(&self, p: Point) -> usize {
-        self.bucket_of(p)
-    }
-
-    /// Bucket indices of every cell whose closed area intersects the
-    /// closed disk of `radius` around `center`, in row-major order.
-    ///
-    /// This is the *halo* query sharded execution builds on: with cells
-    /// at least as large as the interaction cutoff, the cells returned
-    /// for a node's position cover every cell its interference can
-    /// reach. Boundary cells extend outward without bound, matching the
-    /// clamping of [`GridIndex::build`] — a disk centered outside the
-    /// region still intersects the boundary cells that would hold its
-    /// clamped points.
-    ///
-    /// The test is inclusive on the cell boundary: a disk that exactly
-    /// touches a cell's edge includes that cell.
-    #[must_use]
-    pub fn cells_within(&self, center: Point, radius: f64) -> Vec<usize> {
-        debug_assert!(radius >= 0.0, "radius must be non-negative");
-        let r_sq = radius * radius;
-        // Widen the scan window one cell on the low side: when
-        // `center - radius` lands exactly on a cell edge, `floor` starts
-        // at the higher cell and would skip the neighbor whose closed
-        // edge the disk touches. (The high side is safe: `floor` already
-        // lands in the cell whose lower edge equals `center + radius`.)
-        // The exact nearest-point test below rejects the extras.
-        let c_lo = self.clamp_col(center.x - radius).saturating_sub(1);
-        let c_hi = self.clamp_col(center.x + radius);
-        let r_lo = self.clamp_row(center.y - radius).saturating_sub(1);
-        let r_hi = self.clamp_row(center.y + radius);
-        let mut out = Vec::new();
-        for row in r_lo..=r_hi {
-            let y_lo = if row == 0 {
-                f64::NEG_INFINITY
-            } else {
-                row as f64 * self.cell
-            };
-            let y_hi = if row == self.rows - 1 {
-                f64::INFINITY
-            } else {
-                (row + 1) as f64 * self.cell
-            };
-            for col in c_lo..=c_hi {
-                let x_lo = if col == 0 {
-                    f64::NEG_INFINITY
-                } else {
-                    col as f64 * self.cell
-                };
-                let x_hi = if col == self.cols - 1 {
-                    f64::INFINITY
-                } else {
-                    (col + 1) as f64 * self.cell
-                };
-                // Distance from the disk center to the nearest point of
-                // the (possibly unbounded) cell rectangle.
-                let nearest = Point::new(center.x.clamp(x_lo, x_hi), center.y.clamp(y_lo, y_hi));
-                if nearest.distance_sq(center) <= r_sq {
-                    out.push(row * self.cols + col);
-                }
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -308,75 +227,5 @@ mod tests {
     #[should_panic(expected = "cell size")]
     fn zero_cell_rejected() {
         let _ = GridIndex::build(&[], Region::square(1.0), 0.0);
-    }
-
-    #[test]
-    fn cell_of_matches_bucket_assignment() {
-        let pts = vec![Point::new(0.5, 0.5), Point::new(7.3, 2.1)];
-        let idx = GridIndex::build(&pts, Region::square(10.0), 1.0);
-        assert_eq!(idx.dims(), (10, 10));
-        assert_eq!(idx.cell_size(), 1.0);
-        assert_eq!(idx.cell_of(Point::new(0.5, 0.5)), 0);
-        assert_eq!(idx.cell_of(Point::new(7.3, 2.1)), 2 * 10 + 7);
-        // Outside points clamp into boundary cells, like build does.
-        assert_eq!(idx.cell_of(Point::new(-3.0, -3.0)), 0);
-        assert_eq!(idx.cell_of(Point::new(99.0, 99.0)), 99);
-    }
-
-    /// Mirror of the PR-5 cutoff boundary tests: a disk that exactly
-    /// touches a cell edge includes the cell; an epsilon short excludes
-    /// it.
-    #[test]
-    fn cells_within_is_inclusive_on_the_boundary() {
-        let idx = GridIndex::build(&[], Region::square(10.0), 1.0);
-        let center = Point::new(5.5, 5.5);
-        // Distance from the center of cell (5,5) to the nearest point of
-        // the four edge-adjacent cells is exactly 0.5.
-        let at = idx.cells_within(center, 0.5);
-        let own = 5 * 10 + 5;
-        assert_eq!(at, vec![own - 10, own - 1, own, own + 1, own + 10]);
-        let under = idx.cells_within(center, 0.5 - 1e-9);
-        assert_eq!(under, vec![own]);
-        // The diagonal neighbors join at exactly sqrt(0.5).
-        let diag = idx.cells_within(center, 0.5_f64.sqrt());
-        assert_eq!(diag.len(), 9);
-        let under_diag = idx.cells_within(center, 0.5_f64.sqrt() - 1e-9);
-        assert_eq!(under_diag.len(), 5);
-    }
-
-    #[test]
-    fn cells_within_covers_within_disk() {
-        // Superset property the shard halos rely on: every point the disk
-        // query returns lives in a cell the halo query returns.
-        let mut rng = rand::rngs::StdRng::seed_from_u64(777);
-        let region = Region::square(50.0);
-        let pts: Vec<Point> = (0..300)
-            .map(|_| Point::new(rng.gen_range(0.0..50.0), rng.gen_range(0.0..50.0)))
-            .collect();
-        for &cell in &[0.7, 3.0, 12.0] {
-            let idx = GridIndex::build(&pts, region, cell);
-            for _ in 0..20 {
-                let c = Point::new(rng.gen_range(-5.0..55.0), rng.gen_range(-5.0..55.0));
-                let r = rng.gen_range(0.0..20.0);
-                let cells = idx.cells_within(c, r);
-                assert!(cells.windows(2).all(|w| w[0] < w[1]), "not sorted/unique");
-                for i in idx.within_disk(c, r) {
-                    let b = idx.cell_of(pts[i as usize]);
-                    assert!(
-                        cells.binary_search(&b).is_ok(),
-                        "point {i} in cell {b} missed by cells_within({c}, {r})"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn cells_within_clamps_outside_centers_to_boundary_cells() {
-        let idx = GridIndex::build(&[], Region::square(10.0), 1.0);
-        // Far outside the region with a tiny radius: the boundary cells
-        // extend outward, so the nearest corner cell still intersects.
-        assert_eq!(idx.cells_within(Point::new(-40.0, -40.0), 0.1), vec![0]);
-        assert_eq!(idx.cells_within(Point::new(45.0, 45.0), 0.1), vec![99]);
     }
 }

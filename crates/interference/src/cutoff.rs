@@ -184,25 +184,6 @@ pub fn decision_budget(signal_floor: f64, eta: f64, epsilon: f64) -> f64 {
     epsilon * signal_floor / eta
 }
 
-/// Conservative interaction lookahead over a set of per-receiver cutoff
-/// radii: the largest finite cutoff, or `0.0` when the set is empty.
-///
-/// A parallel discrete-event partitioning needs one radius bounding *all*
-/// certified interaction range — any transmission farther than this from
-/// a receiver contributes only certified-negligible (truncated) power, so
-/// spatial cells at least this wide make interference strictly
-/// nearest-neighbor between cells. Non-finite entries (a receiver whose
-/// budget exceeded the tabulated range and fell back to "no truncation")
-/// are skipped; callers treat a `0.0` result as "no usable lookahead".
-#[must_use]
-pub fn conservative_lookahead(cutoffs: &[f64]) -> f64 {
-    cutoffs
-        .iter()
-        .copied()
-        .filter(|c| c.is_finite() && *c >= 0.0)
-        .fold(0.0, f64::max)
-}
-
 /// Pre-tabulated inverse of [`FarFieldBound::tail`] on a geometric radius
 /// grid: [`CutoffTable::radius_for`] answers "smallest tabulated cutoff
 /// whose tail fits this budget" with one binary search, conservatively
@@ -466,18 +447,6 @@ mod tests {
         // Just above the coarsest tail the first grid point suffices.
         let above_max = b.tail(5.0) * (1.0 + 1e-12);
         assert_eq!(table.radius_for(above_max), 5.0);
-    }
-
-    #[test]
-    fn conservative_lookahead_takes_the_max_and_skips_junk() {
-        assert_eq!(conservative_lookahead(&[]), 0.0);
-        assert_eq!(conservative_lookahead(&[3.0, 7.5, 1.0]), 7.5);
-        // Non-finite and negative entries never poison the lookahead.
-        assert_eq!(
-            conservative_lookahead(&[4.0, f64::INFINITY, f64::NAN, -1.0]),
-            4.0
-        );
-        assert_eq!(conservative_lookahead(&[f64::NAN]), 0.0);
     }
 
     #[test]

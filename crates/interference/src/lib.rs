@@ -58,7 +58,7 @@ mod params;
 pub mod pcr;
 pub mod sir;
 
-pub use cutoff::{conservative_lookahead, CutoffTable, FarFieldBound};
+pub use cutoff::{CutoffTable, FarFieldBound};
 pub use params::{
     db_to_linear, linear_to_db, path_gain, path_gain_sq, ParamError, PhyParams, PhyParamsBuilder,
 };

@@ -4,9 +4,9 @@
 //!
 //! [`Executor`] owns the topology-tier cache (generated scenarios keyed
 //! on [`RunSpec::topology_key`], re-customized in place for radio-only
-//! parameter changes) and the shard-pool telemetry sink, and turns a
-//! [`RunSpec`] into a [`CollectionOutcome`] with panic isolation — a
-//! poisoned scenario fails that one request, never the process.
+//! parameter changes) and turns a [`RunSpec`] into a
+//! [`CollectionOutcome`] with panic isolation — a poisoned scenario fails
+//! that one request, never the process.
 //!
 //! Extracted from `server.rs` so the cluster crate executes specs through
 //! the *same* code path as `crn-serve`: bit-identical results regardless
@@ -17,7 +17,6 @@ use crate::cache::{CacheStats, LruCache};
 use crate::protocol::RunSpec;
 use crate::ErrorKind;
 use crn_core::{CollectionOutcome, Scenario, ScenarioError};
-use crn_shard::{ShardConfig, ShardTelemetry};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -35,9 +34,6 @@ pub struct ExecError {
 pub struct Executor {
     topologies: Mutex<LruCache<u64, Arc<Scenario>>>,
     topology_hits: AtomicU64,
-    /// Shard pool counters across every sharded execution (lock-free sink
-    /// shared with the planes; reported by `stats`).
-    pub telemetry: Arc<ShardTelemetry>,
 }
 
 impl Executor {
@@ -48,7 +44,6 @@ impl Executor {
         Self {
             topologies: Mutex::new(LruCache::new(topo_cache_cap)),
             topology_hits: AtomicU64::new(0),
-            telemetry: Arc::new(ShardTelemetry::default()),
         }
     }
 
@@ -100,35 +95,23 @@ impl Executor {
             .lock()
             .expect("topology cache poisoned")
             .insert(spec.topology_key(), scenario.clone());
-        // Sharded execution is bit-identical to sequential, which is what
-        // lets `shards` stay out of the cache key: whichever strategy
-        // computes a result first serves every later request for it.
-        let shards = ShardConfig {
-            mode: spec.shards,
-            threaded: None,
-            telemetry: Some(Arc::clone(&self.telemetry)),
-        };
         if spec.check_invariants {
-            let (outcome, _oracle) = scenario
-                .run_checked_sharded(spec.algorithm, &shards)
-                .map_err(|e| match e {
-                    ScenarioError::Invariant(_) => ExecError {
-                        kind: ErrorKind::InvariantViolation,
-                        message: e.to_string(),
-                    },
-                    other => ExecError {
-                        kind: ErrorKind::SimFailed,
-                        message: other.to_string(),
-                    },
-                })?;
+            let (outcome, _oracle) = scenario.run_checked(spec.algorithm).map_err(|e| match e {
+                ScenarioError::Invariant(_) => ExecError {
+                    kind: ErrorKind::InvariantViolation,
+                    message: e.to_string(),
+                },
+                other => ExecError {
+                    kind: ErrorKind::SimFailed,
+                    message: other.to_string(),
+                },
+            })?;
             Ok(outcome)
         } else {
-            scenario
-                .run_sharded(spec.algorithm, &shards)
-                .map_err(|e| ExecError {
-                    kind: ErrorKind::SimFailed,
-                    message: e.to_string(),
-                })
+            scenario.run(spec.algorithm).map_err(|e| ExecError {
+                kind: ErrorKind::SimFailed,
+                message: e.to_string(),
+            })
         }
     }
 

@@ -9,7 +9,7 @@
 //! result computed on any worker, committed to disk, and re-read after a
 //! restart serializes to byte-identical response lines. That exactness is
 //! what lets the coordinator treat "who computed it" and "when" as
-//! non-identity, the same way PR 8 made shard count non-identity.
+//! non-identity.
 //!
 //! Per-node arrays (`delivery_times`, `node_stats`) ARE shipped here —
 //! they feed derived response fields (`jain`, per-node loss counts) that

@@ -24,7 +24,6 @@
 
 use crate::ErrorKind;
 use crn_core::{CollectionAlgorithm, CollectionOutcome, ScenarioParams};
-use crn_shard::ShardMode;
 use crn_sim::{FaultsConfig, InterferenceModel};
 use crn_workloads::faults_wire;
 use crn_workloads::json::Json;
@@ -41,6 +40,22 @@ pub const ENGINE_VERSION: &str = env!("CARGO_PKG_VERSION");
 /// scheduling unbounded work behind the admission controller's back).
 pub const MAX_SWEEP_SEEDS: usize = 4096;
 
+/// Upper bounds on the world one run may ask for, checked on
+/// `params.sus`, `params.pus` and every `sus`/`pus` axis value. A world
+/// too large to allocate aborts the process (allocation failure does not
+/// unwind), so the bounds sit at parse time. They are the largest worlds
+/// `bench_sim` builds: dense gain tables grow as n², and it stops
+/// building them at 5,000 SUs (with n/5 PUs); sparse worlds it builds up
+/// to 250,000 SUs. The paper preset's largest Fig. 6 points (2,660 SUs
+/// in panel (b), 800 PUs in panel (a)) fit under the exact caps.
+pub(crate) const MAX_EXACT_SUS: usize = 5_000;
+/// PU bound under exact interference (see [`MAX_EXACT_SUS`]).
+pub(crate) const MAX_EXACT_PUS: usize = 1_000;
+/// SU bound under truncated interference (see [`MAX_EXACT_SUS`]).
+pub(crate) const MAX_TRUNCATED_SUS: usize = 250_000;
+/// PU bound under truncated interference (see [`MAX_EXACT_SUS`]).
+pub(crate) const MAX_TRUNCATED_PUS: usize = 50_000;
+
 /// One simulation to execute: the full deterministic identity of a run.
 #[derive(Clone, Debug, PartialEq)]
 pub struct RunSpec {
@@ -53,12 +68,6 @@ pub struct RunSpec {
     /// Testing aid: makes the worker panic instead of simulating, so the
     /// panic-isolation path is exercisable end-to-end. Never cached.
     pub inject_panic: bool,
-    /// SIR-plane sharding for the execution (see `crn_shard`).
-    /// Deliberately **excluded** from [`RunSpec::cache_key`]: sharded
-    /// runs are bit-identical to sequential ones, so a result computed
-    /// at any shard count serves every other — execution strategy is
-    /// not identity.
-    pub shards: ShardMode,
 }
 
 impl RunSpec {
@@ -90,8 +99,6 @@ impl RunSpec {
     }
 
     fn chain_run_identity(&self, mut h: u64) -> u64 {
-        // `self.shards` is intentionally absent: execution strategy must
-        // never split the cache (see the field docs).
         h = crn_core::fnv1a_64(h, self.algorithm.to_string().as_bytes());
         h = crn_core::fnv1a_64(h, &[u8::from(self.check_invariants)]);
         crn_core::fnv1a_64(h, ENGINE_VERSION.as_bytes())
@@ -225,6 +232,9 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
         "sweep" => {
             let spec = parse_spec(&v)?;
             let axis = parse_axis(&v)?;
+            if let Some(axis) = &axis {
+                check_axis_world(axis, &spec.params)?;
+            }
             let seeds = parse_seeds(&v, axis.as_ref().map(|_| spec.params.seed))?;
             let points = seeds
                 .len()
@@ -275,6 +285,11 @@ fn parse_seeds(v: &Json, implied: Option<u64>) -> Result<Vec<u64>, ProtoError> {
         let start = opt_u64(v, "seed_start")?.unwrap_or(0);
         let count = opt_u64(v, "seed_count")?
             .ok_or_else(|| ProtoError::bad("'seed_start' needs a 'seed_count'"))?;
+        // Cap before collecting: the range would otherwise be allocated
+        // in full first.
+        if count > MAX_SWEEP_SEEDS as u64 {
+            return Err(seeds_over_cap(count));
+        }
         (0..count).map(|k| start.wrapping_add(k)).collect()
     } else if let Some(seed) = implied {
         // An axis-only sweep runs every value at the template's seed.
@@ -288,12 +303,46 @@ fn parse_seeds(v: &Json, implied: Option<u64>) -> Result<Vec<u64>, ProtoError> {
         return Err(ProtoError::bad("sweep needs at least one seed"));
     }
     if seeds.len() > MAX_SWEEP_SEEDS {
-        return Err(ProtoError::bad(format!(
-            "sweep of {} seeds exceeds the per-request cap of {MAX_SWEEP_SEEDS}",
-            seeds.len()
-        )));
+        return Err(seeds_over_cap(seeds.len() as u64));
     }
     Ok(seeds)
+}
+
+fn seeds_over_cap(count: u64) -> ProtoError {
+    ProtoError::bad(format!(
+        "sweep of {count} seeds exceeds the per-request cap of {MAX_SWEEP_SEEDS}"
+    ))
+}
+
+/// Rejects a world larger than the bounds for its interference model
+/// ([`MAX_EXACT_SUS`] and its siblings).
+fn check_world(sus: usize, pus: usize, model: InterferenceModel) -> Result<(), ProtoError> {
+    let (max_sus, max_pus) = match model {
+        InterferenceModel::Exact => (MAX_EXACT_SUS, MAX_EXACT_PUS),
+        InterferenceModel::Truncated { .. } => (MAX_TRUNCATED_SUS, MAX_TRUNCATED_PUS),
+    };
+    for (what, count, max) in [("sus", sus, max_sus), ("pus", pus, max_pus)] {
+        if count > max {
+            return Err(ProtoError::bad(format!(
+                "{count} {what} exceeds the cap of {max} under {model} interference"
+            )));
+        }
+    }
+    Ok(())
+}
+
+/// [`check_world`] for every point of a `sus` or `pus` axis.
+fn check_axis_world(axis: &Axis, params: &ScenarioParams) -> Result<(), ProtoError> {
+    for &x in &axis.values {
+        // Rounded as `Axis::apply` rounds; the cast saturates.
+        let count = x.round() as usize;
+        match axis.kind {
+            AxisKind::NumSus => check_world(count, params.num_pus, params.interference)?,
+            AxisKind::NumPus => check_world(params.num_sus, count, params.interference)?,
+            _ => return Ok(()),
+        }
+    }
+    Ok(())
 }
 
 /// Parses the optional sweep `axis` object:
@@ -415,6 +464,7 @@ fn parse_spec(v: &Json) -> Result<RunSpec, ProtoError> {
             )));
         }
     }
+    check_world(sus, pus, interference)?;
     let attempts = usize::try_from(uint("max_connectivity_attempts", 3000)?)
         .map_err(|_| ProtoError::bad("params.max_connectivity_attempts out of range"))?;
     let base_factor = float("baseline_su_sense_factor", 1.0)?;
@@ -448,24 +498,6 @@ fn parse_spec(v: &Json) -> Result<RunSpec, ProtoError> {
         .get("inject_panic")
         .and_then(Json::as_bool)
         .unwrap_or(false);
-    // Execution strategy, not identity: accepted as a count or "auto",
-    // never folded into the cache key.
-    let shards = match v.get("shards") {
-        None => ShardMode::Sequential,
-        Some(field) => {
-            if let Some(s) = field.as_str() {
-                s.parse::<ShardMode>().map_err(ProtoError::bad)?
-            } else if let Some(n) = field.as_u64() {
-                match u32::try_from(n) {
-                    Ok(0) => ShardMode::Sequential,
-                    Ok(k) => ShardMode::Fixed(k),
-                    Err(_) => return Err(ProtoError::bad("'shards' out of range")),
-                }
-            } else {
-                return Err(ProtoError::bad("'shards' must be a count or \"auto\""));
-            }
-        }
-    };
     let params = ScenarioParams::builder()
         .num_sus(sus)
         .num_pus(pus)
@@ -482,7 +514,6 @@ fn parse_spec(v: &Json) -> Result<RunSpec, ProtoError> {
         algorithm,
         check_invariants,
         inject_panic,
-        shards,
     })
 }
 
@@ -583,15 +614,7 @@ pub fn spec_to_json(spec: &RunSpec) -> Json {
     o.set("params", p)
         .set("algo", Json::Str(spec.algorithm.to_string()))
         .set("check_invariants", Json::Bool(spec.check_invariants))
-        .set("inject_panic", Json::Bool(spec.inject_panic))
-        .set(
-            "shards",
-            match spec.shards {
-                ShardMode::Sequential => Json::UInt(0),
-                ShardMode::Auto => Json::Str("auto".into()),
-                ShardMode::Fixed(k) => Json::UInt(u64::from(k)),
-            },
-        );
+        .set("inject_panic", Json::Bool(spec.inject_panic));
     o
 }
 
@@ -851,6 +874,69 @@ mod tests {
     }
 
     #[test]
+    fn huge_seed_counts_are_rejected_before_allocating() {
+        // A count this large would need terabytes if collected first.
+        let e = parse_request(
+            r#"{"v":1,"cmd":"sweep","params":{"sus":40},"seed_count":1000000000000}"#,
+        )
+        .unwrap_err();
+        assert_eq!(e.kind, ErrorKind::BadRequest);
+        assert!(e.message.contains("cap"), "{}", e.message);
+        let e = parse_request(&format!(
+            r#"{{"v":1,"cmd":"sweep","seed_start":5,"seed_count":{}}}"#,
+            u64::MAX
+        ))
+        .unwrap_err();
+        assert!(e.message.contains("cap"), "{}", e.message);
+        // The cap itself is accepted.
+        let ok = parse_request(&format!(
+            r#"{{"v":1,"cmd":"sweep","seed_count":{MAX_SWEEP_SEEDS}}}"#
+        ));
+        assert!(ok.is_ok(), "{ok:?}");
+    }
+
+    #[test]
+    fn world_sizes_are_capped_per_interference_model() {
+        let run = |params: &str| {
+            parse_request(&format!(r#"{{"v":1,"cmd":"run","params":{{{params}}}}}"#))
+        };
+        for bad in [
+            r#""sus":100000000000,"pus":1"#,
+            r#""sus":5001"#,
+            r#""pus":1001"#,
+            r#""sus":250001,"interference":"truncated:0.1""#,
+            r#""pus":50001,"interference":"truncated:0.1""#,
+        ] {
+            let e = run(bad).unwrap_err();
+            assert_eq!(e.kind, ErrorKind::BadRequest, "{bad}");
+            assert!(e.message.contains("cap"), "{bad} → {}", e.message);
+        }
+        // The paper preset's largest Fig. 6 points and the largest sparse
+        // world the benchmarks build are accepted.
+        for good in [
+            r#""sus":2660,"pus":400"#,
+            r#""sus":2000,"pus":800"#,
+            r#""sus":5000,"pus":1000"#,
+            r#""sus":250000,"pus":50000,"interference":"truncated:0.1""#,
+        ] {
+            assert!(run(good).is_ok(), "{good}");
+        }
+        // Node-count axes are checked point by point; other axes are not
+        // node counts.
+        let sweep = |axis: &str| {
+            parse_request(&format!(
+                r#"{{"v":1,"cmd":"sweep","params":{{"seed":1}},"axis":{axis}}}"#
+            ))
+        };
+        let e = sweep(r#"{"kind":"sus","values":[100,1e11]}"#).unwrap_err();
+        assert!(e.message.contains("cap"), "{}", e.message);
+        let e = sweep(r#"{"kind":"pus","values":[20000]}"#).unwrap_err();
+        assert!(e.message.contains("cap"), "{}", e.message);
+        assert!(sweep(r#"{"kind":"sus","values":[1340,2660]}"#).is_ok());
+        assert!(sweep(r#"{"kind":"su_power","values":[1e11]}"#).is_ok());
+    }
+
+    #[test]
     fn sweep_axis_parses_and_defaults_to_the_template_seed() {
         let req = parse_request(
             r#"{"v":1,"cmd":"sweep","params":{"seed":9},
@@ -953,27 +1039,18 @@ mod tests {
 
     #[test]
     fn shards_parse_but_never_touch_the_cache_key() {
-        let spec = |shards: &str| {
-            let Request::Run { spec, .. } = parse_request(&format!(
-                r#"{{"v":1,"cmd":"run","params":{{"seed":7}},"shards":{shards}}}"#
-            ))
-            .unwrap() else {
+        // Older clients may still send the retired "shards" key; unknown
+        // top-level keys are ignored, so it parses to the plain spec.
+        let spec = |line: &str| {
+            let Request::Run { spec, .. } = parse_request(line).unwrap() else {
                 panic!()
             };
             spec
         };
-        let seq = spec("0");
-        let auto = spec("\"auto\"");
-        let four = spec("4");
-        assert_eq!(seq.shards, crn_shard::ShardMode::Sequential);
-        assert_eq!(auto.shards, crn_shard::ShardMode::Auto);
-        assert_eq!(four.shards, crn_shard::ShardMode::Fixed(4));
-        // Execution strategy is not identity: a result computed at any
-        // shard count must serve every other shard count.
-        assert_eq!(seq.cache_key(), auto.cache_key());
-        assert_eq!(seq.cache_key(), four.cache_key());
-        let e = parse_request(r#"{"v":1,"cmd":"run","shards":true}"#).unwrap_err();
-        assert!(e.message.contains("shards"), "{}", e.message);
+        let plain = spec(r#"{"v":1,"cmd":"run","params":{"seed":7}}"#);
+        let sharded = spec(r#"{"v":1,"cmd":"run","params":{"seed":7},"shards":2}"#);
+        assert_eq!(plain, sharded);
+        assert_eq!(plain.cache_key(), sharded.cache_key());
     }
 
     #[test]
@@ -1098,7 +1175,7 @@ mod tests {
         let line = r#"{"v":1,"cmd":"run","params":{"sus":61,"pus":9,"side":41.5,"pt":0.35,
             "seed":1234,"interference":"truncated:0.07","max_connectivity_attempts":500,
             "baseline_su_sense_factor":1.5,"faults":"churn:2.5"},"algo":"coolest",
-            "check_invariants":true,"shards":3}"#;
+            "check_invariants":true}"#;
         let Request::Run { spec, .. } = parse_request(line).unwrap() else {
             panic!("not a run");
         };

@@ -945,17 +945,6 @@ fn stats_json(shared: &Arc<Shared>) -> Json {
         .set("misses", Json::UInt(topo.misses))
         .set("evictions", Json::UInt(topo.evictions))
         .set("insertions", Json::UInt(topo.insertions));
-    let sh = shared.exec.telemetry.snapshot();
-    let mut shards_json = Json::obj();
-    shards_json
-        .set("runs", Json::UInt(sh.runs))
-        .set("shards_last", Json::UInt(sh.shards_last))
-        .set("windows_committed", Json::UInt(sh.windows_committed))
-        .set(
-            "boundary_events_mirrored",
-            Json::UInt(sh.boundary_events_mirrored),
-        )
-        .set("max_window_skew", Json::UInt(sh.max_window_skew));
     let mut s = Json::obj();
     s.set(
         "uptime_s",
@@ -972,7 +961,6 @@ fn stats_json(shared: &Arc<Shared>) -> Json {
     .set("cache", cache_json)
     .set("topology_cache", topo_json)
     .set("store", store_stats_json(shared.store.as_ref()))
-    .set("shards", shards_json)
     .set("latency_ms", Json::Arr(hist));
     let mut o = response_base(true);
     o.set("stats", s);

@@ -221,10 +221,6 @@ pub enum BuildError {
         /// Number of nodes in the world (ids are `0..nodes`).
         nodes: usize,
     },
-    /// An external SIR plane was attached but the world carries no
-    /// reverse index for it to replay (dense/exact interference mode),
-    /// or the full-scan reference path was forced at the same time.
-    PlaneNeedsReverseIndex,
 }
 
 impl fmt::Display for BuildError {
@@ -256,9 +252,6 @@ impl fmt::Display for BuildError {
             BuildError::BadFaultTarget { target, nodes } => write!(
                 f,
                 "fault schedule targets node {target}, but the world has only {nodes} nodes"
-            ),
-            BuildError::PlaneNeedsReverseIndex => f.write_str(
-                "an external SIR plane needs the sparse reverse index (truncated mode, full_scan off)",
             ),
         }
     }

@@ -1,5 +1,4 @@
 use crate::event::{EventKind, EventQueue};
-use crate::plane::SirPlane;
 use crate::probe::{NoopProbe, Probe, TraceEvent, TraceEventKind, TxOutcome};
 use crate::report::NodeStats;
 use crate::{BuildError, MacConfig, SimReport, SimWorld, Traffic};
@@ -106,11 +105,6 @@ enum SirPath {
     /// `(slot, gain)` row into per-slot accumulators and re-checks only
     /// the receivers whose interference actually changed.
     Delta,
-    /// Interference accounting delegated to an attached [`SirPlane`]
-    /// (e.g. the sharded parallel plane of `crn-shard`). Control stays
-    /// sequential; only the sticky `failed_sir` verdict flows back, at
-    /// natural transmission ends.
-    External,
 }
 
 /// Struct-of-arrays layout for the in-flight receptions, positioned by
@@ -321,9 +315,6 @@ pub struct Simulator<P: Probe = NoopProbe> {
     /// Delta path: next link of the per-slot transmitter chain
     /// ([`SlotAcc::head`]), indexed by transmitter.
     next_at_slot: Vec<u32>,
-    /// External path: the attached SIR plane (always `Some` iff
-    /// `path == SirPath::External`).
-    plane: Option<Box<dyn SirPlane>>,
 
     // Outcome accumulators.
     delivered: usize,
@@ -385,7 +376,6 @@ pub struct SimulatorBuilder<P: Probe = NoopProbe> {
     traffic: Traffic,
     faults: FaultSchedule,
     full_scan: bool,
-    plane: Option<Box<dyn SirPlane>>,
     probe: P,
 }
 
@@ -438,17 +428,6 @@ impl<P: Probe> SimulatorBuilder<P> {
         self
     }
 
-    /// Attaches an external [`SirPlane`] that takes over interference
-    /// accounting and SIR verdicts (see the trait's contract).
-    /// Requires a world in truncated mode (reverse index present) and is
-    /// incompatible with [`SimulatorBuilder::full_scan`]; `build` rejects
-    /// the combination with [`BuildError::PlaneNeedsReverseIndex`].
-    #[must_use]
-    pub fn sir_plane(mut self, plane: Box<dyn SirPlane>) -> Self {
-        self.plane = Some(plane);
-        self
-    }
-
     /// Attaches `probe`, replacing any previously attached one (the
     /// builder's probe type parameter changes with it).
     #[must_use]
@@ -461,7 +440,6 @@ impl<P: Probe> SimulatorBuilder<P> {
             traffic: self.traffic,
             faults: self.faults,
             full_scan: self.full_scan,
-            plane: self.plane,
             probe,
         }
     }
@@ -484,7 +462,6 @@ impl<P: Probe> SimulatorBuilder<P> {
             self.traffic,
             self.faults,
             self.full_scan,
-            self.plane,
             self.probe,
         )
     }
@@ -503,7 +480,6 @@ impl Simulator {
             traffic: Traffic::Snapshot,
             faults: FaultSchedule::empty(),
             full_scan: false,
-            plane: None,
             probe: NoopProbe,
         }
     }
@@ -519,7 +495,6 @@ impl<P: Probe> Simulator<P> {
         traffic: Traffic,
         faults: FaultSchedule,
         full_scan: bool,
-        plane: Option<Box<dyn SirPlane>>,
         probe: P,
     ) -> Result<Self, BuildError> {
         mac.validated()?;
@@ -532,18 +507,17 @@ impl<P: Probe> Simulator<P> {
                 return Err(BuildError::BadFaultTarget { target, nodes: n });
             }
         }
-        if plane.is_some() && (full_scan || !world.has_reverse_index()) {
-            return Err(BuildError::PlaneNeedsReverseIndex);
-        }
-        let path = if plane.is_some() {
-            SirPath::External
-        } else if !full_scan && world.has_reverse_index() {
+        // Dense radios carry no reverse index, so they always take the
+        // reference scan path (it doubles as the bit-exact oracle).
+        let path = if !full_scan && world.has_reverse_index() {
             SirPath::Delta
         } else {
-            // Dense radios carry no reverse index, so they always take
-            // the reference scan path (it doubles as the bit-exact
-            // oracle).
             SirPath::Scan
+        };
+        // Only the delta path touches the slot accumulators.
+        let (delta_slots, delta_txs) = match path {
+            SirPath::Delta => (slots, n),
+            SirPath::Scan => (0, 0),
         };
         let cur_parent = world.parents().to_vec();
         Ok(Self {
@@ -572,25 +546,9 @@ impl<P: Probe> Simulator<P> {
             active_pos: vec![usize::MAX; n],
             rx_lock: vec![None; slots],
             path,
-            // Only the in-process delta path touches the slot
-            // accumulators; an external plane owns its own copies, so
-            // leaving these empty keeps big sharded worlds lean.
-            slot: if path == SirPath::Delta {
-                vec![SlotAcc::EMPTY; slots]
-            } else {
-                Vec::new()
-            },
-            slot_self: if path == SirPath::Delta {
-                vec![0.0; slots]
-            } else {
-                Vec::new()
-            },
-            next_at_slot: if path == SirPath::Delta {
-                vec![NO_SU; n]
-            } else {
-                Vec::new()
-            },
-            plane,
+            slot: vec![SlotAcc::EMPTY; delta_slots],
+            slot_self: vec![0.0; delta_slots],
+            next_at_slot: vec![NO_SU; delta_txs],
             delivered: 0,
             packets_expected: n.saturating_sub(1) * traffic.snapshots() as usize,
             delivery_times: vec![None; n],
@@ -654,9 +612,6 @@ impl<P: Probe> Simulator<P> {
             }
             debug_assert!(time + 1e-12 >= self.now, "time went backwards");
             self.now = time;
-            if let Some(plane) = &mut self.plane {
-                plane.advance_to(time);
-            }
             self.events_processed += 1;
             match kind {
                 EventKind::PuSlot { index } => self.on_pu_slot(index),
@@ -667,9 +622,6 @@ impl<P: Probe> Simulator<P> {
                 EventKind::FaultAt { index } => self.on_fault_at(index),
                 EventKind::Heal { su } => self.on_heal(su),
             }
-        }
-        if let Some(plane) = &mut self.plane {
-            plane.finish();
         }
         let end = self.finished_at.unwrap_or(self.mac.max_sim_time);
         self.probe.on_finish(end);
@@ -986,16 +938,6 @@ impl<P: Probe> Simulator<P> {
                 };
                 interference = rest + self.slot_self[rx_slot as usize];
             }
-            SirPath::External => {
-                // The plane owns the accumulators and the verdict; control
-                // only needs the intended-link contribution for capture.
-                // The forward gain is bit-identical to the reverse-row
-                // gain the plane accumulates (pinned by the radio
-                // invariant tests), and `interference` stays 0.0 here so
-                // the placeholder verdict below is always false — the
-                // real one is read back at the natural finish.
-                own = p_s * world.su_gain(su, rx_slot);
-            }
         }
         debug_assert!(own > 0.0, "transmitter inaudible at its own receiver");
 
@@ -1003,12 +945,6 @@ impl<P: Probe> Simulator<P> {
         // injected degradation (`× 1.0` is exact, so fault-free runs are
         // bit-identical to `SimWorld::link_signal`).
         let signal = own * self.link_factor[su as usize];
-        if self.path == SirPath::External {
-            self.plane
-                .as_mut()
-                .expect("external path implies a plane")
-                .tx_start(su, rx_slot, signal);
-        }
         let mut failed_capture = false;
         let mut failed_sir = false;
 
@@ -1098,7 +1034,7 @@ impl<P: Probe> Simulator<P> {
         let aborted = cause != FinishCause::Natural;
         let pos = self.active_pos[su as usize];
         debug_assert_ne!(pos, usize::MAX, "finish_tx without active tx");
-        let mut tx = self.active.swap_remove(pos);
+        let tx = self.active.swap_remove(pos);
         if pos < self.active.len() {
             self.active_pos[self.active.su[pos] as usize] = pos;
         }
@@ -1161,21 +1097,6 @@ impl<P: Probe> Simulator<P> {
                     } else {
                         (acc.intf - p_s * g).max(0.0)
                     };
-                }
-            }
-            SirPath::External => {
-                // The plane unchains and withdraws on its side; only a
-                // natural finish needs the sticky verdict back (aborted
-                // outcomes never read `failed_sir`), so only that case
-                // forces the plane to synchronize.
-                let need_verdict = !aborted;
-                let failed = self
-                    .plane
-                    .as_mut()
-                    .expect("external path implies a plane")
-                    .tx_finish(su, tx.rx_slot, need_verdict);
-                if need_verdict {
-                    tx.failed_sir = failed;
                 }
             }
         }
@@ -1602,11 +1523,6 @@ impl<P: Probe> Simulator<P> {
                     }
                 }
             }
-            SirPath::External => self
-                .plane
-                .as_mut()
-                .expect("external path implies a plane")
-                .pu_on(k as u32),
         }
 
         // SUs overhearing this PU: freeze backoffs; transmitters hand off.
@@ -1666,11 +1582,6 @@ impl<P: Probe> Simulator<P> {
                     };
                 }
             }
-            SirPath::External => self
-                .plane
-                .as_mut()
-                .expect("external path implies a plane")
-                .pu_off(k as u32),
         }
 
         for &v in world.pu_fanout(k) {

@@ -85,7 +85,6 @@ mod config;
 mod engine;
 mod event;
 mod oracle;
-mod plane;
 mod probe;
 mod radio;
 mod report;
@@ -98,7 +97,6 @@ pub use crn_faults::{
 };
 pub use engine::{Simulator, SimulatorBuilder};
 pub use oracle::{InvariantChecker, InvariantKind, Violation};
-pub use plane::SirPlane;
 pub use probe::{
     NoopProbe, Probe, TimeSeries, TimeSeriesPoint, TraceEvent, TraceEventKind, TraceLog, TxOutcome,
 };

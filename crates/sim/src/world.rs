@@ -387,16 +387,11 @@ impl SimWorld {
         self.radio.pu_fanout(pu)
     }
 
-    /// Receiver slot of `su`, or `None` if it is not a receiver (slots
-    /// index the per-receiver interference accounting structures).
-    #[must_use]
-    pub fn receiver_slot(&self, su: u32) -> Option<u32> {
+    pub(crate) fn receiver_slot(&self, su: u32) -> Option<u32> {
         self.topology.receiver_slot(su)
     }
 
-    /// Number of receiver slots (parents of at least one node).
-    #[must_use]
-    pub fn num_receiver_slots(&self) -> usize {
+    pub(crate) fn num_receiver_slots(&self) -> usize {
         self.topology.num_receiver_slots()
     }
 
@@ -404,11 +399,7 @@ impl SimWorld {
         self.radio.pu_gain(pu, slot)
     }
 
-    /// Path gain from transmitter `su` to receiver slot `slot` (0.0 when
-    /// the sparse tables truncated the pair). Bit-identical to the gain
-    /// stored in the reverse rows — the radio invariant tests pin this.
-    #[must_use]
-    pub fn su_gain(&self, su: u32, slot: u32) -> f64 {
+    pub(crate) fn su_gain(&self, su: u32, slot: u32) -> f64 {
         self.radio.su_gain(su, slot)
     }
 
@@ -420,25 +411,20 @@ impl SimWorld {
     }
 
     /// Whether the radio carries the transmitter-indexed reverse rows
-    /// the engine's delta path walks (`Truncated` mode only). External
-    /// SIR planes ([`crate::SirPlane`]) require this.
-    #[must_use]
-    pub fn has_reverse_index(&self) -> bool {
+    /// the engine's delta path walks (`Truncated` mode only).
+    pub(crate) fn has_reverse_index(&self) -> bool {
         self.radio.has_reverse_index()
     }
 
     /// The receiver slots that hear `su`, with precomputed gains (slots
-    /// ascending) — `None` in dense (exact) mode. This is the row an
-    /// external SIR plane replays per transmission event.
-    #[must_use]
-    pub fn who_hears_su(&self, su: u32) -> Option<(&[u32], &[f64])> {
+    /// ascending) — `None` in dense (exact) mode.
+    pub(crate) fn who_hears_su(&self, su: u32) -> Option<(&[u32], &[f64])> {
         self.radio.who_hears_su(su)
     }
 
     /// The receiver slots whose near lists keep PU `pu`, with
     /// precomputed gains (slots ascending) — `None` in dense mode.
-    #[must_use]
-    pub fn who_hears_pu(&self, pu: usize) -> Option<(&[u32], &[f64])> {
+    pub(crate) fn who_hears_pu(&self, pu: usize) -> Option<(&[u32], &[f64])> {
         self.radio.who_hears_pu(pu)
     }
 

@@ -17,11 +17,6 @@
 //!    fault-aware [`InvariantChecker`] on the delta engine, with the
 //!    scan path compared on every draw.
 //!
-//! 4. `sharded_lanes_match_pinned_digests` — the corpus again, on the
-//!    spatially-sharded external SIR plane (`crn-shard`), inline and
-//!    forced-threaded, against the *same* digests: sharding is an
-//!    execution strategy, never a behavior change.
-//!
 //! Regenerating the digests (only legitimate when the *intended*
 //! behavior changes): `ENGINE_EQUIV_REGEN=1 cargo test -p crn-sim
 //! --test engine_equiv -- regen --nocapture`.
@@ -382,47 +377,6 @@ fn fuzz_lane_is_oracle_clean() {
             format!("{scan:?}"),
             "draw {draw} (cols {cols}, seed {wseed:#x}): delta diverged from scan"
         );
-    }
-}
-
-/// Lane 4: the pinned corpus on the sharded SIR plane. Every case runs
-/// at two shard counts, once inline and once with worker threads forced
-/// on, and must land on the *same* pre-change digests as the sequential
-/// engine. Exact-model cases carry no reverse index, so `build_plane`
-/// declines there and the lane degenerates to the sequential path —
-/// which is itself part of the pinned contract (graceful fallback).
-#[test]
-fn sharded_lanes_match_pinned_digests() {
-    use crn_shard::{build_plane, ShardConfig, ShardMode};
-    let pinned = pinned_digests();
-    let cases = corpus_cases();
-    assert_eq!(pinned.len(), cases.len(), "corpus drifted from digests");
-    for (case, (id, want)) in cases.iter().zip(&pinned) {
-        assert_eq!(&case.id, id, "corpus order drifted from digests");
-        for (shards, threaded) in [(2u32, false), (4, true)] {
-            let cfg = ShardConfig {
-                mode: ShardMode::Fixed(shards),
-                threaded: Some(threaded),
-                telemetry: None,
-            };
-            let mac = MacConfig::default();
-            let mut builder = Simulator::builder(case.world.clone())
-                .mac(mac)
-                .activity(PuActivity::bernoulli(case.p_t).expect("valid p_t"))
-                .seed(case.seed)
-                .faults(case.faults.clone());
-            if let Some(plane) = build_plane(&case.world, &mac, &cfg) {
-                builder = builder.sir_plane(plane);
-            }
-            let report = builder.build().expect("case builds").run();
-            let got = digest(&report);
-            assert_eq!(
-                got, *want,
-                "{}: sharded run (shards {shards}, threaded {threaded}) \
-                 diverged from the sequential engine (got {got:016x})",
-                case.id
-            );
-        }
     }
 }
 

@@ -1,6 +1,5 @@
 use crate::{Job, RunRecord, SweepSpec};
 use crn_core::{Scenario, ScenarioError};
-use crn_shard::ShardConfig;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -34,11 +33,6 @@ pub struct SweepOptions {
     /// failing job's identity. Off by default — the oracle roughly doubles
     /// per-job cost.
     pub check_invariants: bool,
-    /// Spread each job's SIR plane across spatial shards
-    /// ([`crn_core::Scenario::run_sharded`]). Reports are bit-identical
-    /// to sequential execution, so this composes freely with
-    /// `check_invariants` and job-level threading. Sequential by default.
-    pub shards: ShardConfig,
 }
 
 impl SweepOptions {
@@ -71,13 +65,6 @@ impl SweepOptions {
     #[must_use]
     pub fn check_invariants(mut self, check: bool) -> Self {
         self.check_invariants = check;
-        self
-    }
-
-    /// Shard each job's SIR plane per `shards` (sequential by default).
-    #[must_use]
-    pub fn shards(mut self, shards: ShardConfig) -> Self {
-        self.shards = shards;
         self
     }
 
@@ -159,7 +146,6 @@ pub fn run_sweep(spec: &SweepSpec, options: SweepOptions) -> Result<Vec<RunRecor
     let threads = options.effective_threads();
     let progress = options.progress.as_deref();
     let check_invariants = options.check_invariants;
-    let shards = &options.shards;
 
     let done = AtomicUsize::new(0);
     let next = AtomicUsize::new(0);
@@ -206,7 +192,7 @@ pub fn run_sweep(spec: &SweepSpec, options: SweepOptions) -> Result<Vec<RunRecor
                 }
             };
             for (offset, job) in chunk.iter().enumerate() {
-                let outcome = run_group_job(&current, job, check_invariants, shards);
+                let outcome = run_group_job(&current, job, check_invariants);
                 let stop = outcome.is_err();
                 record(slot0 + offset, outcome);
                 if stop {
@@ -263,18 +249,13 @@ fn run_group_job(
     scenario: &Scenario,
     job: &Job,
     check_invariants: bool,
-    shards: &ShardConfig,
 ) -> Result<RunRecord, SweepError> {
     // `run_checked` uses the same derived seed as `run`, so checked sweeps
-    // reproduce unchecked ones bit-for-bit (probes observe, never perturb);
-    // sharded execution is bit-identical too, so all four combinations
-    // produce the same records.
+    // reproduce unchecked ones bit-for-bit (probes observe, never perturb).
     let outcome = if check_invariants {
-        scenario
-            .run_checked_sharded(job.algorithm, shards)
-            .map(|(o, _)| o)
+        scenario.run_checked(job.algorithm).map(|(o, _)| o)
     } else {
-        scenario.run_sharded(job.algorithm, shards)
+        scenario.run(job.algorithm)
     }
     .map_err(|source| fail_for(job, source))?;
     Ok(RunRecord::from_outcome(

@@ -14,7 +14,6 @@
 //! | [`spectrum`] | `crn-spectrum` | PU activity models, spectrum opportunities & temperature |
 //! | [`faults`] | `crn-faults` | seeded fault plans & churn: crashes, pauses, regime shifts, brownouts |
 //! | [`sim`] | `crn-sim` | asynchronous discrete-event CSMA simulator + trace probes |
-//! | [`shard`] | `crn-shard` | spatially-sharded parallel SIR plane, bit-identical to the sequential engine |
 //! | [`core`] | `crn-core` | ADDC (Algorithm 1) and the Coolest-path baseline |
 //! | [`theory`] | `crn-theory` | Lemmas 4–8, Theorems 1–2 analytic bounds |
 //! | [`workloads`] | `crn-workloads` | scenarios, sweeps, parallel runners, tables |
@@ -49,7 +48,6 @@ pub use crn_faults as faults;
 pub use crn_geometry as geometry;
 pub use crn_interference as interference;
 pub use crn_serve as serve;
-pub use crn_shard as shard;
 pub use crn_sim as sim;
 pub use crn_spectrum as spectrum;
 pub use crn_theory as theory;

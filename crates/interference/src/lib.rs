@@ -60,6 +60,7 @@ pub mod sir;
 
 pub use cutoff::{CutoffTable, FarFieldBound};
 pub use params::{
-    db_to_linear, linear_to_db, path_gain, path_gain_sq, ParamError, PhyParams, PhyParamsBuilder,
+    db_to_linear, linear_to_db, path_gain, path_gain_sq, ParamError, PathLoss, PhyParams,
+    PhyParamsBuilder,
 };
 pub use pcr::PcrConstants;

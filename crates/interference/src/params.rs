@@ -27,36 +27,103 @@ pub fn linear_to_db(linear: f64) -> f64 {
     10.0 * linear.log10()
 }
 
+/// The path-loss law `g(d) = d^{-α}`, with its evaluation strategy
+/// resolved once from `α` instead of on every call.
+///
+/// A (near-)integral `α` in `3..=8` evaluates `g(d)` by `powi`, several
+/// times cheaper than `powf` and within a few ulps of it (pinned by a
+/// test); an even integral `α` in `4..=8` evaluates `g` from a squared
+/// distance without the square root. Every other `α` takes `powf`.
+/// [`path_gain`] and [`path_gain_sq`] are thin wrappers, so a table built
+/// from one resolved law is bit-identical to one built pair by pair.
+///
+/// ```
+/// # use crn_interference::{path_gain, path_gain_sq, PathLoss};
+/// let law = PathLoss::new(4.0);
+/// assert_eq!(law.gain(3.0).to_bits(), path_gain(3.0, 4.0).to_bits());
+/// assert_eq!(law.gain_sq(9.0).to_bits(), path_gain_sq(9.0, 4.0).to_bits());
+/// assert_eq!(law.gain(2.0), 1.0 / 16.0);
+/// ```
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct PathLoss {
+    alpha: f64,
+    /// `Some(n)` when `g(d) = d^{-n}` takes the `powi` route.
+    d_exp: Option<i32>,
+    /// `Some(m)` when `g = (d²)^{-m}` takes the square-root-free route.
+    d2_exp: Option<i32>,
+}
+
+impl PathLoss {
+    /// Resolves the law for path-loss exponent `alpha`.
+    #[must_use]
+    pub fn new(alpha: f64) -> Self {
+        let integral = |x: f64, range: std::ops::RangeInclusive<f64>| {
+            let rounded = x.round();
+            ((x - rounded).abs() < 1e-9 && range.contains(&rounded)).then_some(rounded as i32)
+        };
+        Self {
+            alpha,
+            d_exp: integral(alpha, 3.0..=8.0),
+            d2_exp: integral(alpha * 0.5, 2.0..=4.0),
+        }
+    }
+
+    /// Path gain at distance `d`, with the same 1e-9 distance clamp as
+    /// [`PhyParams::received_power`].
+    #[must_use]
+    #[inline]
+    pub fn gain(&self, d: f64) -> f64 {
+        let d = d.max(1e-9);
+        match self.d_exp {
+            Some(n) => powi_neg(d, n),
+            None => d.powf(-self.alpha),
+        }
+    }
+
+    /// Path gain from a **squared** distance `d2` (the same clamp,
+    /// expressed on `d²`).
+    #[must_use]
+    #[inline]
+    pub fn gain_sq(&self, d2: f64) -> f64 {
+        match self.d2_exp {
+            Some(m) => powi_neg(d2.max(1e-18), m),
+            None => self.gain(d2.sqrt()),
+        }
+    }
+}
+
+/// `x^{-n}` by `powi` with a literal exponent for every `n` a resolved
+/// [`PathLoss`] can hold, so the compiler expands each arm into a fixed
+/// multiply chain instead of calling the variable-exponent libcall. Both
+/// square and multiply in the same order, so the bits agree.
+#[inline]
+fn powi_neg(x: f64, n: i32) -> f64 {
+    match n {
+        2 => x.powi(-2),
+        3 => x.powi(-3),
+        4 => x.powi(-4),
+        5 => x.powi(-5),
+        6 => x.powi(-6),
+        7 => x.powi(-7),
+        8 => x.powi(-8),
+        _ => x.powi(-n),
+    }
+}
+
 /// Path gain `d^{-α}` with the same 1e-9 distance clamp as
-/// [`PhyParams::received_power`], taking the `powi` fast path when `α` is
-/// (near-)integral — `powi` is several times cheaper than `powf` and the
-/// two agree to within a few ulps (pinned by a test).
+/// [`PhyParams::received_power`] (see [`PathLoss`], which resolves the
+/// evaluation strategy once for table builds).
 #[must_use]
 pub fn path_gain(d: f64, alpha: f64) -> f64 {
-    let d = d.max(1e-9);
-    let rounded = alpha.round();
-    if (alpha - rounded).abs() < 1e-9 && (3.0..=8.0).contains(&rounded) {
-        d.powi(-(rounded as i32))
-    } else {
-        d.powf(-alpha)
-    }
+    PathLoss::new(alpha).gain(d)
 }
 
 /// [`path_gain`] evaluated from a **squared** distance, skipping the
 /// square root entirely when `α` is an even integer (the paper's `α = 4`
-/// included). Hot construction loops that already have `d²` from a grid
-/// query use this; results agree with `path_gain(d, α)` to within a few
-/// ulps.
+/// included). Results agree with `path_gain(d, α)` to within a few ulps.
 #[must_use]
 pub fn path_gain_sq(d2: f64, alpha: f64) -> f64 {
-    let half = alpha * 0.5;
-    let rounded = half.round();
-    if (half - rounded).abs() < 1e-9 && (2.0..=4.0).contains(&rounded) {
-        // Same clamp as path_gain's d >= 1e-9, expressed on d².
-        d2.max(1e-18).powi(-(rounded as i32))
-    } else {
-        path_gain(d2.sqrt(), alpha)
-    }
+    PathLoss::new(alpha).gain_sq(d2)
 }
 
 /// Error from [`PhyParamsBuilder::build`].
@@ -421,6 +488,62 @@ mod tests {
                 assert_eq!(path_gain(d, alpha), d.powf(-alpha));
             }
         }
+    }
+
+    /// The pre-`PathLoss` formulas, verbatim: they re-derive the
+    /// strategy on every call and evaluate `powi` with a run-time
+    /// exponent (the variable-exponent libcall).
+    fn reference_gain(d: f64, alpha: f64) -> f64 {
+        let d = d.max(1e-9);
+        let rounded = alpha.round();
+        if (alpha - rounded).abs() < 1e-9 && (3.0..=8.0).contains(&rounded) {
+            d.powi(std::hint::black_box(-(rounded as i32)))
+        } else {
+            d.powf(-alpha)
+        }
+    }
+
+    fn reference_gain_sq(d2: f64, alpha: f64) -> f64 {
+        let half = alpha * 0.5;
+        let rounded = half.round();
+        if (half - rounded).abs() < 1e-9 && (2.0..=4.0).contains(&rounded) {
+            d2.max(1e-18).powi(std::hint::black_box(-(rounded as i32)))
+        } else {
+            reference_gain(d2.sqrt(), alpha)
+        }
+    }
+
+    #[test]
+    fn path_loss_is_bit_identical_to_per_pair_gains() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(0x9a7e_1055);
+        let mut cases = 0u64;
+        for alpha in [2.5, 3.0, 3.25, 3.5, 3.7, 4.0, 4.25, 5.0, 6.0, 7.0, 8.0, 8.5] {
+            let law = PathLoss::new(alpha);
+            for _ in 0..100_000 {
+                // Log-uniform over 1e-10..1e4: below the clamp, the
+                // near field and well past any deployment's diameter.
+                let d = 10f64.powf(rng.gen_range(-10.0..4.0));
+                let d2 = d * d;
+                let want = reference_gain(d, alpha);
+                assert_eq!(
+                    law.gain(d).to_bits(),
+                    want.to_bits(),
+                    "alpha {alpha}, d {d:e}"
+                );
+                assert_eq!(path_gain(d, alpha).to_bits(), want.to_bits());
+                let want_sq = reference_gain_sq(d2, alpha);
+                assert_eq!(
+                    law.gain_sq(d2).to_bits(),
+                    want_sq.to_bits(),
+                    "alpha {alpha}, d2 {d2:e}"
+                );
+                assert_eq!(path_gain_sq(d2, alpha).to_bits(), want_sq.to_bits());
+                cases += 2;
+            }
+        }
+        assert_eq!(cases, 2_400_000);
     }
 
     #[test]

@@ -27,6 +27,19 @@ enum Phase {
     Down,
 }
 
+impl Phase {
+    /// Whether an SU in this phase *listens* to the primary network: only
+    /// a running, frozen or transmitting backoff round acts on a PU
+    /// toggle (freeze, resume, or spectrum handoff).
+    #[cfg(debug_assertions)]
+    fn listens(self) -> bool {
+        matches!(
+            self,
+            Phase::CountingDown { .. } | Phase::Frozen { .. } | Phase::Transmitting
+        )
+    }
+}
+
 /// How a transmission's airtime came to its end, for outcome
 /// classification in `finish_tx`.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -63,18 +76,22 @@ struct SuState {
 
 /// The per-SU state the hot paths touch at random — carrier-sense
 /// counters, the MAC phase, and the timer generation — packed into one
-/// 24-byte row of a dense parallel array. Every PU toggle and SU tx
-/// start/end bumps the counters of each neighbor in sensing range and
-/// often freezes or resumes that neighbor's backoff; at scale those
-/// random touches into the wide [`SuState`] rows were cache misses, so
-/// the fields they need live together here, one cache line per ~2.7 SUs.
+/// 24-byte row of a dense parallel array. Every SU tx start/end bumps the
+/// SU counter of each neighbor in sensing range, every PU toggle the PU
+/// counter of each *listening* neighbor, and either often freezes or
+/// resumes that neighbor's backoff; at scale those random touches into
+/// the wide [`SuState`] rows were cache misses, so the fields they need
+/// live together here, one cache line per ~2.7 SUs.
 #[derive(Clone, Copy, Debug)]
 struct SuHot {
     phase: Phase,
     /// Generation counter: every (re)scheduling of a timer event for this
     /// SU bumps it; events carrying an older generation are stale.
     gen: u32,
-    /// Active PUs within this SU's PCR.
+    /// Active PUs within this SU's PCR — exact only while the SU listens
+    /// (phase `CountingDown`, `Frozen` or `Transmitting`). PU toggles
+    /// update listeners alone; `start_round` recounts it from `pu_on`
+    /// when the SU starts listening, and it goes stale once the SU stops.
     pu_busy: u32,
     /// Transmitting SUs within this SU's PCR.
     su_busy: u32,
@@ -196,6 +213,16 @@ impl ActiveSet {
 /// `next_at_slot`).
 const NO_SU: u32 = u32::MAX;
 
+/// Word index in `listeners` and bit mask of fanout position `pos` in PU
+/// `pu`'s listener set.
+#[inline]
+fn listen_bit(listen_off: &[u32], pu: u32, pos: u32) -> (usize, u64) {
+    (
+        listen_off[pu as usize] as usize + (pos / 64) as usize,
+        1 << (pos % 64),
+    )
+}
+
 /// Delta path: the per-receiver-slot interference accumulator. These
 /// three fields are read and written together on every reverse-row walk,
 /// so they are packed into one 16-byte struct — each of the several
@@ -287,6 +314,13 @@ pub struct Simulator<P: Probe = NoopProbe> {
     on_pus: Vec<u32>,
     /// Position of each PU in `on_pus` (`usize::MAX` when off).
     on_pos: Vec<usize>,
+    /// Per-PU listener bitsets over `pu_fanout` positions: bit `pos` of
+    /// PU `k`'s set is on exactly while SU `pu_fanout(k)[pos]` listens
+    /// (see [`SuHot::pu_busy`]). A toggle walks only the set bits, in
+    /// ascending position — the fanout's own (SU id) order.
+    listeners: Vec<u64>,
+    /// Word offsets of each PU's set in `listeners` (length `num_pus + 1`).
+    listen_off: Vec<u32>,
 
     active: ActiveSet,
     /// Position of each SU's transmission in `active` (`usize::MAX` when
@@ -520,6 +554,12 @@ impl<P: Probe> Simulator<P> {
             SirPath::Scan => (0, 0),
         };
         let cur_parent = world.parents().to_vec();
+        let mut listen_off = Vec::with_capacity(num_pus + 1);
+        listen_off.push(0u32);
+        for k in 0..num_pus {
+            let words = world.pu_fanout(k).len().div_ceil(64) as u32;
+            listen_off.push(listen_off[k] + words);
+        }
         Ok(Self {
             mac,
             activity,
@@ -542,6 +582,8 @@ impl<P: Probe> Simulator<P> {
             pu_scratch: vec![false; num_pus],
             on_pus: Vec::with_capacity(num_pus),
             on_pos: vec![usize::MAX; num_pus],
+            listeners: vec![0; listen_off[num_pus] as usize],
+            listen_off,
             active: ActiveSet::default(),
             active_pos: vec![usize::MAX; n],
             rx_lock: vec![None; slots],
@@ -722,6 +764,71 @@ impl<P: Probe> Simulator<P> {
         self.hot[su as usize].free()
     }
 
+    /// Makes `su` a listener: sets its bit in the listener set of every PU
+    /// it senses and recounts its `pu_busy` from `pu_on`. PU toggles keep
+    /// the count exact from here until [`Self::unlisten`].
+    fn listen(&mut self, su: u32) {
+        let (pus, pos) = self.world.sensed_pus(su);
+        let mut busy = 0;
+        for (&k, &p) in pus.iter().zip(pos) {
+            let (w, mask) = listen_bit(&self.listen_off, k, p);
+            self.listeners[w] |= mask;
+            busy += u32::from(self.pu_on[k as usize]);
+        }
+        self.hot[su as usize].pu_busy = busy;
+    }
+
+    /// Stops `su` listening: clears its listener bits, after which PU
+    /// toggles pass it by and its `pu_busy` goes stale.
+    fn unlisten(&mut self, su: u32) {
+        let (pus, pos) = self.world.sensed_pus(su);
+        for (&k, &p) in pus.iter().zip(pos) {
+            let (w, mask) = listen_bit(&self.listen_off, k, p);
+            self.listeners[w] &= !mask;
+        }
+    }
+
+    /// Calls `f` on every listener in PU `k`'s fanout (`fanout`), in
+    /// fanout order. No listener bit changes during the walk: `f` may
+    /// freeze or resume a backoff, never end or start a round.
+    fn for_each_listener(&mut self, k: usize, fanout: &[u32], mut f: impl FnMut(&mut Self, u32)) {
+        let lo = self.listen_off[k] as usize;
+        for w in lo..self.listen_off[k + 1] as usize {
+            let mut bits = self.listeners[w];
+            while bits != 0 {
+                let pos = (w - lo) * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                f(self, fanout[pos]);
+            }
+        }
+    }
+
+    /// Debug builds, after every PU slot: an SU has listener bits set iff
+    /// it listens, and every listener's `pu_busy` counts exactly the
+    /// on-PUs it senses.
+    #[cfg(debug_assertions)]
+    fn check_listeners(&self) {
+        for su in 0..self.hot.len() as u32 {
+            let h = self.hot[su as usize];
+            let listening = h.phase.listens();
+            let (pus, pos) = self.world.sensed_pus(su);
+            let mut busy = 0;
+            for (&k, &p) in pus.iter().zip(pos) {
+                let (w, mask) = listen_bit(&self.listen_off, k, p);
+                assert_eq!(
+                    self.listeners[w] & mask != 0,
+                    listening,
+                    "su {su} in phase {:?}: listener bit at pu {k} disagrees",
+                    h.phase
+                );
+                busy += u32::from(self.pu_on[k as usize]);
+            }
+            if listening {
+                assert_eq!(h.pu_busy, busy, "listener {su}: stale pu_busy");
+            }
+        }
+    }
+
     fn busy_changed(&mut self, su: u32, became_busy: bool) {
         if became_busy {
             // 0 -> 1 transition: freeze a running countdown.
@@ -800,6 +907,7 @@ impl<P: Probe> Simulator<P> {
         s.cw = cw;
         self.hot[su as usize].gen += 1;
         self.emit(TraceEventKind::BackoffStart { su, t_i, cw });
+        self.listen(su);
         if self.channel_free(su) {
             let expiry = self.now + t_i;
             let h = &mut self.hot[su as usize];
@@ -1197,6 +1305,7 @@ impl<P: Probe> Simulator<P> {
         // Fairness wait, then the next round (Algorithm 1 line 12); the
         // wait completes the round's contention window.
         if self.mac.fairness_wait {
+            self.unlisten(su);
             let h = &mut self.hot[su as usize];
             h.phase = Phase::Waiting;
             h.gen += 1;
@@ -1207,6 +1316,7 @@ impl<P: Probe> Simulator<P> {
                 .push(self.now + wait, EventKind::WaitEnd { su, gen });
             self.emit(TraceEventKind::FairnessWait { su, wait });
         } else if self.su[su as usize].queue.is_empty() {
+            self.unlisten(su);
             self.hot[su as usize].phase = Phase::Idle;
         } else {
             self.start_round(su);
@@ -1304,6 +1414,7 @@ impl<P: Probe> Simulator<P> {
         // Cancel whatever timer finish_tx (or the prior phase) left armed.
         self.hot[i].gen += 1;
         self.hot[i].phase = Phase::Down;
+        self.unlisten(su);
         if crash {
             self.emit(TraceEventKind::SuCrashed { su });
             self.drop_queue(su);
@@ -1487,6 +1598,8 @@ impl<P: Probe> Simulator<P> {
             (index + 1) as f64 * self.mac.slot,
             EventKind::PuSlot { index: index + 1 },
         );
+        #[cfg(debug_assertions)]
+        self.check_listeners();
     }
 
     fn set_pu_on(&mut self, k: usize) {
@@ -1525,14 +1638,15 @@ impl<P: Probe> Simulator<P> {
             }
         }
 
-        // SUs overhearing this PU: freeze backoffs; transmitters hand off.
+        // Listening SUs overhearing this PU: freeze backoffs; transmitters
+        // hand off. Aborts run after the walk, so it sees fixed bits.
         let mut aborts: Vec<u32> = Vec::new();
-        for &v in world.pu_fanout(k) {
-            self.pu_busy_inc(v);
-            if self.active_pos[v as usize] != usize::MAX {
+        self.for_each_listener(k, world.pu_fanout(k), |sim, v| {
+            sim.pu_busy_inc(v);
+            if sim.active_pos[v as usize] != usize::MAX {
                 aborts.push(v);
             }
-        }
+        });
         for v in aborts {
             self.abort_tx(v);
         }
@@ -1584,9 +1698,7 @@ impl<P: Probe> Simulator<P> {
             }
         }
 
-        for &v in world.pu_fanout(k) {
-            self.pu_busy_dec(v);
-        }
+        self.for_each_listener(k, world.pu_fanout(k), Self::pu_busy_dec);
     }
 
     /// Scan path: re-verdicts every unfailed reception after an

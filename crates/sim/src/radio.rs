@@ -17,7 +17,7 @@ use crate::config::InterferenceModel;
 use crate::topology::Topology;
 use crate::world::WorldError;
 use crn_interference::cutoff::{CutoffTable, FarFieldBound};
-use crn_interference::{path_gain, path_gain_sq, PhyParams};
+use crn_interference::{PathLoss, PhyParams};
 use std::sync::Arc;
 
 /// The radio-layer inputs of [`Radio::customize`]: everything about a
@@ -98,15 +98,51 @@ impl RadioParams {
     }
 }
 
+/// Rows of ids in one flat array (CSR): row `i` is
+/// `ids[off[i]..off[i + 1]]`. One allocation per table instead of one
+/// per row.
+#[derive(Debug)]
+struct IdRows {
+    off: Vec<u32>,
+    ids: Vec<u32>,
+}
+
+impl IdRows {
+    /// Builds `rows` rows, `fill(i, ids)` appending row `i`'s ids, which
+    /// are then sorted ascending.
+    fn collect(rows: usize, mut fill: impl FnMut(usize, &mut Vec<u32>)) -> Self {
+        let mut off = Vec::with_capacity(rows + 1);
+        off.push(0u32);
+        let mut ids = Vec::new();
+        for i in 0..rows {
+            let start = ids.len();
+            fill(i, &mut ids);
+            ids[start..].sort_unstable();
+            off.push(ids.len() as u32);
+        }
+        Self { off, ids }
+    }
+
+    fn row(&self, i: usize) -> &[u32] {
+        &self.ids[self.off[i] as usize..self.off[i + 1] as usize]
+    }
+}
+
 /// Carrier-sensing neighbor lists; inputs: both sensing ranges.
 #[derive(Debug)]
 struct SenseStage {
     /// `(pu_sense_range, su_sense_range)` bit patterns.
     key: (u64, u64),
-    /// For each SU, the other SUs within its SU sensing range (sorted).
-    su_hears_su: Vec<Vec<u32>>,
-    /// For each PU, the SUs whose PU sensing range contains it (sorted).
-    pu_fanout: Vec<Vec<u32>>,
+    /// For each SU, the other SUs within its SU sensing range.
+    su_hears_su: IdRows,
+    /// For each PU, the SUs whose PU sensing range contains it.
+    pu_fanout: IdRows,
+    /// Transpose of `pu_fanout`: for each SU, every PU whose fanout holds
+    /// it...
+    sensed_pu: IdRows,
+    /// ...and its position in that PU's fanout row, aligned with
+    /// `sensed_pu.ids` — what the engine's per-PU listener bitsets index.
+    sensed_pos: Vec<u32>,
 }
 
 /// Dense path-gain tables (`Exact` model); input: `alpha` only — the
@@ -438,11 +474,20 @@ impl Radio {
     }
 
     pub(crate) fn su_hears_su(&self, su: u32) -> &[u32] {
-        &self.sense.su_hears_su[su as usize]
+        self.sense.su_hears_su.row(su as usize)
     }
 
     pub(crate) fn pu_fanout(&self, pu: usize) -> &[u32] {
-        &self.sense.pu_fanout[pu]
+        self.sense.pu_fanout.row(pu)
+    }
+
+    /// The PUs `su` senses (ids ascending) and, aligned with them, `su`'s
+    /// position in each one's [`Radio::pu_fanout`] row.
+    pub(crate) fn sensed_pus(&self, su: u32) -> (&[u32], &[u32]) {
+        let sensed = &self.sense.sensed_pu;
+        let lo = sensed.off[su as usize] as usize;
+        let hi = sensed.off[su as usize + 1] as usize;
+        (&sensed.ids[lo..hi], &self.sense.sensed_pos[lo..hi])
     }
 
     pub(crate) fn pu_gain(&self, pu: usize, slot: u32) -> f64 {
@@ -549,21 +594,26 @@ impl Radio {
 
 fn build_sense(topology: &Topology, params: &RadioParams) -> SenseStage {
     let sus = topology.su_positions();
+    let pus = topology.pu_positions();
     let index = topology.su_index();
-    let mut su_hears_su = vec![Vec::new(); sus.len()];
-    for (i, &p) in sus.iter().enumerate() {
-        index.for_each_within(p, params.su_sense_range, |j| {
+    let su_hears_su = IdRows::collect(sus.len(), |i, ids| {
+        index.for_each_within(sus[i], params.su_sense_range, |j| {
             if j as usize != i {
-                su_hears_su[i].push(j);
+                ids.push(j);
             }
         });
-        su_hears_su[i].sort_unstable();
-    }
-    let mut pu_fanout = vec![Vec::new(); topology.num_pus()];
-    for (k, &pu) in topology.pu_positions().iter().enumerate() {
-        index.for_each_within(pu, params.pu_sense_range, |j| pu_fanout[k].push(j));
-        pu_fanout[k].sort_unstable();
-    }
+    });
+    let pu_fanout = IdRows::collect(pus.len(), |k, ids| {
+        index.for_each_within(pus[k], params.pu_sense_range, |j| ids.push(j));
+    });
+    // Each fanout entry carries its position in its row, so the
+    // transpose lists, per SU, the PUs it senses (ascending) and where it
+    // sits in each one's fanout.
+    let pos: Vec<u32> = (0..pus.len())
+        .flat_map(|k| 0..pu_fanout.row(k).len() as u32)
+        .collect();
+    let (off, ids, sensed_pos) =
+        crate::topology::transpose_csr(sus.len(), &pu_fanout.off, &pu_fanout.ids, &pos);
     SenseStage {
         key: (
             params.pu_sense_range.to_bits(),
@@ -571,6 +621,8 @@ fn build_sense(topology: &Topology, params: &RadioParams) -> SenseStage {
         ),
         su_hears_su,
         pu_fanout,
+        sensed_pu: IdRows { off, ids },
+        sensed_pos,
     }
 }
 
@@ -604,11 +656,12 @@ fn build_dense(topology: &Topology, alpha: f64) -> DenseStage {
 
 fn build_gmin(topology: &Topology, alpha: f64) -> GminStage {
     let slots = topology.receiver_slots();
+    let law = PathLoss::new(alpha);
     let mut g_min = vec![f64::INFINITY; topology.num_receiver_slots()];
     for (i, &p) in topology.parents().iter().enumerate() {
         if let Some(p) = p {
             let s = slots[p as usize].expect("parents are receivers") as usize;
-            g_min[s] = g_min[s].min(path_gain(topology.link_dist()[i], alpha));
+            g_min[s] = g_min[s].min(law.gain(topology.link_dist()[i]));
         }
     }
     GminStage {
@@ -648,12 +701,13 @@ fn build_su_csr(topology: &Topology, alpha: f64, cutoff: &[f64], key: StructureK
     // stable, so each row stays slot-ascending.
     let sus = topology.su_positions();
     let n = sus.len();
+    let law = PathLoss::new(alpha);
     let mut triples: Vec<(u32, u32, f64)> = Vec::new();
     let mut row_counts = vec![0u32; n];
     for (s, &rx) in topology.receivers().iter().enumerate() {
         let q = sus[rx as usize];
         topology.su_index().for_each_within(q, cutoff[s], |j| {
-            let g = path_gain_sq(sus[j as usize].distance_sq(q), alpha);
+            let g = law.gain_sq(sus[j as usize].distance_sq(q));
             triples.push((j, s as u32, g));
             row_counts[j as usize] += 1;
         });
@@ -724,6 +778,7 @@ fn build_pu_structure(
     let sus = topology.su_positions();
     let pus = topology.pu_positions();
     let receivers = topology.receivers();
+    let law = PathLoss::new(alpha);
     let mut base_off = vec![0u32; m + 1];
     let mut base_id = Vec::new();
     let mut base_gain = Vec::new();
@@ -739,7 +794,7 @@ fn build_pu_structure(
         let cutoff_sq = cutoff[s] * cutoff[s];
         for (k, &pu) in pus.iter().enumerate() {
             let d2 = pu.distance_sq(q);
-            let g = path_gain_sq(d2, alpha);
+            let g = law.gain_sq(d2);
             if d2 <= cutoff_sq {
                 base_id.push(k as u32);
                 base_gain.push(g);
@@ -883,6 +938,7 @@ mod tests {
         let m = topo.num_receiver_slots() as u32;
         for su in 0..topo.num_sus() as u32 {
             assert_eq!(a.su_hears_su(su), b.su_hears_su(su));
+            assert_eq!(a.sensed_pus(su), b.sensed_pus(su), "su {su}");
             for s in 0..m {
                 assert_eq!(a.su_gain(su, s).to_bits(), b.su_gain(su, s).to_bits());
             }
@@ -1083,6 +1139,34 @@ mod tests {
         }
         let forward_pu_nnz: usize = (0..m).map(|s| radio.near_pus(s).unwrap().0.len()).sum();
         assert_eq!(pu_nnz, forward_pu_nnz);
+    }
+
+    #[test]
+    fn sensed_lists_transpose_pu_fanout_exactly() {
+        let topo = grid();
+        for params in [
+            sparse_params(),
+            RadioParams::new(phy()).sense_range(24.0),
+            RadioParams::new(phy()).pu_sense_range(40.0),
+        ] {
+            let radio = Radio::customize(&topo, &params).unwrap();
+            // Every transpose entry points back at its SU, rows are
+            // PU-ascending, and the entry counts agree, so nothing is
+            // missing.
+            let mut entries = 0usize;
+            for su in 0..topo.num_sus() as u32 {
+                let (pus, pos) = radio.sensed_pus(su);
+                assert_eq!(pus.len(), pos.len());
+                assert!(pus.windows(2).all(|w| w[0] < w[1]), "su {su} unsorted");
+                for (&k, &p) in pus.iter().zip(pos) {
+                    assert_eq!(radio.pu_fanout(k as usize)[p as usize], su);
+                }
+                entries += pus.len();
+            }
+            let fanout: usize = (0..topo.num_pus()).map(|k| radio.pu_fanout(k).len()).sum();
+            assert!(fanout > 0, "the grid's PUs must be heard");
+            assert_eq!(entries, fanout);
+        }
     }
 
     #[test]

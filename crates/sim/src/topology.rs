@@ -217,13 +217,15 @@ impl TopologyBuilder {
 /// receiver-major near-field lists (slot → transmitters) into the
 /// transmitter-major reverse index (`who_hears`) the delta engine walks
 /// per event, with every gain carried along so the event loop never
-/// re-derives one.
-pub(crate) fn transpose_csr(
+/// re-derives one; with fanout positions as the values, it also turns
+/// each PU's sensing fanout into the SU-major lists the engine's
+/// listener bookkeeping reads.
+pub(crate) fn transpose_csr<T: Copy + Default>(
     num_cols: usize,
     off: &[u32],
     col: &[u32],
-    val: &[f64],
-) -> (Vec<u32>, Vec<u32>, Vec<f64>) {
+    val: &[T],
+) -> (Vec<u32>, Vec<u32>, Vec<T>) {
     debug_assert!(!off.is_empty());
     debug_assert_eq!(col.len(), val.len());
     let rows = off.len() - 1;
@@ -236,7 +238,7 @@ pub(crate) fn transpose_csr(
     }
     let nnz = col.len();
     let mut t_row = vec![0u32; nnz];
-    let mut t_val = vec![0.0f64; nnz];
+    let mut t_val = vec![T::default(); nnz];
     let mut cursor: Vec<u32> = t_off[..num_cols].to_vec();
     for r in 0..rows {
         for i in off[r] as usize..off[r + 1] as usize {
@@ -423,7 +425,7 @@ mod tests {
 
     #[test]
     fn transpose_csr_handles_empty_rows_and_cols() {
-        let (t_off, t_row, t_val) = transpose_csr(3, &[0u32, 0, 0], &[], &[]);
+        let (t_off, t_row, t_val) = transpose_csr::<f64>(3, &[0u32, 0, 0], &[], &[]);
         assert_eq!(t_off, vec![0, 0, 0, 0]);
         assert!(t_row.is_empty());
         assert!(t_val.is_empty());

@@ -387,6 +387,10 @@ impl SimWorld {
         self.radio.pu_fanout(pu)
     }
 
+    pub(crate) fn sensed_pus(&self, su: u32) -> (&[u32], &[u32]) {
+        self.radio.sensed_pus(su)
+    }
+
     pub(crate) fn receiver_slot(&self, su: u32) -> Option<u32> {
         self.topology.receiver_slot(su)
     }

@@ -4,9 +4,12 @@
 //! struct-of-arrays active state) must be **bit-identical** to the
 //! retained full-scan reference path — and both must be bit-identical to
 //! the pre-rewrite engine, whose [`crn_sim::SimReport`]s are pinned as
-//! FNV-64 digests in `tests/corpus/engine_reports.txt`.
+//! FNV-64 digests in `tests/corpus/engine_reports.txt`. A report can
+//! survive a reordering of freeze, resume and abort events unchanged, so
+//! the full event stream of every case is pinned too, as an FNV-64
+//! digest of its [`TraceLog`] in `tests/corpus/engine_traces.txt`.
 //!
-//! Three lanes:
+//! Four lanes:
 //! 1. `reports_match_pinned_digests` — every corpus case (both
 //!    interference models, both sensing configurations, fault-free and
 //!    fault-plan runs) hashed against the pre-change digests.
@@ -16,10 +19,13 @@
 //! 3. `fuzz_lane_is_oracle_clean` — randomized deployments run under the
 //!    fault-aware [`InvariantChecker`] on the delta engine, with the
 //!    scan path compared on every draw.
+//! 4. `traces_match_pinned_digests` — every corpus case traced on both
+//!    SIR paths, each event stream hashed against its pinned digest.
 //!
 //! Regenerating the digests (only legitimate when the *intended*
-//! behavior changes): `ENGINE_EQUIV_REGEN=1 cargo test -p crn-sim
-//! --test engine_equiv -- regen --nocapture`.
+//! behavior changes) rewrites both corpus files:
+//! `ENGINE_EQUIV_REGEN=1 cargo test -p crn-sim --test engine_equiv --
+//! regen --nocapture`.
 //!
 //! The world-generation and case-enumeration code below is part of the
 //! pinned contract: changing it invalidates the stored digests.
@@ -28,7 +34,7 @@ use crn_geometry::{Point, Region};
 use crn_interference::PhyParams;
 use crn_sim::{
     ChurnSpec, FaultEvent, FaultKind, FaultPlan, FaultSchedule, InterferenceModel,
-    InvariantChecker, MacConfig, SimReport, SimWorld, Simulator,
+    InvariantChecker, MacConfig, SimReport, SimWorld, Simulator, TraceLog,
 };
 use crn_spectrum::PuActivity;
 use rand::rngs::StdRng;
@@ -38,6 +44,11 @@ use std::sync::Arc;
 const DIGEST_PATH: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/corpus/engine_reports.txt"
+);
+
+const TRACE_DIGEST_PATH: &str = concat!(
+    env!("CARGO_MANIFEST_DIR"),
+    "/tests/corpus/engine_traces.txt"
 );
 
 /// Seeds shared with the oracle corpus at the repository root.
@@ -232,15 +243,42 @@ fn run_case(case: &Case) -> SimReport {
     run_case_path(case, false)
 }
 
-/// FNV-1a over the report's `Debug` rendering: `{:?}` round-trips every
-/// `f64` exactly, so any bit difference in any field changes the hash.
-fn digest(report: &SimReport) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in format!("{report:?}").bytes() {
+/// The case traced end to end on one SIR path.
+fn trace_case_path(case: &Case, full_scan: bool) -> TraceLog {
+    Simulator::builder(case.world.clone())
+        .activity(PuActivity::bernoulli(case.p_t).expect("valid p_t"))
+        .seed(case.seed)
+        .faults(case.faults.clone())
+        .full_scan(full_scan)
+        .probe(TraceLog::unbounded())
+        .build()
+        .expect("case builds")
+        .run_with_probe()
+        .1
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+
+fn fnv1a(mut h: u64, text: &str) -> u64 {
+    for b in text.bytes() {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
+}
+
+/// FNV-1a over the report's `Debug` rendering: `{:?}` round-trips every
+/// `f64` exactly, so any bit difference in any field changes the hash.
+fn digest(report: &SimReport) -> u64 {
+    fnv1a(FNV_OFFSET, &format!("{report:?}"))
+}
+
+/// FNV-1a over every event's `Debug` rendering, in emission order: a
+/// reordered, added, dropped or re-timed event changes the hash.
+fn trace_digest(log: &TraceLog) -> u64 {
+    assert_eq!(log.dropped(), 0, "an unbounded log drops nothing");
+    log.events()
+        .fold(FNV_OFFSET, |h, e| fnv1a(h, &format!("{e:?}\n")))
 }
 
 #[test]
@@ -254,9 +292,17 @@ fn regen() {
          # behavior change: ENGINE_EQUIV_REGEN=1 cargo test -p crn-sim\n\
          #   --test engine_equiv -- regen --nocapture\n",
     );
+    let mut traces = String::from(
+        "# FNV-64 digests of each corpus case's TraceLog (every event's\n\
+         # {:?}, in emission order). Regenerate only on an intended\n\
+         # behavior change: ENGINE_EQUIV_REGEN=1 cargo test -p crn-sim\n\
+         #   --test engine_equiv -- regen --nocapture\n",
+    );
     for case in corpus_cases() {
         let report = run_case(&case);
         out.push_str(&format!("{} {:016x}\n", case.id, digest(&report)));
+        let log = trace_case_path(&case, false);
+        traces.push_str(&format!("{} {:016x}\n", case.id, trace_digest(&log)));
     }
     std::fs::create_dir_all(
         std::path::Path::new(DIGEST_PATH)
@@ -265,11 +311,12 @@ fn regen() {
     )
     .expect("create corpus dir");
     std::fs::write(DIGEST_PATH, out).expect("write digest corpus");
-    eprintln!("regenerated {DIGEST_PATH}");
+    std::fs::write(TRACE_DIGEST_PATH, traces).expect("write trace digest corpus");
+    eprintln!("regenerated {DIGEST_PATH} and {TRACE_DIGEST_PATH}");
 }
 
-fn pinned_digests() -> Vec<(String, u64)> {
-    let text = std::fs::read_to_string(DIGEST_PATH)
+fn read_digests(path: &str) -> Vec<(String, u64)> {
+    let text = std::fs::read_to_string(path)
         .expect("digest corpus missing; regenerate with ENGINE_EQUIV_REGEN=1");
     text.lines()
         .map(str::trim)
@@ -305,7 +352,7 @@ fn delta_matches_full_scan_reference() {
 /// bit-for-bit (it *is* the old algorithm, plus exact-zero snapping).
 #[test]
 fn full_scan_matches_pinned_digests() {
-    let pinned = pinned_digests();
+    let pinned = read_digests(DIGEST_PATH);
     for (case, (id, want)) in corpus_cases().iter().zip(&pinned) {
         assert_eq!(&case.id, id, "corpus order drifted from digests");
         let got = digest(&run_case_path(case, true));
@@ -383,7 +430,7 @@ fn fuzz_lane_is_oracle_clean() {
 /// Every corpus case must reproduce the pre-change engine bit-for-bit.
 #[test]
 fn reports_match_pinned_digests() {
-    let pinned = pinned_digests();
+    let pinned = read_digests(DIGEST_PATH);
     let cases = corpus_cases();
     assert_eq!(pinned.len(), cases.len(), "corpus drifted from digests");
     for (case, (id, want)) in cases.iter().zip(&pinned) {
@@ -394,5 +441,30 @@ fn reports_match_pinned_digests() {
             "{}: report diverged from the pre-change engine (got {got:016x})",
             case.id
         );
+    }
+}
+
+/// Every corpus case must emit the pre-change event stream, event for
+/// event, on both SIR paths (a probe observes; it never perturbs).
+#[test]
+fn traces_match_pinned_digests() {
+    let pinned = read_digests(TRACE_DIGEST_PATH);
+    let cases = corpus_cases();
+    assert_eq!(
+        pinned.len(),
+        cases.len(),
+        "corpus drifted from trace digests"
+    );
+    for (case, (id, want)) in cases.iter().zip(&pinned) {
+        assert_eq!(&case.id, id, "corpus order drifted from trace digests");
+        for full_scan in [false, true] {
+            let got = trace_digest(&trace_case_path(case, full_scan));
+            assert_eq!(
+                got, *want,
+                "{} (full_scan {full_scan}): event stream diverged from the pre-change engine \
+                 (got {got:016x})",
+                case.id
+            );
+        }
     }
 }

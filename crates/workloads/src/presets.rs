@@ -2,7 +2,9 @@
 //! laptop scale, and a CI-speed scale.
 //!
 //! The paper's Fig. 6 runs `n = 2000`, `N = 400` in a `250×250` area with
-//! 10 repetitions — hours of single-core simulation. `Scaled` keeps every
+//! 10 repetitions; one run at its default point takes 2.5–73 s on one
+//! core (median 7.3 s over ten seeds of both algorithms, measured on a
+//! 2-core x86-64 host with `examples/paper_spot.rs`). `Scaled` keeps every
 //! *density* that drives the physics (SUs and PUs per unit area, radii,
 //! powers, thresholds) while shrinking the arena, so trends and
 //! win/loss orderings are preserved at ~100× less cost; `EXPERIMENTS.md`

@@ -4,11 +4,11 @@
 //! socket and blocks) and `submit` (talks to a server); their argument
 //! parsing is still pure and unit-tested.
 
-use crn_cluster::{ClusterConfig, Coordinator, WorkerConfig, WorkerNode};
+use crn_cluster::{ClusterConfig, ClusterCounters, Coordinator, WorkerConfig, WorkerNode};
 use crn_core::{CollectionAlgorithm, Scenario, ScenarioParams};
 use crn_interference::{pcr, PcrConstants, PhyParams};
 use crn_serve::client::Client;
-use crn_serve::server::{ServeConfig, Server};
+use crn_serve::server::{Counters, ServeConfig, Server};
 use crn_serve::store::StoreConfig;
 use crn_sim::{FaultsConfig, InterferenceModel, InvariantChecker, Traffic};
 use crn_theory::DelayBounds;
@@ -597,20 +597,38 @@ fn cmd_serve(mut args: Vec<String>) -> Result<String, CliError> {
     let server =
         Server::start(cfg).map_err(|e| CliError::runtime(format!("cannot bind listener: {e}")))?;
     announce(&format!("crn-serve listening on {}", server.local_addr()));
-    let c = server.wait();
-    Ok(format!(
-        "served {} ok ({} cache hits, {} store hits, {} coalesced, {} computed); \
-         rejected {}, timed out {}, failed {}, bad requests {}\n",
-        c.served,
-        c.cache_hits,
-        c.store_hits,
-        c.coalesced,
-        c.computed,
-        c.rejected,
-        c.timed_out,
-        c.failed,
-        c.bad_requests,
-    ))
+    Ok(serve_summary(&server.wait(), None))
+}
+
+/// The exit summary of `crn serve` in either role; `fleet` adds the
+/// coordinator's ring counts.
+fn serve_summary(c: &Counters, fleet: Option<&ClusterCounters>) -> String {
+    let mut out = format!(
+        "served {} ok ({} cache hits, {} store hits, {} coalesced, {} computed",
+        c.served, c.cache_hits, c.store_hits, c.coalesced, c.computed,
+    );
+    match fleet {
+        None => out.push(')'),
+        Some(f) => {
+            let _ = write!(
+                out,
+                "; {} remote, {} local fallbacks); \
+                 {} joined / {} lost workers, {} redispatches, {} late duplicates",
+                f.completed_remote,
+                f.local_fallbacks,
+                f.workers_joined,
+                f.workers_lost,
+                f.redispatches,
+                c.late_duplicates,
+            );
+        }
+    }
+    let _ = writeln!(
+        out,
+        "; rejected {}, timed out {}, failed {}, bad requests {}",
+        c.rejected, c.timed_out, c.failed, c.bad_requests,
+    );
+    out
 }
 
 /// Prints a line to stdout immediately (before the blocking wait), so
@@ -638,16 +656,14 @@ fn cmd_serve_worker(coordinator: String, mut args: Vec<String>) -> Result<String
 /// worker processes of this same binary (each with its own store
 /// subdirectory when `--store` is given), and block until shutdown.
 fn cmd_serve_coordinator(mut args: Vec<String>) -> Result<String, CliError> {
-    // Remember the parent store dir before parsing consumes the flags.
-    let store_dir: String = {
-        let probe = args.iter().position(|a| a == "--store");
-        probe
-            .and_then(|i| args.get(i + 1))
-            .cloned()
-            .unwrap_or_default()
-    };
     let (cfg, worker_count) = parse_cluster_config(&mut args)?;
     ensure_consumed(&args)?;
+    // The --store DIR the coordinator's own subdirectory was parsed under.
+    let store_root = cfg
+        .store
+        .as_ref()
+        .and_then(|s| s.dir.parent())
+        .map(std::path::Path::to_path_buf);
     let coordinator = Coordinator::start(cfg)
         .map_err(|e| CliError::runtime(format!("cannot start coordinator: {e}")))?;
     let addr = coordinator.local_addr();
@@ -665,9 +681,8 @@ fn cmd_serve_coordinator(mut args: Vec<String>) -> Result<String, CliError> {
             .arg(&name)
             .stdout(std::process::Stdio::null())
             .stderr(std::process::Stdio::inherit());
-        if !store_dir.is_empty() {
-            let dir = std::path::Path::new(&store_dir).join(&name);
-            cmd.arg("--store").arg(dir);
+        if let Some(root) = &store_root {
+            cmd.arg("--store").arg(root.join(&name));
         }
         match cmd.spawn() {
             Ok(child) => children.push(child),
@@ -680,32 +695,13 @@ fn cmd_serve_coordinator(mut args: Vec<String>) -> Result<String, CliError> {
             }
         }
     }
-    let c = coordinator.wait();
+    let (counters, fleet) = coordinator.wait();
     // Reaped workers see EOF and exit on their own; collect them so no
     // zombies outlive the coordinator.
     for mut child in children {
         let _ = child.wait();
     }
-    Ok(format!(
-        "served {} ok ({} cache hits, {} store hits, {} coalesced; \
-         {} remote, {} local fallbacks); \
-         {} joined / {} lost workers, {} redispatches, {} late duplicates; \
-         rejected {}, timed out {}, failed {}, bad requests {}\n",
-        c.served,
-        c.cache_hits,
-        c.store_hits,
-        c.coalesced,
-        c.completed_remote,
-        c.local_fallbacks,
-        c.workers_joined,
-        c.workers_lost,
-        c.redispatches,
-        c.late_duplicates,
-        c.rejected,
-        c.timed_out,
-        c.failed,
-        c.bad_requests,
-    ))
+    Ok(serve_summary(&counters, Some(&fleet)))
 }
 
 /// Builds the protocol request line for `crn submit` (pure, unit-tested).

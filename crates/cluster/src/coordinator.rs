@@ -1,54 +1,48 @@
-//! The cluster coordinator: one public `crn-serve` endpoint fronting a
-//! fleet of worker processes.
+//! The cluster coordinator: the `crn-serve` front end over ring
+//! dispatch to a fleet of worker processes.
 //!
-//! ## One listener, two vocabularies
+//! ## One front end, one extra vocabulary
 //!
-//! The coordinator accepts the existing JSON-lines protocol unchanged —
-//! clients cannot tell it from a single-process `crn serve`. The same
-//! listener also accepts workers: a connection whose first line is
+//! Clients talk to the same [`Service`] front end `crn serve` runs, so
+//! they cannot tell a coordinator from a single-process server: same
+//! requests, same responses, and the same counters; only `status` adds
+//! `role` and `workers`, and `stats` adds `role` and a `cluster` block.
+//! The same listener also accepts workers: a connection whose line is
 //! `{"v":1,"cmd":"join","worker":NAME}` becomes that worker's channel
 //! for the rest of its life (`work` down, `result` up).
 //!
-//! ## Routing and the at-most-once commit
+//! ## Ring dispatch
 //!
-//! Run/sweep points are admitted through the same ladder as the server
-//! (memory cache → persistent store → single-flight coalesce →
-//! bounded admission), then routed to a worker by consistent hashing
-//! over the spec's cache key ([`HashRing`]). A crashed worker (EOF on
-//! its channel) or an overdue job (re-dispatch timer) sends the job to
-//! the next ring node — so the same result may eventually arrive twice.
-//! Commit is **at most once**: the first result wins the job's slot
-//! under its mutex, is cached and persisted, and is what every waiting
-//! client observes; late duplicates are counted and dropped. With no
-//! live workers the coordinator executes locally through the same
-//! [`Executor`], so a degraded fleet degrades to `crn serve`, not to
-//! an outage.
+//! The front end admits a job; [`Ring`] routes it to a worker by
+//! consistent hashing over its cache key ([`HashRing`]). A crashed worker
+//! (EOF on its channel) or an overdue job (re-dispatch timer) sends the
+//! job to the next ring node, so the same result may arrive twice; the
+//! front end's at-most-once commit keeps the first and counts the rest as
+//! `late_duplicates`. With no live workers the coordinator executes
+//! locally through the front end's [`Executor`](crn_serve::exec::Executor),
+//! inline on the dispatching thread, so a degraded fleet degrades to
+//! `crn serve`, not to an outage.
 //!
 //! Bit-identical results at any worker count are a consequence of
-//! every process executing specs through the one shared [`Executor`]
-//! path and shipping them with the exact-float
+//! every process executing specs through the one shared executor path
+//! and shipping them with the exact-float
 //! [`outcome_codec`](crn_serve::outcome_codec).
 
 use crate::ring::HashRing;
-use crn_core::CollectionOutcome;
-use crn_serve::cache::LruCache;
-use crn_serve::exec::{ExecError, Executor};
-use crn_serve::protocol::{
-    error_response, parse_request, report_json, response_base, ClusterMsg, Request, RunSpec,
-    ENGINE_VERSION, PROTOCOL_VERSION,
-};
+use crn_serve::exec::ExecError;
+use crn_serve::protocol::ClusterMsg;
 use crn_serve::server::{
-    read_bounded_line, store_stats_json, LineRead, LATENCY_BUCKETS_MS, MAX_REQUEST_LINE_BYTES,
+    read_bounded_line, Backend, Counters, FrontEnd, Job, JobOutcome, LineRead, Service, Snapshot,
+    MAX_REQUEST_LINE_BYTES,
 };
-use crn_serve::store::{ResultStore, StoreConfig};
-use crn_serve::sweep::{drive_sweep, write_json_line, PointOutcome};
-use crn_serve::ErrorKind;
+use crn_serve::store::StoreConfig;
+use crn_serve::sweep::write_json_line;
 use crn_workloads::json::Json;
 use std::collections::HashMap;
-use std::io::{BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::BufReader;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -87,19 +81,10 @@ impl Default for ClusterConfig {
     }
 }
 
-/// Aggregate coordinator counters (all monotonically increasing).
+/// The ring's own counters (all monotonically increasing); the request
+/// counters are the front end's [`Counters`].
 #[derive(Clone, Copy, Debug, Default)]
 pub struct ClusterCounters {
-    /// Run/sweep-point requests received.
-    pub received: u64,
-    /// Requests answered `ok`.
-    pub served: u64,
-    /// Answered from the coordinator's in-memory cache.
-    pub cache_hits: u64,
-    /// Answered from the persistent store.
-    pub store_hits: u64,
-    /// Coalesced onto an identical in-flight job.
-    pub coalesced: u64,
     /// Jobs sent to a worker (re-dispatches included).
     pub dispatched: u64,
     /// Jobs whose winning result came from a worker.
@@ -108,76 +93,10 @@ pub struct ClusterCounters {
     pub local_fallbacks: u64,
     /// Jobs re-sent after a worker crash or timeout.
     pub redispatches: u64,
-    /// Duplicate results dropped by the at-most-once commit.
-    pub late_duplicates: u64,
-    /// Requests rejected by admission control.
-    pub rejected: u64,
-    /// Requests whose deadline expired.
-    pub timed_out: u64,
-    /// Requests that failed.
-    pub failed: u64,
-    /// Unparseable or over-length request lines.
-    pub bad_requests: u64,
     /// Workers that ever joined.
     pub workers_joined: u64,
     /// Worker connections lost (crash or disconnect).
     pub workers_lost: u64,
-}
-
-type JobResult = Result<Arc<CollectionOutcome>, ExecError>;
-
-struct JobInner {
-    result: Option<JobResult>,
-    /// Worker slot currently responsible (None while executing locally).
-    assigned: Option<usize>,
-    dispatched_at: Instant,
-}
-
-/// One admitted cluster job; identical concurrent requests share it.
-struct ClusterJob {
-    id: u64,
-    key: u64,
-    spec: RunSpec,
-    state: Mutex<JobInner>,
-    done: Condvar,
-}
-
-impl ClusterJob {
-    /// First writer wins; everyone else learns they were late. Waiters
-    /// are NOT woken here — [`commit_result`] notifies only after the
-    /// coordinator's bookkeeping is done, so a client that observes the
-    /// result also observes consistent counters and store state.
-    fn try_commit(&self, result: JobResult) -> bool {
-        let mut st = self.state.lock().expect("job state poisoned");
-        if st.result.is_some() {
-            return false;
-        }
-        st.result = Some(result);
-        true
-    }
-
-    fn wait(&self, deadline: Option<Instant>) -> Option<JobResult> {
-        let mut st = self.state.lock().expect("job state poisoned");
-        loop {
-            if let Some(r) = st.result.as_ref() {
-                return Some(r.clone());
-            }
-            match deadline {
-                None => st = self.done.wait(st).expect("job state poisoned"),
-                Some(d) => {
-                    let now = Instant::now();
-                    if now >= d {
-                        return None;
-                    }
-                    let (guard, _) = self
-                        .done
-                        .wait_timeout(st, d - now)
-                        .expect("job state poisoned");
-                    st = guard;
-                }
-            }
-        }
-    }
 }
 
 /// A joined worker as the coordinator sees it.
@@ -191,475 +110,172 @@ struct WorkerHandle {
     failed: AtomicU64,
 }
 
-struct ClusterState {
+/// An admitted job in the ring's table until its commit.
+struct Routed {
+    job: Arc<Job>,
+    /// Worker slot currently responsible (`None` while executing locally).
+    assigned: Option<usize>,
+    dispatched_at: Instant,
+}
+
+struct RingState {
     workers: HashMap<usize, Arc<WorkerHandle>>,
     ring: HashRing,
-    jobs_by_id: HashMap<u64, Arc<ClusterJob>>,
-    /// Single-flight index: at most one job per cache key.
-    jobs_by_key: HashMap<u64, Arc<ClusterJob>>,
+    /// Jobs by the id their `work` and `result` lines carry.
+    jobs: HashMap<u64, Routed>,
     next_id: u64,
     next_slot: usize,
-    cache: LruCache<u64, Arc<CollectionOutcome>>,
     counters: ClusterCounters,
-    latency_hist: [u64; LATENCY_BUCKETS_MS.len() + 1],
-    draining: bool,
 }
 
-struct Shared {
-    cfg: ClusterConfig,
-    started: Instant,
-    state: Mutex<ClusterState>,
-    /// Local-fallback executor — the same execution core as the server
-    /// and the workers, so fallback results are bit-identical.
-    exec: Executor,
-    store: Option<Mutex<ResultStore>>,
+/// The coordinator's [`Backend`]: consistent-hash dispatch to joined
+/// workers, crash and timeout re-dispatch, and the local fallback.
+struct Ring {
+    job_timeout_ms: u64,
+    state: Mutex<RingState>,
 }
 
-impl Shared {
-    fn draining(&self) -> bool {
-        self.state.lock().expect("state poisoned").draining
+type Front = FrontEnd<Ring>;
+
+impl Ring {
+    fn lock(&self) -> MutexGuard<'_, RingState> {
+        self.state.lock().expect("ring state poisoned")
     }
 }
 
-/// Where a winning result came from (counter bookkeeping).
-#[derive(Clone, Copy, PartialEq)]
-enum Origin {
-    Remote(usize),
-    Local,
-}
-
-/// A running coordinator.
-pub struct Coordinator {
-    shared: Arc<Shared>,
-    addr: SocketAddr,
-    accept: Option<JoinHandle<()>>,
-    monitor: Option<JoinHandle<()>>,
-    connections: Arc<Mutex<Vec<JoinHandle<()>>>>,
-}
-
-impl Coordinator {
-    /// Binds and starts the coordinator. Returns as soon as the socket
-    /// is bound; workers and clients connect to
-    /// [`Coordinator::local_addr`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates bind failures and store open/scan failures.
-    pub fn start(cfg: ClusterConfig) -> std::io::Result<Coordinator> {
-        let listener = TcpListener::bind(&cfg.addr)?;
-        let addr = listener.local_addr()?;
-        let store = match &cfg.store {
-            None => None,
-            Some(sc) => Some(Mutex::new(ResultStore::open(sc.clone())?)),
+impl Backend for Ring {
+    fn start(front: &Arc<Front>) -> Vec<JoinHandle<()>> {
+        let timeout = match front.backend.job_timeout_ms {
+            0 => return Vec::new(),
+            ms => Duration::from_millis(ms),
         };
-        let shared = Arc::new(Shared {
-            state: Mutex::new(ClusterState {
-                workers: HashMap::new(),
-                ring: HashRing::new(cfg.replicas),
-                jobs_by_id: HashMap::new(),
-                jobs_by_key: HashMap::new(),
-                next_id: 1,
-                next_slot: 0,
-                cache: LruCache::new(cfg.cache_cap),
-                counters: ClusterCounters::default(),
-                latency_hist: [0; LATENCY_BUCKETS_MS.len() + 1],
-                draining: false,
-            }),
-            started: Instant::now(),
-            exec: Executor::new(cfg.topo_cache_cap),
-            store,
-            cfg,
-        });
-        let connections = Arc::new(Mutex::new(Vec::new()));
-        let accept = {
-            let shared = shared.clone();
-            let connections = connections.clone();
-            std::thread::Builder::new()
-                .name("crn-coord-accept".into())
-                .spawn(move || accept_loop(&listener, &shared, &connections))
-                .expect("spawn coordinator acceptor")
-        };
-        let monitor = {
-            let shared = shared.clone();
-            std::thread::Builder::new()
-                .name("crn-coord-monitor".into())
-                .spawn(move || monitor_loop(&shared))
-                .expect("spawn coordinator monitor")
-        };
-        Ok(Coordinator {
-            shared,
-            addr,
-            accept: Some(accept),
-            monitor: Some(monitor),
-            connections,
-        })
+        let front = front.clone();
+        vec![std::thread::Builder::new()
+            .name("crn-coord-monitor".into())
+            .spawn(move || monitor_loop(&front, timeout))
+            .expect("spawn coordinator monitor")]
     }
 
-    /// The bound address.
-    #[must_use]
-    pub fn local_addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Initiates a graceful shutdown: stop accepting, let in-flight
-    /// jobs finish (locally if every worker leaves first), hang up on
-    /// workers, exit.
-    pub fn shutdown(&self) {
-        initiate_shutdown(&self.shared, self.addr);
-    }
-
-    /// Blocks until fully drained after a shutdown, then returns the
-    /// final counter snapshot.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a coordinator thread itself panicked.
-    pub fn wait(mut self) -> ClusterCounters {
-        if let Some(h) = self.accept.take() {
-            h.join().expect("accept thread panicked");
-        }
-        if let Some(h) = self.monitor.take() {
-            h.join().expect("monitor thread panicked");
-        }
-        loop {
-            let handle = self.connections.lock().expect("connections poisoned").pop();
-            match handle {
-                Some(h) => h.join().expect("connection thread panicked"),
-                None => break,
-            }
-        }
-        self.shared.state.lock().expect("state poisoned").counters
-    }
-}
-
-fn initiate_shutdown(shared: &Arc<Shared>, addr: SocketAddr) {
-    {
-        let mut st = shared.state.lock().expect("state poisoned");
-        if st.draining {
-            return;
-        }
-        st.draining = true;
-    }
-    // Unblock the accept loop (it re-checks draining after each accept).
-    drop(TcpStream::connect_timeout(
-        &addr,
-        Duration::from_millis(500),
-    ));
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    shared: &Arc<Shared>,
-    connections: &Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    for stream in listener.incoming() {
-        if shared.draining() {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let shared = shared.clone();
-        let addr = listener.local_addr().expect("listener has an address");
-        let Ok(handle) = std::thread::Builder::new()
-            .name("crn-coord-conn".into())
-            .spawn(move || connection_loop(stream, &shared, addr))
-        else {
-            continue;
-        };
-        connections
-            .lock()
-            .expect("connections poisoned")
-            .push(handle);
-    }
-}
-
-/// Serves one connection. Starts in client mode; a `join` line converts
-/// it into that worker's channel for the rest of its life.
-fn connection_loop(stream: TcpStream, shared: &Arc<Shared>, addr: SocketAddr) {
-    stream
-        .set_read_timeout(Some(Duration::from_millis(200)))
-        .ok();
-    stream.set_nodelay(true).ok();
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    let mut discarding = false;
-    loop {
-        match read_bounded_line(
-            &mut reader,
-            &mut line,
-            &mut discarding,
-            MAX_REQUEST_LINE_BYTES,
-        ) {
-            LineRead::Eof | LineRead::Closed => return,
-            LineRead::Idle => {
-                if shared.draining() {
-                    return;
-                }
-            }
-            LineRead::TooLarge => {
-                bump_bad_requests(shared);
-                let response = error_response(
-                    ErrorKind::RequestTooLarge,
-                    &format!("request line exceeds {MAX_REQUEST_LINE_BYTES} bytes"),
-                );
-                if write_json_line(&mut writer, &response).is_err() {
-                    return;
-                }
-            }
-            LineRead::Line => {
-                let trimmed = line.trim();
-                if !trimmed.is_empty() {
-                    if let Some(name) = parse_join(trimmed) {
-                        // The connection becomes the worker channel; the
-                        // writer half moves into the registry.
-                        worker_channel_loop(reader, writer, shared, name);
-                        return;
-                    }
-                    let (response, shutdown) = handle_line(trimmed, shared, addr, &mut writer);
-                    match response {
-                        None => return, // streamed response hit a dead client
-                        Some(response) => {
-                            if write_json_line(&mut writer, &response).is_err() {
-                                return;
-                            }
-                        }
-                    }
-                    if shutdown {
-                        return;
-                    }
-                }
-                line.clear();
-            }
-        }
-    }
-}
-
-fn bump_bad_requests(shared: &Arc<Shared>) {
-    shared
-        .state
-        .lock()
-        .expect("state poisoned")
-        .counters
-        .bad_requests += 1;
-}
-
-/// `Some(name)` when the line is a well-formed cluster `join`.
-fn parse_join(line: &str) -> Option<String> {
-    match ClusterMsg::parse(line) {
-        Ok(ClusterMsg::Join { worker }) => Some(worker),
-        _ => None,
-    }
-}
-
-/// Dispatches one public request line; mirrors the server's handler.
-fn handle_line(
-    line: &str,
-    shared: &Arc<Shared>,
-    addr: SocketAddr,
-    writer: &mut TcpStream,
-) -> (Option<Json>, bool) {
-    let request = match parse_request(line) {
-        Ok(r) => r,
-        Err(e) => {
-            bump_bad_requests(shared);
-            return (Some(error_response(e.kind, &e.message)), false);
-        }
-    };
-    match request {
-        Request::Status => (Some(status_json(shared)), false),
-        Request::Stats => (Some(stats_json(shared)), false),
-        Request::Shutdown => {
-            initiate_shutdown(shared, addr);
-            let mut o = response_base(true);
-            o.set("shutting_down", Json::Bool(true));
-            (Some(o), true)
-        }
-        Request::Run { spec, timeout_ms } => (Some(handle_run(shared, spec, timeout_ms)), false),
-        Request::Sweep {
-            spec,
-            seeds,
-            axis,
-            timeout_ms,
-            stream,
-        } => {
-            let sink = stream.then_some(writer as &mut dyn Write);
-            let response = drive_sweep(
-                &spec,
-                &seeds,
-                axis.as_ref(),
-                timeout_ms,
-                sink,
-                sweep_window(shared),
-                |spec| submit_point(shared, spec),
-                |pending, timeout_ms| finish_point(shared, pending, timeout_ms),
+    fn dispatch(front: &Arc<Front>, job: Arc<Job>) {
+        let id = {
+            let mut rs = front.backend.lock();
+            let id = rs.next_id;
+            rs.next_id += 1;
+            rs.jobs.insert(
+                id,
+                Routed {
+                    job,
+                    assigned: None,
+                    dispatched_at: Instant::now(),
+                },
             );
-            (response, false)
-        }
-    }
-}
-
-/// The sweep pipeline window: twice the fleet's worker count, so every
-/// worker has a point in flight and one queued, floored for the
-/// no-worker fallback and capped by admission.
-fn sweep_window(shared: &Arc<Shared>) -> usize {
-    let st = shared.state.lock().expect("state poisoned");
-    let workers = st
-        .workers
-        .values()
-        .filter(|w| w.alive.load(Ordering::Relaxed))
-        .count();
-    (workers * 2).max(4).min(shared.cfg.queue_cap.max(1))
-}
-
-// ---------------------------------------------------------------------
-// Submission ladder
-// ---------------------------------------------------------------------
-
-enum Submitted {
-    Cached(Arc<CollectionOutcome>),
-    Wait {
-        job: Arc<ClusterJob>,
-        coalesced: bool,
-    },
-    Rejected,
-    Draining,
-}
-
-/// Memory cache → persistent store → coalesce → admission; the same
-/// ladder as the server with the worker pool swapped for the ring.
-fn submit(shared: &Arc<Shared>, spec: RunSpec) -> Submitted {
-    let key = spec.cache_key();
-    {
-        let mut st = shared.state.lock().expect("state poisoned");
-        st.counters.received += 1;
-        if st.draining {
-            return Submitted::Draining;
-        }
-        if !spec.inject_panic {
-            if let Some(hit) = st.cache.get(&key) {
-                st.counters.cache_hits += 1;
-                return Submitted::Cached(hit);
-            }
-        }
-        if let Some(job) = st.jobs_by_key.get(&key).cloned() {
-            st.counters.coalesced += 1;
-            return Submitted::Wait {
-                job,
-                coalesced: true,
-            };
-        }
-        if shared.store.is_none() || spec.inject_panic {
-            return admit(shared, st, spec, key);
-        }
-    }
-    // Memory miss with a store configured: probe disk without the
-    // state lock, then re-run the ladder for races.
-    if let Some(store) = &shared.store {
-        let promoted = store.lock().expect("store poisoned").get(key).map(Arc::new);
-        if let Some(outcome) = promoted {
-            let mut st = shared.state.lock().expect("state poisoned");
-            st.counters.store_hits += 1;
-            st.cache.insert(key, outcome.clone());
-            return Submitted::Cached(outcome);
-        }
-    }
-    let mut st = shared.state.lock().expect("state poisoned");
-    if st.draining {
-        return Submitted::Draining;
-    }
-    if let Some(hit) = st.cache.get(&key) {
-        st.counters.cache_hits += 1;
-        return Submitted::Cached(hit);
-    }
-    if let Some(job) = st.jobs_by_key.get(&key).cloned() {
-        st.counters.coalesced += 1;
-        return Submitted::Wait {
-            job,
-            coalesced: true,
+            id
         };
+        route(front, id, None);
     }
-    admit(shared, st, spec, key)
+
+    fn executors(&self) -> usize {
+        self.lock()
+            .workers
+            .values()
+            .filter(|w| w.alive.load(Ordering::Relaxed))
+            .count()
+    }
+
+    fn adopt(
+        front: &Arc<Front>,
+        line: &str,
+        reader: &mut BufReader<TcpStream>,
+        writer: &TcpStream,
+    ) -> bool {
+        let Ok(ClusterMsg::Join { worker }) = ClusterMsg::parse(line) else {
+            return false;
+        };
+        // The connection becomes the worker channel; a writer clone moves
+        // into the registry.
+        if let Ok(writer) = writer.try_clone() {
+            worker_channel_loop(front, reader, writer, worker);
+        }
+        true
+    }
+
+    fn status_fields(&self, status: &mut Json) {
+        status
+            .set("role", Json::Str("coordinator".into()))
+            .set("workers", Json::UInt(self.executors() as u64));
+    }
+
+    fn stats_fields(&self, snapshot: &Snapshot, stats: &mut Json) {
+        let rs = self.lock();
+        let c = rs.counters;
+        let mut workers: Vec<&Arc<WorkerHandle>> = rs.workers.values().collect();
+        workers.sort_by_key(|w| w.slot);
+        let rows = workers
+            .into_iter()
+            .map(|w| {
+                let mut row = Json::obj();
+                row.set("name", Json::Str(w.name.clone()))
+                    .set("alive", Json::Bool(w.alive.load(Ordering::Relaxed)))
+                    .set(
+                        "dispatched",
+                        Json::UInt(w.dispatched.load(Ordering::Relaxed)),
+                    )
+                    .set("completed", Json::UInt(w.completed.load(Ordering::Relaxed)))
+                    .set("failed", Json::UInt(w.failed.load(Ordering::Relaxed)));
+                row
+            })
+            .collect();
+        let mut cluster = Json::obj();
+        cluster
+            .set("workers", Json::Arr(rows))
+            .set("workers_joined", Json::UInt(c.workers_joined))
+            .set("workers_lost", Json::UInt(c.workers_lost))
+            .set("dispatched", Json::UInt(c.dispatched))
+            .set("completed_remote", Json::UInt(c.completed_remote))
+            .set("local_fallbacks", Json::UInt(c.local_fallbacks))
+            .set("redispatches", Json::UInt(c.redispatches))
+            .set(
+                "late_duplicates",
+                Json::UInt(snapshot.counters.late_duplicates),
+            );
+        stats
+            .set("role", Json::Str("coordinator".into()))
+            .set("cluster", cluster);
+    }
 }
 
-/// Creates the job under the lock and dispatches it after dropping it.
-fn admit(
-    shared: &Arc<Shared>,
-    mut st: std::sync::MutexGuard<'_, ClusterState>,
-    spec: RunSpec,
-    key: u64,
-) -> Submitted {
-    if st.jobs_by_id.len() >= shared.cfg.queue_cap {
-        st.counters.rejected += 1;
-        return Submitted::Rejected;
-    }
-    let id = st.next_id;
-    st.next_id += 1;
-    let job = Arc::new(ClusterJob {
-        id,
-        key,
-        spec,
-        state: Mutex::new(JobInner {
-            result: None,
-            assigned: None,
-            dispatched_at: Instant::now(),
-        }),
-        done: Condvar::new(),
-    });
-    st.jobs_by_id.insert(id, job.clone());
-    st.jobs_by_key.insert(key, job.clone());
-    drop(st);
-    dispatch(shared, &job, None);
-    Submitted::Wait {
-        job,
-        coalesced: false,
-    }
-}
-
-/// Routes the job to a worker via the ring, or runs it locally when no
+/// Routes job `id` to a worker via the ring, or runs it locally when no
 /// eligible worker exists. `exclude` skips the current assignee on a
 /// timeout re-dispatch.
-fn dispatch(shared: &Arc<Shared>, job: &Arc<ClusterJob>, exclude: Option<usize>) {
-    let target = {
-        let mut st = shared.state.lock().expect("state poisoned");
-        let workers = &st.workers;
-        let slot = st.ring.route_when(job.key, |slot| {
+fn route(front: &Arc<Front>, id: u64, exclude: Option<usize>) {
+    let (job, target) = {
+        let mut rs = front.backend.lock();
+        let rs = &mut *rs;
+        let Some(routed) = rs.jobs.get_mut(&id) else {
+            return; // committed meanwhile
+        };
+        if routed.job.is_claimed() {
+            return;
+        }
+        let workers = &rs.workers;
+        let slot = rs.ring.route_when(routed.job.key, |slot| {
             Some(slot) != exclude
                 && workers
                     .get(&slot)
                     .is_some_and(|w| w.alive.load(Ordering::Relaxed))
         });
-        match slot {
-            Some(slot) => {
-                let w = st.workers[&slot].clone();
-                {
-                    let mut js = job.state.lock().expect("job state poisoned");
-                    if js.result.is_some() {
-                        return; // raced a commit; nothing to do
-                    }
-                    js.assigned = Some(slot);
-                    js.dispatched_at = Instant::now();
-                }
-                st.counters.dispatched += 1;
-                Some(w)
-            }
-            None => {
-                let mut js = job.state.lock().expect("job state poisoned");
-                if js.result.is_some() {
-                    return;
-                }
-                js.assigned = None;
-                js.dispatched_at = Instant::now();
-                None
-            }
+        routed.assigned = slot;
+        routed.dispatched_at = Instant::now();
+        let target = slot.map(|slot| workers[&slot].clone());
+        if target.is_some() {
+            rs.counters.dispatched += 1;
         }
+        (routed.job.clone(), target)
     };
     match target {
         Some(w) => {
             let msg = ClusterMsg::Work {
-                id: job.id,
+                id,
                 spec: job.spec.clone(),
             }
             .encode();
@@ -672,61 +288,40 @@ fn dispatch(shared: &Arc<Shared>, job: &Arc<ClusterJob>, exclude: Option<usize>)
             } else {
                 // Dead on arrival: reaping re-dispatches everything
                 // assigned to this worker, this job included.
-                reap_worker(shared, w.slot);
+                reap_worker(front, w.slot);
             }
         }
         None => {
             // No eligible worker: degrade to a single-process server.
-            let result = shared.exec.execute(&job.spec).map(Arc::new);
-            commit_result(shared, job, result, Origin::Local);
+            let result = front.exec.execute(&job.spec).map(Arc::new);
+            settle(front, id, &job, result, |c| c.local_fallbacks += 1);
         }
     }
 }
 
-/// The at-most-once commit: first result wins, is cached and persisted,
-/// and wakes every waiter; late duplicates are counted and dropped.
-/// Returns whether this call won.
-fn commit_result(
-    shared: &Arc<Shared>,
-    job: &Arc<ClusterJob>,
-    result: JobResult,
-    origin: Origin,
-) -> bool {
-    if !job.try_commit(result.clone()) {
-        shared
-            .state
-            .lock()
-            .expect("state poisoned")
-            .counters
-            .late_duplicates += 1;
-        return false;
-    }
-    {
-        let mut st = shared.state.lock().expect("state poisoned");
-        st.jobs_by_id.remove(&job.id);
-        st.jobs_by_key.remove(&job.key);
-        match origin {
-            Origin::Remote(_) => st.counters.completed_remote += 1,
-            Origin::Local => st.counters.local_fallbacks += 1,
-        }
-        if let Ok(o) = &result {
-            st.cache.insert(job.key, o.clone());
-        }
-    }
-    // Durable commit outside the state lock, still before waiters wake.
-    if let (Some(store), Ok(o)) = (&shared.store, &result) {
-        let _ = store.lock().expect("store poisoned").put(job.key, o);
-    }
-    job.done.notify_all();
-    true
+/// Commits one result for job `id` through the front end; the winner
+/// retires the job from the ring and credits `credit` before any waiter
+/// wakes.
+fn settle(
+    front: &Front,
+    id: u64,
+    job: &Job,
+    result: JobOutcome,
+    credit: impl FnOnce(&mut ClusterCounters),
+) {
+    front.commit(job, result, || {
+        let mut rs = front.backend.lock();
+        rs.jobs.remove(&id);
+        credit(&mut rs.counters);
+    });
 }
 
 /// Marks a worker dead, removes its ring arcs, and re-dispatches every
 /// job it still owed. Idempotent per worker.
-fn reap_worker(shared: &Arc<Shared>, slot: usize) {
-    let orphans: Vec<Arc<ClusterJob>> = {
-        let mut st = shared.state.lock().expect("state poisoned");
-        let Some(w) = st.workers.get(&slot) else {
+fn reap_worker(front: &Arc<Front>, slot: usize) {
+    let orphans: Vec<u64> = {
+        let mut rs = front.backend.lock();
+        let Some(w) = rs.workers.get(&slot) else {
             return;
         };
         if !w.alive.swap(false, Ordering::SeqCst) {
@@ -738,81 +333,69 @@ fn reap_worker(shared: &Arc<Shared>, slot: usize) {
             .lock()
             .expect("worker writer poisoned")
             .shutdown(std::net::Shutdown::Both);
-        st.ring.remove(slot);
-        st.counters.workers_lost += 1;
-        let orphans: Vec<Arc<ClusterJob>> = st
-            .jobs_by_id
-            .values()
-            .filter(|j| {
-                let js = j.state.lock().expect("job state poisoned");
-                js.result.is_none() && js.assigned == Some(slot)
-            })
-            .cloned()
+        rs.ring.remove(slot);
+        rs.counters.workers_lost += 1;
+        let orphans: Vec<u64> = rs
+            .jobs
+            .iter()
+            .filter(|(_, r)| r.assigned == Some(slot) && !r.job.is_claimed())
+            .map(|(&id, _)| id)
             .collect();
-        st.counters.redispatches += orphans.len() as u64;
+        rs.counters.redispatches += orphans.len() as u64;
         orphans
     };
-    for job in orphans {
-        dispatch(shared, &job, None);
+    for id in orphans {
+        route(front, id, None);
     }
 }
 
 /// Re-dispatches jobs a worker has sat on past the timeout. Exits when
 /// draining (remaining jobs are owned by their dispatch chains).
-fn monitor_loop(shared: &Arc<Shared>) {
-    let timeout = match shared.cfg.job_timeout_ms {
-        0 => return,
-        ms => Duration::from_millis(ms),
-    };
+fn monitor_loop(front: &Arc<Front>, timeout: Duration) {
     let tick = (timeout / 4).clamp(Duration::from_millis(20), Duration::from_millis(500));
     loop {
         std::thread::sleep(tick);
-        if shared.draining() {
+        if front.draining() {
             return;
         }
-        let overdue: Vec<(Arc<ClusterJob>, Option<usize>)> = {
-            let mut st = shared.state.lock().expect("state poisoned");
-            let late: Vec<(Arc<ClusterJob>, Option<usize>)> = st
-                .jobs_by_id
-                .values()
-                .filter_map(|j| {
-                    let js = j.state.lock().expect("job state poisoned");
-                    // Only remotely-assigned jobs can be stuck; local
-                    // execution completes synchronously.
-                    (js.result.is_none()
-                        && js.assigned.is_some()
-                        && js.dispatched_at.elapsed() > timeout)
-                        .then(|| (j.clone(), js.assigned))
+        let overdue: Vec<(u64, Option<usize>)> = {
+            let mut rs = front.backend.lock();
+            // Only remotely assigned jobs can be stuck; local execution
+            // completes synchronously.
+            let late: Vec<(u64, Option<usize>)> = rs
+                .jobs
+                .iter()
+                .filter(|(_, r)| {
+                    r.assigned.is_some()
+                        && r.dispatched_at.elapsed() > timeout
+                        && !r.job.is_claimed()
                 })
+                .map(|(&id, r)| (id, r.assigned))
                 .collect();
-            st.counters.redispatches += late.len() as u64;
+            rs.counters.redispatches += late.len() as u64;
             late
         };
-        for (job, previous) in overdue {
-            dispatch(shared, &job, previous);
+        for (id, previous) in overdue {
+            route(front, id, previous);
         }
     }
 }
 
-// ---------------------------------------------------------------------
-// Worker channel
-// ---------------------------------------------------------------------
-
 /// Registers the worker and consumes its `result` lines until the
 /// connection dies, then reaps it.
 fn worker_channel_loop(
-    mut reader: BufReader<TcpStream>,
+    front: &Arc<Front>,
+    reader: &mut BufReader<TcpStream>,
     writer: TcpStream,
-    shared: &Arc<Shared>,
     name: String,
 ) {
+    if front.draining() {
+        return;
+    }
     let handle = {
-        let mut st = shared.state.lock().expect("state poisoned");
-        if st.draining {
-            return;
-        }
-        let slot = st.next_slot;
-        st.next_slot += 1;
+        let mut rs = front.backend.lock();
+        let slot = rs.next_slot;
+        rs.next_slot += 1;
         let handle = Arc::new(WorkerHandle {
             slot,
             name: name.clone(),
@@ -822,326 +405,122 @@ fn worker_channel_loop(
             completed: AtomicU64::new(0),
             failed: AtomicU64::new(0),
         });
-        st.workers.insert(slot, handle.clone());
-        st.ring.insert(slot, &name);
-        st.counters.workers_joined += 1;
+        rs.workers.insert(slot, handle.clone());
+        rs.ring.insert(slot, &name);
+        rs.counters.workers_joined += 1;
         handle
     };
     let mut line = String::new();
     let mut discarding = false;
     loop {
-        match read_bounded_line(
-            &mut reader,
-            &mut line,
-            &mut discarding,
-            MAX_REQUEST_LINE_BYTES,
-        ) {
+        match read_bounded_line(reader, &mut line, &mut discarding, MAX_REQUEST_LINE_BYTES) {
             LineRead::Idle => {
-                // Keep the channel while draining until every in-flight
-                // job has committed — late results still matter — then
-                // hang up so the worker process winds down on EOF.
-                if shared.draining() {
-                    let st = shared.state.lock().expect("state poisoned");
-                    if st.jobs_by_id.is_empty() {
-                        break;
-                    }
+                // Keep the channel while draining until every routed job
+                // has committed — late results still matter — then hang
+                // up so the worker process winds down on EOF.
+                if front.draining() && front.backend.lock().jobs.is_empty() {
+                    break;
                 }
             }
             LineRead::Eof | LineRead::Closed | LineRead::TooLarge => break,
             LineRead::Line => {
                 if let Ok(ClusterMsg::Result { id, result }) = ClusterMsg::parse(line.trim()) {
-                    accept_result(shared, &handle, id, result);
+                    accept_result(front, &handle, id, result);
                 }
                 line.clear();
             }
         }
     }
-    reap_worker(shared, handle.slot);
+    reap_worker(front, handle.slot);
 }
 
 /// Commits one worker result through the at-most-once path.
 fn accept_result(
-    shared: &Arc<Shared>,
-    worker: &Arc<WorkerHandle>,
+    front: &Front,
+    worker: &WorkerHandle,
     id: u64,
-    result: Result<CollectionOutcome, (ErrorKind, String)>,
+    result: Result<crn_core::CollectionOutcome, (crn_serve::ErrorKind, String)>,
 ) {
-    let job = {
-        let st = shared.state.lock().expect("state poisoned");
-        st.jobs_by_id.get(&id).cloned()
-    };
+    let job = front.backend.lock().jobs.get(&id).map(|r| r.job.clone());
     let Some(job) = job else {
-        // The job was already committed (and swept from the tables) by
-        // someone faster — a late duplicate.
-        shared
-            .state
-            .lock()
-            .expect("state poisoned")
-            .counters
-            .late_duplicates += 1;
+        // Committed (and retired from the ring) by someone faster.
+        front.late_duplicate();
         return;
     };
     let failed = result.is_err();
-    let result: JobResult = result
+    let result = result
         .map(Arc::new)
         .map_err(|(kind, message)| ExecError { kind, message });
-    if commit_result(shared, &job, result, Origin::Remote(worker.slot)) {
-        if failed {
-            worker.failed.fetch_add(1, Ordering::Relaxed);
+    settle(front, id, &job, result, |c| {
+        c.completed_remote += 1;
+        let tally = if failed {
+            &worker.failed
         } else {
-            worker.completed.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Point serving (run + sweep), mirroring the server's shapes
-// ---------------------------------------------------------------------
-
-/// A submitted point whose result may not be ready yet.
-enum Pending {
-    Ready(PointOutcome),
-    Wait {
-        job: Arc<ClusterJob>,
-        coalesced: bool,
-        submitted: Instant,
-        repro: String,
-    },
-}
-
-fn submit_point(shared: &Arc<Shared>, spec: RunSpec) -> Pending {
-    let submitted = Instant::now();
-    let repro = spec.repro();
-    match submit(shared, spec) {
-        Submitted::Draining => Pending::Ready(PointOutcome::Err(error_response(
-            ErrorKind::Draining,
-            "coordinator is shutting down",
-        ))),
-        Submitted::Rejected => Pending::Ready(PointOutcome::Err(error_response(
-            ErrorKind::Overloaded,
-            &format!(
-                "cluster job table full ({} in flight); retry later",
-                shared.cfg.queue_cap
-            ),
-        ))),
-        Submitted::Cached(outcome) => Pending::Ready(ok_point(shared, &outcome, true, submitted)),
-        Submitted::Wait { job, coalesced } => Pending::Wait {
-            job,
-            coalesced,
-            submitted,
-            repro,
-        },
-    }
-}
-
-fn finish_point(shared: &Arc<Shared>, pending: Pending, timeout_ms: Option<u64>) -> PointOutcome {
-    let Pending::Wait {
-        job,
-        submitted,
-        repro,
-        ..
-    } = pending
-    else {
-        let Pending::Ready(result) = pending else {
-            unreachable!()
+            &worker.completed
         };
-        return result;
-    };
-    let deadline = timeout_ms.map(|ms| submitted + Duration::from_millis(ms));
-    match job.wait(deadline) {
-        None => {
-            shared
-                .state
-                .lock()
-                .expect("state poisoned")
-                .counters
-                .timed_out += 1;
-            PointOutcome::Err(error_response(
-                ErrorKind::TimedOut,
-                &format!(
-                    "deadline of {}ms expired; repro: {repro}",
-                    timeout_ms.unwrap_or(0)
-                ),
-            ))
-        }
-        Some(Err(e)) => {
-            shared.state.lock().expect("state poisoned").counters.failed += 1;
-            PointOutcome::Err(error_response(
-                e.kind,
-                &format!("{}; repro: {repro}", e.message),
-            ))
-        }
-        Some(Ok(outcome)) => ok_point(shared, &outcome, false, submitted),
-    }
+        tally.fetch_add(1, Ordering::Relaxed);
+    });
 }
 
-/// Success bookkeeping shared by the cached and computed paths.
-fn ok_point(
-    shared: &Arc<Shared>,
-    outcome: &Arc<CollectionOutcome>,
-    cached: bool,
-    submitted: Instant,
-) -> PointOutcome {
-    let latency_ms = submitted.elapsed().as_secs_f64() * 1e3;
-    {
-        let mut st = shared.state.lock().expect("state poisoned");
-        st.counters.served += 1;
-        let bucket = LATENCY_BUCKETS_MS
-            .iter()
-            .position(|&le| latency_ms <= le)
-            .unwrap_or(LATENCY_BUCKETS_MS.len());
-        st.latency_hist[bucket] += 1;
-    }
-    PointOutcome::Ok {
-        outcome: outcome.clone(),
-        cached,
-    }
+/// A running coordinator.
+pub struct Coordinator {
+    service: Service<Ring>,
 }
 
-/// Serves one run request end to end, returning the response line.
-fn handle_run(shared: &Arc<Shared>, spec: RunSpec, timeout_ms: Option<u64>) -> Json {
-    let key = spec.cache_key();
-    let pending = submit_point(shared, spec);
-    let coalesced = matches!(
-        &pending,
-        Pending::Wait {
-            coalesced: true,
-            ..
-        }
-    );
-    match finish_point(shared, pending, timeout_ms) {
-        PointOutcome::Err(response) => response,
-        PointOutcome::Ok { outcome, cached } => {
-            let mut o = response_base(true);
-            o.set("cached", Json::Bool(cached))
-                .set("coalesced", Json::Bool(coalesced))
-                .set("key", Json::Str(format!("{key:016x}")))
-                .set("report", report_json(&outcome));
-            o
-        }
+impl Coordinator {
+    /// Binds and starts the coordinator. Returns as soon as the socket
+    /// is bound; workers and clients connect to
+    /// [`Coordinator::local_addr`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates bind failures and store open/scan failures.
+    pub fn start(cfg: ClusterConfig) -> std::io::Result<Coordinator> {
+        let ring = Ring {
+            job_timeout_ms: cfg.job_timeout_ms,
+            state: Mutex::new(RingState {
+                workers: HashMap::new(),
+                ring: HashRing::new(cfg.replicas),
+                jobs: HashMap::new(),
+                next_id: 1,
+                next_slot: 0,
+                counters: ClusterCounters::default(),
+            }),
+        };
+        let service = Service::bind(
+            &cfg.addr,
+            cfg.queue_cap,
+            cfg.cache_cap,
+            cfg.topo_cache_cap,
+            cfg.store,
+            ring,
+        )?;
+        Ok(Coordinator { service })
     }
-}
 
-// ---------------------------------------------------------------------
-// Introspection
-// ---------------------------------------------------------------------
+    /// The bound address.
+    #[must_use]
+    pub fn local_addr(&self) -> SocketAddr {
+        self.service.local_addr()
+    }
 
-fn status_json(shared: &Arc<Shared>) -> Json {
-    let (draining, workers) = {
-        let st = shared.state.lock().expect("state poisoned");
-        let alive = st
-            .workers
-            .values()
-            .filter(|w| w.alive.load(Ordering::Relaxed))
-            .count();
-        (st.draining, alive)
-    };
-    let mut o = response_base(true);
-    o.set(
-        "status",
-        Json::Str(if draining { "draining" } else { "running" }.into()),
-    )
-    .set("role", Json::Str("coordinator".into()))
-    .set("workers", Json::UInt(workers as u64))
-    .set(
-        "uptime_s",
-        Json::float(shared.started.elapsed().as_secs_f64()),
-    )
-    .set("engine_version", Json::Str(ENGINE_VERSION.into()))
-    .set("protocol_version", Json::UInt(PROTOCOL_VERSION));
-    o
-}
+    /// Initiates a graceful shutdown: stop accepting, let in-flight
+    /// jobs finish (locally if every worker leaves first), hang up on
+    /// workers, exit.
+    pub fn shutdown(&self) {
+        self.service.shutdown();
+    }
 
-fn stats_json(shared: &Arc<Shared>) -> Json {
-    let (counters_json, cluster_json, cache_json, hist, in_flight, draining) = {
-        let st = shared.state.lock().expect("state poisoned");
-        let c = st.counters;
-        let mut counters = Json::obj();
-        counters
-            .set("received", Json::UInt(c.received))
-            .set("served", Json::UInt(c.served))
-            .set("cache_hits", Json::UInt(c.cache_hits))
-            .set("store_hits", Json::UInt(c.store_hits))
-            .set("coalesced", Json::UInt(c.coalesced))
-            .set(
-                "computed",
-                Json::UInt(c.completed_remote + c.local_fallbacks),
-            )
-            .set("rejected", Json::UInt(c.rejected))
-            .set("timed_out", Json::UInt(c.timed_out))
-            .set("failed", Json::UInt(c.failed))
-            .set("bad_requests", Json::UInt(c.bad_requests));
-        let mut rows = Vec::new();
-        let mut slots: Vec<&Arc<WorkerHandle>> = st.workers.values().collect();
-        slots.sort_by_key(|w| w.slot);
-        for w in slots {
-            let mut row = Json::obj();
-            row.set("name", Json::Str(w.name.clone()))
-                .set("alive", Json::Bool(w.alive.load(Ordering::Relaxed)))
-                .set(
-                    "dispatched",
-                    Json::UInt(w.dispatched.load(Ordering::Relaxed)),
-                )
-                .set("completed", Json::UInt(w.completed.load(Ordering::Relaxed)))
-                .set("failed", Json::UInt(w.failed.load(Ordering::Relaxed)));
-            rows.push(row);
-        }
-        let mut cluster = Json::obj();
-        cluster
-            .set("workers", Json::Arr(rows))
-            .set("workers_joined", Json::UInt(c.workers_joined))
-            .set("workers_lost", Json::UInt(c.workers_lost))
-            .set("dispatched", Json::UInt(c.dispatched))
-            .set("completed_remote", Json::UInt(c.completed_remote))
-            .set("local_fallbacks", Json::UInt(c.local_fallbacks))
-            .set("redispatches", Json::UInt(c.redispatches))
-            .set("late_duplicates", Json::UInt(c.late_duplicates));
-        let cache = st.cache.stats();
-        let mut cache_json = Json::obj();
-        cache_json
-            .set("capacity", Json::UInt(st.cache.capacity() as u64))
-            .set("len", Json::UInt(st.cache.len() as u64))
-            .set("hits", Json::UInt(cache.hits))
-            .set("misses", Json::UInt(cache.misses))
-            .set("evictions", Json::UInt(cache.evictions))
-            .set("insertions", Json::UInt(cache.insertions));
-        let mut hist = Vec::with_capacity(st.latency_hist.len());
-        for (i, &count) in st.latency_hist.iter().enumerate() {
-            let mut bucket = Json::obj();
-            bucket.set(
-                "le_ms",
-                LATENCY_BUCKETS_MS
-                    .get(i)
-                    .map_or(Json::Null, |&le| Json::float(le)),
-            );
-            bucket.set("count", Json::UInt(count));
-            hist.push(bucket);
-        }
-        (
-            counters,
-            cluster,
-            cache_json,
-            hist,
-            st.jobs_by_id.len(),
-            st.draining,
-        )
-    };
-    let mut s = Json::obj();
-    s.set(
-        "uptime_s",
-        Json::float(shared.started.elapsed().as_secs_f64()),
-    )
-    .set("engine_version", Json::Str(ENGINE_VERSION.into()))
-    .set("role", Json::Str("coordinator".into()))
-    .set("queue_cap", Json::UInt(shared.cfg.queue_cap as u64))
-    .set("in_flight", Json::UInt(in_flight as u64))
-    .set("draining", Json::Bool(draining))
-    .set("counters", counters_json)
-    .set("cluster", cluster_json)
-    .set("cache", cache_json)
-    .set("store", store_stats_json(shared.store.as_ref()))
-    .set("latency_ms", Json::Arr(hist));
-    let mut o = response_base(true);
-    o.set("stats", s);
-    o
+    /// Blocks until fully drained after a shutdown, then returns the
+    /// final request counters and the ring's own counters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a coordinator thread itself panicked.
+    pub fn wait(self) -> (Counters, ClusterCounters) {
+        let front = self.service.front().clone();
+        let counters = self.service.wait();
+        let fleet = front.backend.lock().counters;
+        (counters, fleet)
+    }
 }

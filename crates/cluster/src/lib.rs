@@ -1,9 +1,9 @@
 //! # crn-cluster — a distributed serve fleet
 //!
 //! Turns the single-process [`crn-serve`](crn_serve) daemon into a
-//! fleet: one [`Coordinator`] owns the public socket and speaks the
-//! JSON-lines protocol **unchanged**, while N [`WorkerNode`] processes
-//! dial in, join, and execute the work the coordinator routes to them.
+//! fleet: one [`Coordinator`] runs the `crn-serve` front end itself, so
+//! clients cannot tell it from `crn serve`, while N [`WorkerNode`]
+//! processes dial in, join, and execute the work it routes to them.
 //!
 //! The three layers:
 //!
@@ -13,9 +13,10 @@
 //! - [`worker`] — the execution half: an in-memory LRU and optional
 //!   persistent [`ResultStore`](crn_serve::ResultStore) in front of the
 //!   shared [`Executor`](crn_serve::exec::Executor).
-//! - [`coordinator`] — admission, routing, crash/timeout re-dispatch,
-//!   and the at-most-once result commit that keeps every client seeing
-//!   exactly one answer per request no matter how many workers raced.
+//! - [`coordinator`] — the front end's ring backend: the worker
+//!   registry, routing, crash/timeout re-dispatch and the local
+//!   fallback. Admission, caching and the at-most-once commit are the
+//!   front end's, shared with `crn serve`.
 //!
 //! Everything is std-only (TCP + threads), like the rest of the
 //! workspace, and results are bit-identical to single-process

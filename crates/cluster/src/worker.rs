@@ -226,26 +226,24 @@ fn resolve(
     spec: &RunSpec,
 ) -> Result<CollectionOutcome, (crn_serve::ErrorKind, String)> {
     let key = spec.cache_key();
-    if !spec.inject_panic {
-        let hit = shared
-            .cache
-            .lock()
-            .expect("worker cache poisoned")
-            .get(&key);
-        if let Some(outcome) = hit {
+    let hit = shared
+        .cache
+        .lock()
+        .expect("worker cache poisoned")
+        .get(&key);
+    if let Some(outcome) = hit {
+        return Ok((*outcome).clone());
+    }
+    if let Some(store) = &shared.store {
+        let promoted = store.lock().expect("worker store poisoned").get(key);
+        if let Some(outcome) = promoted {
+            let outcome = Arc::new(outcome);
+            shared
+                .cache
+                .lock()
+                .expect("worker cache poisoned")
+                .insert(key, outcome.clone());
             return Ok((*outcome).clone());
-        }
-        if let Some(store) = &shared.store {
-            let promoted = store.lock().expect("worker store poisoned").get(key);
-            if let Some(outcome) = promoted {
-                let outcome = Arc::new(outcome);
-                shared
-                    .cache
-                    .lock()
-                    .expect("worker cache poisoned")
-                    .insert(key, outcome.clone());
-                return Ok((*outcome).clone());
-            }
         }
     }
     match shared.exec.execute(spec) {

@@ -232,3 +232,147 @@ fn results_are_bit_identical_across_worker_counts() {
         }
     }
 }
+
+/// Polls `stats` until `in_flight` reads `want`.
+fn await_in_flight(client: &mut Client, want: u64) {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let stats = client.stats().expect("stats");
+        if stats.get("in_flight").and_then(Json::as_u64) == Some(want) {
+            return;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "in_flight never reached {want}: {stats}"
+        );
+        std::thread::yield_now();
+    }
+}
+
+/// A plain run arriving while an `inject_panic` run of the same spec is
+/// held by a silent worker gets its own job, not the injected panic.
+#[test]
+fn a_plain_run_never_coalesces_onto_an_injected_panic() {
+    let coordinator = start_coordinator(ClusterConfig {
+        job_timeout_ms: 1_000,
+        ..ClusterConfig::default()
+    });
+    let mut silent =
+        std::net::TcpStream::connect(coordinator.local_addr()).expect("silent worker connects");
+    let join = ClusterMsg::Join {
+        worker: "silent".into(),
+    }
+    .encode();
+    writeln!(silent, "{join}").expect("join line");
+    silent.flush().expect("flush join");
+    let mut client = connect(&coordinator);
+    await_workers(&mut client, 1);
+
+    let addr = coordinator.local_addr();
+    let poisoned = std::thread::spawn(move || {
+        let mut client = Client::connect(addr).expect("connect");
+        client
+            .set_read_timeout(Some(Duration::from_secs(120)))
+            .expect("set timeout");
+        client
+            .request_line(r#"{"v":1,"cmd":"run","params":{"sus":50,"pus":8,"side":42.0,"seed":1},"inject_panic":true}"#)
+            .expect("poisoned run answered")
+    });
+    // The silent worker holds the poisoned job until its timeout.
+    await_in_flight(&mut client, 1);
+    let plain = client
+        .request_line(r#"{"v":1,"cmd":"run","params":{"sus":50,"pus":8,"side":42.0,"seed":1}}"#)
+        .expect("plain run answered");
+    assert!(ok(&plain), "plain run got the injected panic: {plain}");
+    assert_eq!(plain.get("coalesced").and_then(Json::as_bool), Some(false));
+    let poisoned = poisoned.join().expect("poisoned client");
+    assert_eq!(
+        poisoned
+            .get("error")
+            .and_then(|e| e.get("kind"))
+            .and_then(Json::as_str),
+        Some("worker_panicked"),
+        "{poisoned}"
+    );
+    let stats = client.stats().expect("stats");
+    let counters = stats.get("counters").expect("counters");
+    assert_eq!(counters.get("coalesced").and_then(Json::as_u64), Some(0));
+    assert_eq!(counters.get("failed").and_then(Json::as_u64), Some(1));
+
+    client.shutdown().expect("shutdown");
+    coordinator.wait();
+}
+
+/// Every key path of `value`, with array elements under `[]`, skipping
+/// the fields only one role emits.
+fn key_paths(value: &Json, prefix: &str, out: &mut std::collections::BTreeSet<String>) {
+    const ROLE_FIELDS: [&str; 5] = ["cluster", "role", "workers", "queue_depth", "running"];
+    match value {
+        Json::Obj(pairs) => {
+            for (key, child) in pairs {
+                if !ROLE_FIELDS.contains(&key.as_str()) {
+                    let path = format!("{prefix}.{key}");
+                    out.insert(path.clone());
+                    key_paths(child, &path, out);
+                }
+            }
+        }
+        Json::Arr(items) => {
+            for item in items {
+                key_paths(item, &format!("{prefix}[]"), out);
+            }
+        }
+        _ => {}
+    }
+}
+
+/// Clients cannot tell a coordinator from `crn serve`: the same lines get
+/// responses with the same fields, outside each role's own, and the same
+/// counters.
+#[test]
+fn a_coordinator_answers_like_a_server() {
+    let lines = [
+        r#"{"v":1,"cmd":"run","params":{"sus":50,"pus":8,"side":42.0,"seed":7}}"#,
+        r#"{"v":1,"cmd":"run","params":{"sus":50,"pus":8,"side":42.0,"seed":7}}"#,
+        r#"{"v":1,"cmd":"sweep","params":{"sus":50,"pus":8,"side":42.0},"seed_start":0,"seed_count":3}"#,
+        r#"{"v":1,"cmd":"status"}"#,
+        r#"{"v":1,"cmd":"stats"}"#,
+    ];
+    let answer = |client: &mut Client| -> Vec<Json> {
+        lines
+            .iter()
+            .map(|line| client.request_line(line).expect("answered"))
+            .collect()
+    };
+
+    let server = Server::start(ServeConfig {
+        workers: 2,
+        ..ServeConfig::default()
+    })
+    .expect("bind server");
+    let mut client = Client::connect(server.local_addr()).expect("connect");
+    client
+        .set_read_timeout(Some(Duration::from_secs(120)))
+        .expect("set timeout");
+    let served = answer(&mut client);
+    client.shutdown().expect("shutdown");
+    server.wait();
+
+    let coordinator = start_coordinator(ClusterConfig::default());
+    let mut client = connect(&coordinator);
+    let coordinated = answer(&mut client);
+    client.shutdown().expect("shutdown");
+    coordinator.wait();
+
+    for ((line, a), b) in lines.iter().zip(&served).zip(&coordinated) {
+        assert!(ok(a) && ok(b), "{line}: {a} / {b}");
+        let (mut paths_a, mut paths_b) = Default::default();
+        key_paths(a, "", &mut paths_a);
+        key_paths(b, "", &mut paths_b);
+        assert_eq!(paths_a, paths_b, "{line}: fields differ between roles");
+    }
+    assert!(served[0].get("latency_ms").is_some());
+    assert_eq!(served[0].get("report"), coordinated[0].get("report"));
+    let counters = |stats: &Json| stats.get("stats").and_then(|s| s.get("counters")).cloned();
+    assert_eq!(counters(&served[4]), counters(&coordinated[4]));
+}

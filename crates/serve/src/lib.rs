@@ -24,8 +24,10 @@
 //! Everything is `std`-only (`std::net` + threads): the protocol is one
 //! JSON object per line in each direction, so `nc` is a usable client.
 //! See `protocol.rs` for the wire format and `server.rs` for the
-//! runtime; [`client::Client`] is a minimal blocking client used by the
-//! CLI (`crn submit`) and the load generator.
+//! runtime: the front end `crn-cluster`'s coordinator shares through its
+//! `Backend` trait, and the local worker pool; [`client::Client`] is a
+//! minimal blocking client used by the CLI (`crn submit`) and the load
+//! generator.
 
 pub mod cache;
 pub mod client;

@@ -66,7 +66,9 @@ pub struct RunSpec {
     /// Whether to attach the live invariant oracle.
     pub check_invariants: bool,
     /// Testing aid: makes the worker panic instead of simulating, so the
-    /// panic-isolation path is exercisable end-to-end. Never cached.
+    /// panic-isolation path is exercisable end-to-end. Part of the run's
+    /// identity, so a plain run never shares its job; its failure is never
+    /// cached.
     pub inject_panic: bool,
 }
 
@@ -101,7 +103,13 @@ impl RunSpec {
     fn chain_run_identity(&self, mut h: u64) -> u64 {
         h = crn_core::fnv1a_64(h, self.algorithm.to_string().as_bytes());
         h = crn_core::fnv1a_64(h, &[u8::from(self.check_invariants)]);
-        crn_core::fnv1a_64(h, ENGINE_VERSION.as_bytes())
+        h = crn_core::fnv1a_64(h, ENGINE_VERSION.as_bytes());
+        // Chained only when set, so every plain key (and with it every
+        // stored file name and ring route) is unchanged.
+        if self.inject_panic {
+            h = crn_core::fnv1a_64(h, b"inject_panic");
+        }
+        h
     }
 
     /// A one-line reproduction recipe (reported with timeouts/errors).

@@ -1,12 +1,12 @@
 //! The sweep pipeline, generic over who executes the points.
 //!
-//! Both the single-process server and the cluster coordinator serve
-//! sweeps the same way: resolve every point up front, push them through
-//! a bounded in-flight **window** (submit ahead, wait in strict point
-//! order), and emit each point either buffered into one response or
-//! streamed as its own `{"v":1,"row":{...}}` line. Only the middle —
-//! how a [`RunSpec`] becomes an outcome — differs, so this module owns
-//! the pipeline once and takes the submit/finish halves as closures.
+//! The front end serves every sweep, for `crn serve` and the cluster
+//! coordinator alike, the same way: resolve every point up front, push
+//! them through a bounded in-flight **window** (submit ahead, wait in
+//! strict point order), and emit each point either buffered into one
+//! response or streamed as its own `{"v":1,"row":{...}}` line. This
+//! module owns that pipeline and takes the submit/finish halves of the
+//! admission ladder as closures.
 //! The response byte stream is deterministic regardless of completion
 //! order or which process computed a point, which is what lets the
 //! cluster promise bit-identical sweep output at any worker count.
@@ -32,6 +32,10 @@ pub enum PointOutcome {
         outcome: Arc<CollectionOutcome>,
         /// Served without running a simulation (memory or store tier).
         cached: bool,
+        /// Joined an identical job already in flight.
+        coalesced: bool,
+        /// Time from submission to resolution.
+        latency_ms: f64,
     },
     /// A complete error response object, ready to send.
     Err(Json),
@@ -73,7 +77,9 @@ impl SweepSink<'_> {
             entry.set("x", Json::float(x));
         }
         match result {
-            PointOutcome::Ok { outcome, cached } => {
+            PointOutcome::Ok {
+                outcome, cached, ..
+            } => {
                 self.ok_count += 1;
                 self.cached_count += u64::from(cached);
                 entry

@@ -5,13 +5,12 @@
 //! For each size `n` the harness times the structure phase (`Topology`
 //! build) once, then per interference model times radio customization
 //! (`SimWorld::new` on the shared topology), measures event throughput
-//! of a short capped run — best of five deterministic reruns, so host
-//! scheduling noise only ever biases the figure *down* (`Exact` dense
-//! tables are skipped above `n = 5000`, where they would need
-//! gigabytes), and records the gain-table footprint plus a peak-RSS
-//! proxy (`VmHWM` from `/proc/self/status`). The top-level `cores` field
-//! records the host's available parallelism; every figure here is
-//! single-threaded.
+//! of a short capped run — the median, min and max of five deterministic
+//! reruns (`Exact` dense tables are skipped above `n = 5000`, where they
+//! would need gigabytes), and records the bytes its gain tables hold plus
+//! a peak-RSS proxy (`VmHWM` from `/proc/self/status`). The top-level
+//! `cores` field records the host's available parallelism; every figure
+//! here is single-threaded.
 //!
 //! It also times the headline of the split API: a radio-only
 //! re-customization (an SU transmit-power bump) against a full
@@ -32,9 +31,8 @@
 //!
 //! Run with `cargo run -p crn-bench --release --bin bench_sim`.
 
-use crn_bench::synthetic::{grid_radio, grid_topology};
+use crn_bench::synthetic::{bump_su_power, grid_radio, grid_topology};
 use crn_bench::take_flag;
-use crn_interference::PhyParams;
 use crn_sim::{
     InterferenceModel, InvariantChecker, MacConfig, SimWorld, Simulator, Topology, TraceLog,
 };
@@ -78,8 +76,12 @@ struct ModelStats {
     recustomize_speedup: f64,
     gain_table_bytes: usize,
     events: u64,
-    events_per_sec: f64,
+    /// Median, min and max over the reruns.
+    events_per_sec: [f64; 3],
 }
+
+/// Deterministic reruns behind each throughput figure.
+const RERUNS: usize = 5;
 
 struct SizeStats {
     n: usize,
@@ -87,21 +89,6 @@ struct SizeStats {
     dense: Option<ModelStats>,
     sparse: ModelStats,
     vm_hwm_kb: Option<u64>,
-}
-
-/// Copies `phy` with the SU transmit power raised by half — a pure radio
-/// value change the customization layer absorbs without rebuilding any
-/// structure.
-fn bump_su_power(phy: &PhyParams) -> PhyParams {
-    let mut b = PhyParams::builder();
-    b.alpha(phy.alpha())
-        .pu_power(phy.pu_power())
-        .su_power(phy.su_power() * 1.5)
-        .pu_radius(phy.pu_radius())
-        .su_radius(phy.su_radius())
-        .pu_sir_threshold(phy.pu_sir_threshold())
-        .su_sir_threshold(phy.su_sir_threshold());
-    b.build().expect("bumped phy stays valid")
 }
 
 fn capped_run(world: impl Into<Arc<SimWorld>>, sim_seconds: f64) -> (crn_sim::SimReport, u64) {
@@ -185,25 +172,26 @@ fn measure(
         assert_invariants_clean(&world, equiv_seconds);
     }
 
-    // Throughput: best of five identical runs. The simulation is
-    // deterministic (same seed, same world — asserted below), so the
-    // fastest wall clock is the least-perturbed sample; single runs on a
-    // shared virtualized host were observed to wander by ±30%.
+    // Throughput over identical runs. The simulation is deterministic
+    // (same seed, same world — asserted below), so the spread is host
+    // noise; single runs on a shared virtualized host were observed to
+    // wander by ±30%, hence the median with its min and max.
     let mut report: Option<crn_sim::SimReport> = None;
     let mut events = 0u64;
-    let mut best_eps = 0.0f64;
-    for _ in 0..5 {
+    let mut eps = Vec::with_capacity(RERUNS);
+    for _ in 0..RERUNS {
         let started = Instant::now();
         let (r, ev) = capped_run(world.clone(), sim_seconds);
         let wall = started.elapsed().as_secs_f64();
-        best_eps = best_eps.max(ev as f64 / wall.max(1e-9));
+        eps.push(ev as f64 / wall.max(1e-9));
         match &report {
             Some(first) => assert_eq!(first, &r, "deterministic rerun diverged"),
             None => report = Some(r),
         }
         events = ev;
     }
-    let report = report.expect("five runs happened");
+    eps.sort_by(f64::total_cmp);
+    let report = report.expect("the reruns happened");
     assert!(report.attempts > 0, "capped run must make progress");
     ModelStats {
         construct_ms: (topology_build_s + customize_s) * 1e3,
@@ -213,7 +201,7 @@ fn measure(
         recustomize_speedup: rebuild_s / recustomize_s.max(1e-9),
         gain_table_bytes,
         events,
-        events_per_sec: best_eps,
+        events_per_sec: [eps[RERUNS / 2], eps[0], eps[RERUNS - 1]],
     }
 }
 
@@ -228,7 +216,8 @@ fn model_json(stats: &ModelStats) -> String {
     format!(
         "{{\"construct_ms\": {:.3}, \"customize_s\": {:.6}, \"recustomize_s\": {:.6}, \
          \"rebuild_s\": {:.6}, \"recustomize_speedup\": {:.1}, \"gain_table_bytes\": {}, \
-         \"events\": {}, \"events_per_sec\": {:.0}}}",
+         \"events\": {}, \"events_per_sec\": {:.0}, \"events_per_sec_min\": {:.0}, \
+         \"events_per_sec_max\": {:.0}}}",
         stats.construct_ms,
         stats.customize_s,
         stats.recustomize_s,
@@ -236,7 +225,9 @@ fn model_json(stats: &ModelStats) -> String {
         stats.recustomize_speedup,
         stats.gain_table_bytes,
         stats.events,
-        stats.events_per_sec
+        stats.events_per_sec[0],
+        stats.events_per_sec[1],
+        stats.events_per_sec[2]
     )
 }
 

@@ -100,6 +100,27 @@ pub fn grid_radio(model: InterferenceModel) -> RadioParams {
     RadioParams::new(phy).sense_range(sense).interference(model)
 }
 
+/// Copies `phy` with the SU transmit power raised by half — a pure radio
+/// value change the customization layer absorbs without rebuilding any
+/// structure.
+///
+/// # Panics
+///
+/// Panics if raising the power makes `phy` invalid, which a valid `phy`
+/// cannot.
+#[must_use]
+pub fn bump_su_power(phy: &PhyParams) -> PhyParams {
+    let mut b = PhyParams::builder();
+    b.alpha(phy.alpha())
+        .pu_power(phy.pu_power())
+        .su_power(phy.su_power() * 1.5)
+        .pu_radius(phy.pu_radius())
+        .su_radius(phy.su_radius())
+        .pu_sir_threshold(phy.pu_sir_threshold())
+        .su_sir_threshold(phy.su_sir_threshold());
+    b.build().expect("bumped phy stays valid")
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

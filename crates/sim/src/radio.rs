@@ -110,7 +110,11 @@ struct IdRows {
 impl IdRows {
     /// Builds `rows` rows, `fill(i, ids)` appending row `i`'s ids, which
     /// are then sorted ascending.
-    fn collect(rows: usize, mut fill: impl FnMut(usize, &mut Vec<u32>)) -> Self {
+    fn collect(
+        table: &'static str,
+        rows: usize,
+        mut fill: impl FnMut(usize, &mut Vec<u32>),
+    ) -> Result<Self, WorldError> {
         let mut off = Vec::with_capacity(rows + 1);
         off.push(0u32);
         let mut ids = Vec::new();
@@ -118,14 +122,41 @@ impl IdRows {
             let start = ids.len();
             fill(i, &mut ids);
             ids[start..].sort_unstable();
-            off.push(ids.len() as u32);
+            off.push(offset(table, ids.len())?);
         }
-        Self { off, ids }
+        Ok(Self { off, ids })
     }
 
     fn row(&self, i: usize) -> &[u32] {
         &self.ids[self.off[i] as usize..self.off[i + 1] as usize]
     }
+}
+
+/// `len` entries as a `u32` CSR offset, or the error naming `table` once
+/// the entries no longer fit: a wrapped offset would silently alias rows.
+fn offset(table: &'static str, len: usize) -> Result<u32, WorldError> {
+    u32::try_from(len).map_err(|_| WorldError::TableTooLarge {
+        table,
+        entries: len as u64,
+    })
+}
+
+/// Prefix-sums row lengths into CSR offsets in place: on entry `off[0]`
+/// is 0 and `off[i + 1]` is row `i`'s length; on success `off[i]` is
+/// where row `i` starts and the entry count is returned. The total is
+/// summed in `u64` and refused past `u32::MAX` before anything is
+/// written, so a caller learns it before allocating the table.
+fn prefix_offsets(table: &'static str, off: &mut [u32]) -> Result<usize, WorldError> {
+    let entries: u64 = off.iter().map(|&len| u64::from(len)).sum();
+    if u32::try_from(entries).is_err() {
+        return Err(WorldError::TableTooLarge { table, entries });
+    }
+    let mut end = 0u32;
+    for o in off.iter_mut() {
+        end += *o;
+        *o = end;
+    }
+    Ok(end as usize)
 }
 
 /// Carrier-sensing neighbor lists; inputs: both sensing ranges.
@@ -202,10 +233,37 @@ struct SuCsrStage {
     su_gain: Vec<f64>,
 }
 
+impl SuCsrStage {
+    fn bytes(&self) -> usize {
+        (self.su_off.len() + self.su_slot.len()) * 4 + self.su_gain.len() * 8
+    }
+}
+
+/// Receiver-major near-field PU lists: row `s` holds the PUs slot `s`
+/// keeps, ids ascending, with their precomputed gains.
+#[derive(Debug)]
+struct PuLists {
+    off: Vec<u32>,
+    id: Vec<u32>,
+    gain: Vec<f64>,
+}
+
+impl PuLists {
+    fn row(&self, s: usize) -> (&[u32], &[f64]) {
+        let lo = self.off[s] as usize;
+        let hi = self.off[s + 1] as usize;
+        (&self.id[lo..hi], &self.gain[lo..hi])
+    }
+
+    fn bytes(&self) -> usize {
+        (self.off.len() + self.id.len()) * 4 + self.gain.len() * 8
+    }
+}
+
 /// The budget-independent part of the near-field PU lists, plus a pulled
 /// far-field prefix deep enough for the budgets it was built under.
 ///
-/// Per slot: the PUs inside the cutoff (`base_*`, ids ascending), the
+/// Per slot: the PUs inside the cutoff (`base`, ids ascending), the
 /// nearest far-field PUs pulled to meet the PU-side budget (`ext_*`, in
 /// pull order), and the *exclusion levels* `level[k]` — the exact summed
 /// far-field gain left outside after pulling `k` PUs. A looser budget
@@ -215,9 +273,9 @@ struct SuCsrStage {
 #[derive(Debug)]
 struct PuStructure {
     key: StructureKey,
-    base_off: Vec<u32>,
-    base_id: Vec<u32>,
-    base_gain: Vec<f64>,
+    /// `Arc`-shared: when no slot pulls, [`ServedPu`] serves these very
+    /// lists instead of a copy.
+    base: Arc<PuLists>,
     ext_off: Vec<u32>,
     ext_id: Vec<u32>,
     ext_gain: Vec<f64>,
@@ -231,38 +289,72 @@ impl PuStructure {
         &self.level[self.lvl_off[s] as usize..self.lvl_off[s + 1] as usize]
     }
 
-    fn base(&self, s: usize) -> (&[u32], &[f64]) {
-        let lo = self.base_off[s] as usize;
-        let hi = self.base_off[s + 1] as usize;
-        (&self.base_id[lo..hi], &self.base_gain[lo..hi])
-    }
-
     fn ext(&self, s: usize) -> (&[u32], &[f64]) {
         let lo = self.ext_off[s] as usize;
         let hi = self.ext_off[s + 1] as usize;
         (&self.ext_id[lo..hi], &self.ext_gain[lo..hi])
     }
 
+    /// Each slot's pull count under `threshold`, or `None` when some slot
+    /// needs a deeper pulled prefix than this structure holds (the caller
+    /// then rebuilds it).
+    fn pull_counts(&self, threshold: &[f64]) -> Option<Vec<u32>> {
+        let mut pulls = Vec::with_capacity(threshold.len());
+        for (s, &t) in threshold.iter().enumerate() {
+            let levels = self.levels(s);
+            // Levels are non-increasing, so the first one at or below the
+            // threshold is the canonical pull count.
+            let k = levels.partition_point(|&v| v > t);
+            if k == levels.len() {
+                return None;
+            }
+            pulls.push(k as u32);
+        }
+        Some(pulls)
+    }
+
     fn bytes(&self) -> usize {
-        (self.base_off.len() + self.base_id.len() + self.ext_off.len() + self.ext_id.len()) * 4
-            + (self.base_gain.len() + self.ext_gain.len() + self.level.len()) * 8
-            + self.lvl_off.len() * 4
+        self.base.bytes()
+            + (self.ext_off.len() + self.ext_id.len() + self.lvl_off.len()) * 4
+            + (self.ext_gain.len() + self.level.len()) * 8
     }
 }
 
-/// The served near-field PU tables for one concrete budget vector:
-/// receiver-major CSR (ids ascending) plus the certified residual.
+/// The served near-field PU lists for one vector of pull counts, plus
+/// their transmitter-major transpose. Both are a pure function of the
+/// [`PuStructure`] and the counts, so radios that agree on every count
+/// share one copy; only the power-scaled residual is per radio.
 #[derive(Debug)]
-struct PuView {
-    slot_pu_off: Vec<u32>,
-    slot_pu_id: Vec<u32>,
-    slot_pu_gain: Vec<f64>,
-    /// Per-slot exact received power if every excluded PU transmitted at
-    /// once (the certified PU-side truncation error).
-    pu_residual: Vec<f64>,
+struct ServedPu {
+    /// Slot `s` serves its base row plus the first `pulls[s]` pulled PUs,
+    /// ids ascending. When no slot pulls, this is the structure's `base`.
+    lists: Arc<PuLists>,
+    rev: PuRevStage,
 }
 
-/// Transmitter-major transpose of the served near-field PU view: for
+impl ServedPu {
+    fn new(num_pus: usize, structure: &PuStructure, pulls: &[u32]) -> Result<Self, WorldError> {
+        let lists = if pulls.iter().all(|&k| k == 0) {
+            structure.base.clone()
+        } else {
+            Arc::new(merge_pulled(structure, pulls)?)
+        };
+        let rev = PuRevStage::from_lists(num_pus, &lists);
+        Ok(Self { lists, rev })
+    }
+
+    /// Whether these lists serve exactly `pulls` over `structure`, the
+    /// structure they were built from. A served row is its base row plus
+    /// its pulled PUs, which the cutoff keeps disjoint.
+    fn serves(&self, structure: &PuStructure, pulls: &[u32]) -> bool {
+        pulls
+            .iter()
+            .enumerate()
+            .all(|(s, &k)| self.lists.row(s).0.len() == structure.base.row(s).0.len() + k as usize)
+    }
+}
+
+/// Transmitter-major transpose of the served near-field PU lists: for
 /// each PU, the receiver slots whose near lists keep it, with the same
 /// precomputed gains (slots ascending per row).
 ///
@@ -279,19 +371,19 @@ struct PuRevStage {
 }
 
 impl PuRevStage {
-    /// Transposes a receiver-major [`PuView`] (O(nnz) counting scatter).
-    fn from_view(num_pus: usize, view: &PuView) -> Self {
-        let (pu_off, pu_slot, pu_gain) = crate::topology::transpose_csr(
-            num_pus,
-            &view.slot_pu_off,
-            &view.slot_pu_id,
-            &view.slot_pu_gain,
-        );
+    /// Transposes receiver-major [`PuLists`] (O(nnz) counting scatter).
+    fn from_lists(num_pus: usize, lists: &PuLists) -> Self {
+        let (pu_off, pu_slot, pu_gain) =
+            crate::topology::transpose_csr(num_pus, &lists.off, &lists.id, &lists.gain);
         Self {
             pu_off,
             pu_slot,
             pu_gain,
         }
+    }
+
+    fn bytes(&self) -> usize {
+        (self.pu_off.len() + self.pu_slot.len()) * 4 + self.pu_gain.len() * 8
     }
 }
 
@@ -302,9 +394,10 @@ struct SparseRadio {
     cutoff: Arc<CutoffStage>,
     su: Arc<SuCsrStage>,
     structure: Arc<PuStructure>,
-    view: Arc<PuView>,
-    /// Reverse (PU-major) index over `view`, rebuilt alongside it.
-    rev: Arc<PuRevStage>,
+    served: Arc<ServedPu>,
+    /// Per-slot exact received power if every excluded PU transmitted at
+    /// once (the certified PU-side truncation error).
+    pu_residual: Arc<[f64]>,
 }
 
 #[derive(Clone, Debug)]
@@ -329,8 +422,9 @@ impl Radio {
     /// # Errors
     ///
     /// Returns a [`WorldError`] for an invalid truncation epsilon, a
-    /// sensing range below the SU radius, or a tree link longer than the
-    /// SU radius.
+    /// sensing range below the SU radius, a tree link longer than the SU
+    /// radius, or a table with more entries than its `u32` offsets
+    /// address.
     pub fn customize(topology: &Topology, params: &RadioParams) -> Result<Self, WorldError> {
         Self::customize_from(topology, params, None)
     }
@@ -393,7 +487,7 @@ impl Radio {
         );
         let sense = match prev {
             Some(p) if p.sense.key == sense_key => p.sense.clone(),
-            _ => Arc::new(build_sense(topology, params)),
+            _ => Arc::new(build_sense(topology, params)?),
         };
 
         let alpha_key = phy.alpha().to_bits();
@@ -427,7 +521,7 @@ impl Radio {
                 };
                 let su = match prev_sparse {
                     Some(p) if p.su.key == skey => p.su.clone(),
-                    _ => Arc::new(build_su_csr(topology, phy.alpha(), &cutoff.cutoff, skey)),
+                    _ => Arc::new(build_su_csr(topology, phy.alpha(), &cutoff.cutoff, skey)?),
                 };
                 // PU-side exclusion threshold per slot, in gain space:
                 // `p_p · excluded ≤ 0.5·ε·(p_s·g_min)/η_s` rearranged so
@@ -440,22 +534,51 @@ impl Radio {
                             / (phy.su_sir_threshold() * phy.pu_power())
                     })
                     .collect();
-                let reusable = prev_sparse.filter(|p| p.structure.key == skey);
-                let (structure, view) = match reusable {
-                    Some(p) => match assemble_pu_view(&p.structure, phy.pu_power(), &threshold) {
-                        Some(view) => (p.structure.clone(), view),
-                        None => fresh_pu(topology, phy, &cutoff.cutoff, &threshold, skey),
-                    },
-                    None => fresh_pu(topology, phy, &cutoff.cutoff, &threshold, skey),
+                let reused = prev_sparse
+                    .filter(|p| p.structure.key == skey)
+                    .and_then(|p| {
+                        Some((p.structure.clone(), p.structure.pull_counts(&threshold)?))
+                    });
+                let (structure, pulls) = match reused {
+                    Some(reused) => reused,
+                    None => {
+                        let structure = build_pu_structure(
+                            topology,
+                            phy.alpha(),
+                            &cutoff.cutoff,
+                            &threshold,
+                            skey,
+                        )?;
+                        let pulls = structure
+                            .pull_counts(&threshold)
+                            .expect("a freshly built structure covers its own budgets");
+                        (Arc::new(structure), pulls)
+                    }
                 };
-                let rev = Arc::new(PuRevStage::from_view(topology.num_pus(), &view));
+                // Served lists depend only on the structure and the pull
+                // counts, so a radio that agrees with its predecessor on
+                // both keeps its lists and reverse index.
+                let served = match prev_sparse {
+                    Some(p)
+                        if Arc::ptr_eq(&p.structure, &structure)
+                            && p.served.serves(&structure, &pulls) =>
+                    {
+                        p.served.clone()
+                    }
+                    _ => Arc::new(ServedPu::new(topology.num_pus(), &structure, &pulls)?),
+                };
+                let pu_residual = pulls
+                    .iter()
+                    .enumerate()
+                    .map(|(s, &k)| phy.pu_power() * structure.levels(s)[k as usize])
+                    .collect();
                 RadioGains::Sparse(SparseRadio {
                     gmin,
                     cutoff,
                     su,
                     structure,
-                    view: Arc::new(view),
-                    rev,
+                    served,
+                    pu_residual,
                 })
             }
         };
@@ -494,11 +617,9 @@ impl Radio {
         match &self.gains {
             RadioGains::Dense(d) => d.pu_gain[pu * d.slots + slot as usize],
             RadioGains::Sparse(s) => {
-                let v = &s.view;
-                let lo = v.slot_pu_off[slot as usize] as usize;
-                let hi = v.slot_pu_off[slot as usize + 1] as usize;
-                match v.slot_pu_id[lo..hi].binary_search(&(pu as u32)) {
-                    Ok(idx) => v.slot_pu_gain[lo + idx],
+                let (ids, gains) = s.served.lists.row(slot as usize);
+                match ids.binary_search(&(pu as u32)) {
+                    Ok(idx) => gains[idx],
                     Err(_) => 0.0,
                 }
             }
@@ -523,12 +644,7 @@ impl Radio {
     pub(crate) fn near_pus(&self, slot: u32) -> Option<(&[u32], &[f64])> {
         match &self.gains {
             RadioGains::Dense(_) => None,
-            RadioGains::Sparse(s) => {
-                let v = &s.view;
-                let lo = v.slot_pu_off[slot as usize] as usize;
-                let hi = v.slot_pu_off[slot as usize + 1] as usize;
-                Some((&v.slot_pu_id[lo..hi], &v.slot_pu_gain[lo..hi]))
-            }
+            RadioGains::Sparse(s) => Some(s.served.lists.row(slot as usize)),
         }
     }
 
@@ -560,7 +676,7 @@ impl Radio {
         match &self.gains {
             RadioGains::Dense(_) => None,
             RadioGains::Sparse(s) => {
-                let rev = &s.rev;
+                let rev = &s.served.rev;
                 let lo = rev.pu_off[pu] as usize;
                 let hi = rev.pu_off[pu + 1] as usize;
                 Some((&rev.pu_slot[lo..hi], &rev.pu_gain[lo..hi]))
@@ -571,41 +687,47 @@ impl Radio {
     pub(crate) fn truncation_stats(&self) -> Option<(&[f64], &[f64])> {
         match &self.gains {
             RadioGains::Dense(_) => None,
-            RadioGains::Sparse(s) => Some((&s.cutoff.cutoff, &s.view.pu_residual)),
+            RadioGains::Sparse(s) => Some((&s.cutoff.cutoff, &s.pu_residual)),
         }
     }
 
+    /// Bytes this radio holds in gain tables. A table shared between
+    /// stages (the served PU lists are the structure's base lists when no
+    /// slot pulls) counts once; tables shared with another radio count
+    /// in full for each, since each holds them.
     pub(crate) fn gain_table_bytes(&self) -> usize {
         match &self.gains {
             RadioGains::Dense(d) => (d.pu_gain.len() + d.su_gain.len()) * 8,
             RadioGains::Sparse(s) => {
-                (s.cutoff.cutoff.len() + s.view.pu_residual.len()) * 8
-                    + (s.su.su_off.len() + s.su.su_slot.len()) * 4
-                    + s.su.su_gain.len() * 8
-                    + (s.view.slot_pu_off.len() + s.view.slot_pu_id.len()) * 4
-                    + s.view.slot_pu_gain.len() * 8
-                    + (s.rev.pu_off.len() + s.rev.pu_slot.len()) * 4
-                    + s.rev.pu_gain.len() * 8
+                let served_lists = if Arc::ptr_eq(&s.served.lists, &s.structure.base) {
+                    0
+                } else {
+                    s.served.lists.bytes()
+                };
+                (s.cutoff.cutoff.len() + s.pu_residual.len()) * 8
+                    + s.su.bytes()
                     + s.structure.bytes()
+                    + served_lists
+                    + s.served.rev.bytes()
             }
         }
     }
 }
 
-fn build_sense(topology: &Topology, params: &RadioParams) -> SenseStage {
+fn build_sense(topology: &Topology, params: &RadioParams) -> Result<SenseStage, WorldError> {
     let sus = topology.su_positions();
     let pus = topology.pu_positions();
     let index = topology.su_index();
-    let su_hears_su = IdRows::collect(sus.len(), |i, ids| {
+    let su_hears_su = IdRows::collect("SU sensing", sus.len(), |i, ids| {
         index.for_each_within(sus[i], params.su_sense_range, |j| {
             if j as usize != i {
                 ids.push(j);
             }
         });
-    });
-    let pu_fanout = IdRows::collect(pus.len(), |k, ids| {
+    })?;
+    let pu_fanout = IdRows::collect("PU fanout", pus.len(), |k, ids| {
         index.for_each_within(pus[k], params.pu_sense_range, |j| ids.push(j));
-    });
+    })?;
     // Each fanout entry carries its position in its row, so the
     // transpose lists, per SU, the PUs it senses (ascending) and where it
     // sits in each one's fanout.
@@ -614,7 +736,7 @@ fn build_sense(topology: &Topology, params: &RadioParams) -> SenseStage {
         .collect();
     let (off, ids, sensed_pos) =
         crate::topology::transpose_csr(sus.len(), &pu_fanout.off, &pu_fanout.ids, &pos);
-    SenseStage {
+    Ok(SenseStage {
         key: (
             params.pu_sense_range.to_bits(),
             params.su_sense_range.to_bits(),
@@ -623,7 +745,7 @@ fn build_sense(topology: &Topology, params: &RadioParams) -> SenseStage {
         pu_fanout,
         sensed_pu: IdRows { off, ids },
         sensed_pos,
-    }
+    })
 }
 
 fn build_dense(topology: &Topology, alpha: f64) -> DenseStage {
@@ -695,64 +817,45 @@ fn build_cutoffs(
     CutoffStage { key, cutoff }
 }
 
-fn build_su_csr(topology: &Topology, alpha: f64, cutoff: &[f64], key: StructureKey) -> SuCsrStage {
-    // Generate (su, slot, gain) triples slot-major via the grid index,
-    // then scatter into transmitter-major CSR. The counting sort is
-    // stable, so each row stays slot-ascending.
+/// The transmitter-major SU→slot CSR, built in place by two passes of
+/// the same per-receiver grid queries: the first counts each SU's row
+/// length, the second writes every entry at its row's cursor. Both visit
+/// receiver slots ascending, so every row comes out slot-ascending and
+/// nothing is staged beside the finished table.
+fn build_su_csr(
+    topology: &Topology,
+    alpha: f64,
+    cutoff: &[f64],
+    key: StructureKey,
+) -> Result<SuCsrStage, WorldError> {
     let sus = topology.su_positions();
+    let receivers = topology.receivers();
+    let index = topology.su_index();
     let n = sus.len();
     let law = PathLoss::new(alpha);
-    let mut triples: Vec<(u32, u32, f64)> = Vec::new();
-    let mut row_counts = vec![0u32; n];
-    for (s, &rx) in topology.receivers().iter().enumerate() {
-        let q = sus[rx as usize];
-        topology.su_index().for_each_within(q, cutoff[s], |j| {
-            let g = law.gain_sq(sus[j as usize].distance_sq(q));
-            triples.push((j, s as u32, g));
-            row_counts[j as usize] += 1;
-        });
-    }
     let mut su_off = vec![0u32; n + 1];
-    for i in 0..n {
-        su_off[i + 1] = su_off[i] + row_counts[i];
+    for (s, &rx) in receivers.iter().enumerate() {
+        index.for_each_within(sus[rx as usize], cutoff[s], |j| su_off[j as usize + 1] += 1);
     }
-    let nnz = su_off[n] as usize;
+    let nnz = prefix_offsets("SU near-field", &mut su_off)?;
     let mut su_slot = vec![0u32; nnz];
     let mut su_gain = vec![0.0f64; nnz];
-    let mut cursor: Vec<u32> = su_off[..n].to_vec();
-    for &(su, slot, g) in &triples {
-        let c = cursor[su as usize] as usize;
-        su_slot[c] = slot;
-        su_gain[c] = g;
-        cursor[su as usize] += 1;
+    let mut cursor = su_off[..n].to_vec();
+    for (s, &rx) in receivers.iter().enumerate() {
+        let q = sus[rx as usize];
+        index.for_each_within(q, cutoff[s], |j| {
+            let c = &mut cursor[j as usize];
+            su_slot[*c as usize] = s as u32;
+            su_gain[*c as usize] = law.gain_sq(sus[j as usize].distance_sq(q));
+            *c += 1;
+        });
     }
-    SuCsrStage {
+    Ok(SuCsrStage {
         key,
         su_off,
         su_slot,
         su_gain,
-    }
-}
-
-/// Builds the PU structure deep enough for `threshold` and assembles its
-/// view (which cannot fail on a structure built for the same budgets).
-fn fresh_pu(
-    topology: &Topology,
-    phy: &PhyParams,
-    cutoff: &[f64],
-    threshold: &[f64],
-    key: StructureKey,
-) -> (Arc<PuStructure>, PuView) {
-    let structure = Arc::new(build_pu_structure(
-        topology,
-        phy.alpha(),
-        cutoff,
-        threshold,
-        key,
-    ));
-    let view = assemble_pu_view(&structure, phy.pu_power(), threshold)
-        .expect("a freshly built structure covers its own budgets");
-    (structure, view)
+    })
 }
 
 /// Partitions the PUs of every slot into within-cutoff (`base`) and
@@ -760,20 +863,20 @@ fn fresh_pu(
 /// exact excluded gain sum fits the slot's threshold, recording the
 /// exclusion level after every pull.
 ///
-/// Level 0 is the id-order sum of the whole far field (no sort needed on
-/// the common path where it already fits); levels `k ≥ 1` are fresh
-/// left-to-right folds over the distance-sorted remainder, so every
-/// stored level is a pure function of `(topology, alpha, cutoff)` —
-/// independent of which budget triggered its computation. PUs obey no
-/// packing bound, so exact certification (not an analytic tail) is the
-/// only sound option here.
+/// Level 0 is the id-order sum of the whole far field, folded as the
+/// gains are computed; only a slot whose level 0 exceeds its threshold
+/// lists and sorts its far field. Levels `k ≥ 1` are fresh left-to-right
+/// folds over the distance-sorted remainder, so every stored level is a
+/// pure function of `(topology, alpha, cutoff)` — independent of which
+/// budget triggered its computation. PUs obey no packing bound, so exact
+/// certification (not an analytic tail) is the only sound option here.
 fn build_pu_structure(
     topology: &Topology,
     alpha: f64,
     cutoff: &[f64],
     threshold: &[f64],
     key: StructureKey,
-) -> PuStructure {
+) -> Result<PuStructure, WorldError> {
     let m = topology.num_receiver_slots();
     let sus = topology.su_positions();
     let pus = topology.pu_positions();
@@ -789,9 +892,12 @@ fn build_pu_structure(
     let mut level = Vec::new();
     let mut far: Vec<(u64, u32, f64)> = Vec::new();
     for s in 0..m {
-        far.clear();
         let q = sus[receivers[s] as usize];
         let cutoff_sq = cutoff[s] * cutoff[s];
+        // `-0.0` and PU-id order make this the very left fold that
+        // `Iterator::sum` performs, so the level keeps its bits (an empty
+        // far field included).
+        let mut lvl0 = -0.0f64;
         for (k, &pu) in pus.iter().enumerate() {
             let d2 = pu.distance_sq(q);
             let g = law.gain_sq(d2);
@@ -799,16 +905,21 @@ fn build_pu_structure(
                 base_id.push(k as u32);
                 base_gain.push(g);
             } else {
-                far.push((d2.to_bits(), k as u32, g));
+                lvl0 += g;
             }
         }
-        base_off[s + 1] = base_id.len() as u32;
-        // Distances are non-negative finite, so their bit patterns order
-        // identically to the values; `far` starts in id order, so the
-        // stable sort breaks distance ties toward the lower PU id.
-        let lvl0: f64 = far.iter().map(|&(_, _, g)| g).sum();
+        base_off[s + 1] = offset("PU near-field", base_id.len())?;
         level.push(lvl0);
         if lvl0 > threshold[s] {
+            // Distances are non-negative finite, so their bit patterns
+            // order identically to the values; `far` starts in id order,
+            // so the stable sort breaks distance ties toward the lower PU
+            // id.
+            far.clear();
+            far.extend(pus.iter().enumerate().filter_map(|(k, &pu)| {
+                let d2 = pu.distance_sq(q);
+                (d2 > cutoff_sq).then(|| (d2.to_bits(), k as u32, law.gain_sq(d2)))
+            }));
             far.sort_by_key(|&(d2_bits, _, _)| d2_bits);
             let mut pulled = 0usize;
             while level.last().copied().expect("level 0 exists") > threshold[s]
@@ -821,43 +932,39 @@ fn build_pu_structure(
                 level.push(far[pulled..].iter().map(|&(_, _, g)| g).sum());
             }
         }
-        ext_off[s + 1] = ext_id.len() as u32;
-        lvl_off[s + 1] = level.len() as u32;
+        ext_off[s + 1] = offset("pulled PU", ext_id.len())?;
+        lvl_off[s + 1] = offset("PU exclusion level", level.len())?;
     }
-    PuStructure {
+    Ok(PuStructure {
         key,
-        base_off,
-        base_id,
-        base_gain,
+        base: Arc::new(PuLists {
+            off: base_off,
+            id: base_id,
+            gain: base_gain,
+        }),
         ext_off,
         ext_id,
         ext_gain,
         lvl_off,
         level,
-    }
+    })
 }
 
-/// Derives the served near-field PU tables for `threshold` from a stored
-/// structure, or `None` when some slot needs a deeper pulled prefix than
-/// the structure holds (the caller then rebuilds the structure).
-fn assemble_pu_view(structure: &PuStructure, p_p: f64, threshold: &[f64]) -> Option<PuView> {
-    let m = structure.base_off.len() - 1;
-    let mut slot_pu_off = vec![0u32; m + 1];
-    let mut slot_pu_id = Vec::new();
-    let mut slot_pu_gain = Vec::new();
-    let mut pu_residual = vec![0.0f64; m];
+/// The served lists of a structure under pull counts of which some are
+/// non-zero: each slot's base row merged with its first `pulls[s]`
+/// pulled PUs, ids ascending, written into tables sized exactly once.
+fn merge_pulled(structure: &PuStructure, pulls: &[u32]) -> Result<PuLists, WorldError> {
+    let entries = structure.base.id.len() + pulls.iter().map(|&k| k as usize).sum::<usize>();
+    // Every row offset is at most `entries`, so one check covers them all.
+    offset("served PU", entries)?;
+    let mut off = vec![0u32; pulls.len() + 1];
+    let mut id = Vec::with_capacity(entries);
+    let mut gain = Vec::with_capacity(entries);
     let mut near: Vec<(u32, f64)> = Vec::new();
-    for s in 0..m {
-        let levels = structure.levels(s);
-        // Levels are non-increasing, so the first one at or below the
-        // threshold is the canonical pull count.
-        let k = levels.partition_point(|&v| v > threshold[s]);
-        if k >= levels.len() {
-            return None;
-        }
-        pu_residual[s] = p_p * levels[k];
-        let (base_ids, base_gains) = structure.base(s);
+    for (s, &k) in pulls.iter().enumerate() {
+        let (base_ids, base_gains) = structure.base.row(s);
         let (ext_ids, ext_gains) = structure.ext(s);
+        let k = k as usize;
         near.clear();
         near.extend(base_ids.iter().copied().zip(base_gains.iter().copied()));
         near.extend(
@@ -867,18 +974,11 @@ fn assemble_pu_view(structure: &PuStructure, p_p: f64, threshold: &[f64]) -> Opt
                 .zip(ext_gains[..k].iter().copied()),
         );
         near.sort_unstable_by_key(|&(id, _)| id);
-        for &(id, g) in &near {
-            slot_pu_id.push(id);
-            slot_pu_gain.push(g);
-        }
-        slot_pu_off[s + 1] = slot_pu_id.len() as u32;
+        id.extend(near.iter().map(|&(i, _)| i));
+        gain.extend(near.iter().map(|&(_, g)| g));
+        off[s + 1] = id.len() as u32;
     }
-    Some(PuView {
-        slot_pu_off,
-        slot_pu_id,
-        slot_pu_gain,
-        pu_residual,
-    })
+    Ok(PuLists { off, id, gain })
 }
 
 #[cfg(test)]
@@ -1000,9 +1100,132 @@ mod tests {
             Arc::ptr_eq(&old.structure, &new.structure),
             "PU structure rebuilt on a looser budget"
         );
+        assert!(
+            Arc::ptr_eq(&old.served, &new.served),
+            "served PU lists rebuilt though no pull count moved"
+        );
+        assert_eq!(radio.gain_table_bytes(), re.gain_table_bytes());
         // And the reused stages still produce exactly a fresh build.
         let fresh = Radio::customize(&topo, &next).unwrap();
         assert_same_tables(&topo, &re, &fresh);
+    }
+
+    /// The grid's radio with both transmit powers set; a PU power far
+    /// above the SU power tightens the PU budget until slots pull.
+    fn powered(params: RadioParams, pu_power: f64, su_power: f64) -> RadioParams {
+        let mut b = PhyParams::builder();
+        b.alpha(4.0)
+            .pu_power(pu_power)
+            .su_power(su_power)
+            .pu_radius(10.0)
+            .su_radius(10.0)
+            .pu_sir_threshold(phy().pu_sir_threshold())
+            .su_sir_threshold(phy().su_sir_threshold());
+        params.phy(b.build().unwrap())
+    }
+
+    fn sparse(radio: &Radio) -> &SparseRadio {
+        match &radio.gains {
+            RadioGains::Sparse(s) => s,
+            RadioGains::Dense(_) => panic!("expected sparse gains"),
+        }
+    }
+
+    fn total_pulls(radio: &Radio) -> usize {
+        let s = sparse(radio);
+        (0..s.pu_residual.len())
+            .map(|i| s.served.lists.row(i).0.len() - s.structure.base.row(i).0.len())
+            .sum()
+    }
+
+    #[test]
+    fn served_lists_follow_pull_counts_along_a_chain() {
+        let topo = grid();
+        let pulling = powered(sparse_params(), 100.0, 1.0);
+        let radio = Radio::customize(&topo, &pulling).unwrap();
+        assert!(total_pulls(&radio) > 0, "the tight budget must pull");
+        assert!(!Arc::ptr_eq(
+            &sparse(&radio).served.lists,
+            &sparse(&radio).structure.base
+        ));
+        // Scaling both powers keeps every threshold, hence every pull
+        // count: lists and reverse index are kept, only the residual
+        // moves.
+        let same_counts = radio
+            .recustomize(&topo, &powered(sparse_params(), 200.0, 2.0))
+            .unwrap();
+        assert!(Arc::ptr_eq(
+            &sparse(&radio).served,
+            &sparse(&same_counts).served
+        ));
+        assert_ne!(sparse(&radio).pu_residual, sparse(&same_counts).pu_residual);
+        assert_eq!(radio.gain_table_bytes(), same_counts.gain_table_bytes());
+        // A looser budget keeps the structure but pulls fewer PUs; a hop
+        // back and a hop to no pulls at all land on fresh builds too.
+        let mut prev = same_counts;
+        for (pu_power, su_power) in [(100.0, 2.0), (100.0, 1.0), (10.0, 10.0)] {
+            let params = powered(sparse_params(), pu_power, su_power);
+            let next = prev.recustomize(&topo, &params).unwrap();
+            assert!(Arc::ptr_eq(
+                &sparse(&prev).structure,
+                &sparse(&next).structure
+            ));
+            assert_same_tables(&topo, &next, &Radio::customize(&topo, &params).unwrap());
+            prev = next;
+        }
+        assert!(
+            Arc::ptr_eq(&sparse(&prev).served.lists, &sparse(&prev).structure.base),
+            "with no pulls the served lists are the base lists"
+        );
+    }
+
+    #[test]
+    fn gain_table_bytes_count_each_held_table_once() {
+        let topo = grid();
+        for (pu_power, su_power) in [(10.0, 10.0), (100.0, 1.0)] {
+            let radio =
+                Radio::customize(&topo, &powered(sparse_params(), pu_power, su_power)).unwrap();
+            let s = sparse(&radio);
+            let shared = Arc::ptr_eq(&s.served.lists, &s.structure.base);
+            assert_eq!(shared, total_pulls(&radio) == 0);
+            let served_lists = if shared { 0 } else { s.served.lists.bytes() };
+            assert_eq!(
+                radio.gain_table_bytes(),
+                (s.cutoff.cutoff.len() + s.pu_residual.len()) * 8
+                    + s.su.bytes()
+                    + s.structure.bytes()
+                    + served_lists
+                    + s.served.rev.bytes()
+            );
+        }
+    }
+
+    #[test]
+    fn offsets_refuse_totals_past_u32() {
+        // Row lengths summing to 2^32: refused with the full count, and
+        // nothing of that size is ever allocated.
+        let mut off = [0, u32::MAX, 0, 1];
+        assert_eq!(
+            prefix_offsets("test", &mut off),
+            Err(WorldError::TableTooLarge {
+                table: "test",
+                entries: 1 << 32,
+            })
+        );
+        let mut off = [0, u32::MAX - 2, 2, 0];
+        assert_eq!(prefix_offsets("test", &mut off), Ok(u32::MAX as usize));
+        assert_eq!(off, [0, u32::MAX - 2, u32::MAX, u32::MAX]);
+        let mut off = [0, 3, 0, 2];
+        assert_eq!(prefix_offsets("test", &mut off), Ok(5));
+        assert_eq!(off, [0, 3, 3, 5]);
+        assert_eq!(offset("test", u32::MAX as usize), Ok(u32::MAX));
+        assert_eq!(
+            offset("test", u32::MAX as usize + 1),
+            Err(WorldError::TableTooLarge {
+                table: "test",
+                entries: 1 << 32,
+            })
+        );
     }
 
     #[test]

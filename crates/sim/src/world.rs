@@ -65,6 +65,14 @@ pub enum WorldError {
         /// reaching node 0).
         node: u32,
     },
+    /// A sparse radio table would hold more entries than its `u32` row
+    /// offsets can address; customization refuses rather than wrap.
+    TableTooLarge {
+        /// Which table.
+        table: &'static str,
+        /// The entries it would hold.
+        entries: u64,
+    },
 }
 
 impl fmt::Display for WorldError {
@@ -106,6 +114,11 @@ impl fmt::Display for WorldError {
                     "node {node}'s parent chain never reaches the base station (node 0): the parent pointers form a cycle"
                 )
             }
+            WorldError::TableTooLarge { table, entries } => write!(
+                f,
+                "the {table} table would hold {entries} entries, more than its u32 offsets address ({})",
+                u32::MAX
+            ),
         }
     }
 }
@@ -440,7 +453,9 @@ impl SimWorld {
 
     /// Bytes held by the path-gain storage (dense tables or sparse
     /// near-field lists) — the memory the truncated model exists to
-    /// shrink.
+    /// shrink. A table two of this world's stages share counts once; one
+    /// shared with another world (after [`SimWorld::recustomize`]) counts
+    /// in full for each.
     #[must_use]
     pub fn gain_table_bytes(&self) -> usize {
         self.radio.gain_table_bytes()
@@ -721,6 +736,10 @@ mod tests {
             },
             WorldError::BadEpsilon { epsilon: 1.5 },
             WorldError::UnreachableRoot { node: 2 },
+            WorldError::TableTooLarge {
+                table: "SU near-field",
+                entries: 1 << 32,
+            },
         ] {
             assert!(!e.to_string().is_empty());
         }

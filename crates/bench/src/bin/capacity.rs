@@ -8,7 +8,7 @@
 
 use crn_bench::take_flag;
 use crn_core::{CollectionAlgorithm, Scenario};
-use crn_theory::DelayBounds;
+use crn_sim::{NoopProbe, Traffic};
 use crn_workloads::{presets, PresetKind};
 
 fn main() {
@@ -29,25 +29,18 @@ fn main() {
     for rep in 0..reps {
         let mut params = base.clone();
         params.seed = u64::from(rep) * 104_729 + 1;
+        let scenario = Scenario::generate(&params).expect("connected scenario");
+        let bounds = scenario.delay_bounds().expect("positive p_o");
         // Saturating arrivals: a snapshot every 50 slots keeps queues
         // non-empty so the measured rate is the network's, not the
         // source's.
-        let scenario = Scenario::generate(&params).expect("connected scenario");
-        let tree = scenario.tree(CollectionAlgorithm::Addc).expect("tree");
-        let c0 = params.area_side * params.area_side / params.num_sus as f64;
-        let bounds = DelayBounds::compute(
-            &params.phy,
-            params.pcr_constants,
-            params.pu_density(),
-            params.activity.duty_cycle(),
-            params.num_sus,
-            c0,
-            tree.max_degree(),
-            tree.root_degree(),
-        );
+        let traffic = Traffic::Periodic {
+            interval: 50.0 * params.mac.slot,
+            snapshots,
+        };
         for algo in [CollectionAlgorithm::Addc, CollectionAlgorithm::Coolest] {
-            let o = scenario
-                .run_continuous(algo, 50.0, snapshots)
+            let (o, _noop) = scenario
+                .run_probed(algo, traffic, NoopProbe)
                 .expect("continuous run");
             let r = &o.report;
             println!(

@@ -8,7 +8,6 @@
 
 use crn_bench::take_flag;
 use crn_core::{CollectionAlgorithm, Scenario};
-use crn_theory::DelayBounds;
 use crn_workloads::{presets, PresetKind};
 
 fn main() {
@@ -36,18 +35,7 @@ fn main() {
         let tree = scenario.tree(CollectionAlgorithm::Addc).expect("cds tree");
         let outcome = scenario.run(CollectionAlgorithm::Addc).expect("run");
         let r = &outcome.report;
-
-        let c0 = params.area_side * params.area_side / params.num_sus as f64;
-        let bounds = DelayBounds::compute(
-            &params.phy,
-            params.pcr_constants,
-            params.pu_density(),
-            params.activity.duty_cycle(),
-            params.num_sus,
-            c0,
-            tree.max_degree(),
-            tree.root_degree(),
-        );
+        let bounds = scenario.delay_bounds().expect("positive p_o");
 
         let service_slots = r.max_service_time / params.mac.slot;
         let t1_ok = service_slots <= bounds.theorem1_service_slots;

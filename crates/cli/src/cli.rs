@@ -10,8 +10,7 @@ use crn_interference::{pcr, PcrConstants, PhyParams};
 use crn_serve::client::Client;
 use crn_serve::server::{Counters, ServeConfig, Server};
 use crn_serve::store::StoreConfig;
-use crn_sim::{FaultsConfig, InterferenceModel, InvariantChecker, Traffic};
-use crn_theory::DelayBounds;
+use crn_sim::{FaultsConfig, InterferenceModel, InvariantChecker, TraceLog, Traffic};
 use crn_workloads::export::{trace_to_string, TraceFormat};
 use crn_workloads::faults_wire::fault_plan_from_json;
 use crn_workloads::json::Json;
@@ -331,7 +330,7 @@ fn run_with_injected_fairness_skip(
         ),
     );
     let (_outcome, oracle) = scenario
-        .run_probed(algo, scenario.sim_seed(), Traffic::Snapshot, checker)
+        .run_probed(algo, Traffic::Snapshot, checker)
         .map_err(CliError::runtime)?;
     match oracle.first_violation() {
         Some(v) => Err(CliError::runtime(format!("invariant violation: {v}"))),
@@ -352,7 +351,9 @@ fn cmd_trace(mut args: Vec<String>) -> Result<String, CliError> {
     let params = scenario_params(&mut args)?;
     ensure_consumed(&args)?;
     let scenario = Scenario::generate(&params).map_err(CliError::runtime)?;
-    let (outcome, log) = scenario.run_traced(algo).map_err(CliError::runtime)?;
+    let (outcome, log) = scenario
+        .run_probed(algo, Traffic::Snapshot, TraceLog::unbounded())
+        .map_err(CliError::runtime)?;
     let rendered = trace_to_string(&log, format);
     if out_path.is_empty() {
         return Ok(rendered);
@@ -443,21 +444,9 @@ fn cmd_pcr(mut args: Vec<String>) -> Result<String, CliError> {
 fn cmd_bounds(mut args: Vec<String>) -> Result<String, CliError> {
     let params = scenario_params(&mut args)?;
     ensure_consumed(&args)?;
-    let scenario = Scenario::generate(&params).map_err(CliError::runtime)?;
-    let tree = scenario
-        .tree(CollectionAlgorithm::Addc)
+    let b = Scenario::generate(&params)
+        .and_then(|scenario| scenario.delay_bounds())
         .map_err(CliError::runtime)?;
-    let c0 = params.area_side * params.area_side / params.num_sus as f64;
-    let b = DelayBounds::compute(
-        &params.phy,
-        params.pcr_constants,
-        params.pu_density(),
-        params.activity.duty_cycle(),
-        params.num_sus,
-        c0,
-        tree.max_degree(),
-        tree.root_degree(),
-    );
     let mut out = String::new();
     let _ = writeln!(out, "kappa = {:.3}, p_o = {:.5}", b.kappa, b.p_o);
     let _ = writeln!(

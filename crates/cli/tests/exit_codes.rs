@@ -74,6 +74,24 @@ fn invariant_violation_exits_one_without_usage_spam() {
     );
 }
 
+/// `crn bounds` at `p_t = 1` with PUs in range has `p_o = 0`, where the
+/// paper's bounds do not exist: a runtime failure (exit 1) naming `p_o`,
+/// not a panic (exit 101).
+#[test]
+fn bounds_without_access_opportunity_exit_one() {
+    let out = crn()
+        .args([
+            "bounds", "--sus", "40", "--pus", "6", "--side", "40", "--pt", "1",
+        ])
+        .output()
+        .expect("spawn crn");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("p_o = 0"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(!stderr.contains("usage:"), "{stderr}");
+}
+
 #[test]
 fn clean_checked_run_exits_zero() {
     let out = crn()

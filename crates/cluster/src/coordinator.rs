@@ -13,7 +13,7 @@
 //!
 //! ## Ring dispatch
 //!
-//! The front end admits a job; [`Ring`] routes it to a worker by
+//! The front end admits a job; the `Ring` backend routes it to a worker by
 //! consistent hashing over its cache key ([`HashRing`]). A crashed worker
 //! (EOF on its channel) or an overdue job (re-dispatch timer) sends the
 //! job to the next ring node, so the same result may arrive twice; the

@@ -1,7 +1,6 @@
 use crn_geometry::GridIndex;
 use crn_spectrum::temperature::spectrum_temperatures;
 use crn_topology::{dijkstra_tree_by, CollectionTree, PathOrder, TreeError, UnitDiskGraph};
-use serde::{Deserialize, Serialize};
 
 /// How the Coolest baseline turns spectrum temperatures into routes.
 ///
@@ -17,7 +16,7 @@ use serde::{Deserialize, Serialize};
 /// [`CoolestStrategy::OracleDijkstra`] is the genie-aided upper variant
 /// (global peak-first shortest paths over exact temperatures); the
 /// `ablation_routing` bench reports it separately.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CoolestStrategy {
     /// Distributed: locally coolest next hop among BFS-closer neighbors.
     GreedyLocal,

@@ -13,7 +13,10 @@
 //!
 //! The entry points are [`ScenarioParams`] (a builder for everything the
 //! paper's Section V parameterizes), [`Scenario::generate`] (a connected
-//! random CRN deployment), and [`Scenario::run`].
+//! random CRN deployment), and [`Scenario::run`], which wraps the one run
+//! path [`Scenario::run_probed`] (any traffic pattern, any probe).
+//! [`Scenario::delay_bounds`] evaluates the paper's analytic bounds on the
+//! same scenario.
 //!
 //! # Example
 //!

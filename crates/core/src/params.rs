@@ -1,7 +1,6 @@
 use crn_interference::{PcrConstants, PhyParams};
 use crn_sim::{FaultsConfig, InterferenceModel, MacConfig};
 use crn_spectrum::PuActivity;
-use serde::{Deserialize, Serialize};
 
 /// Everything Section V parameterizes for one simulated CRN scenario.
 ///
@@ -10,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// paper's exact values (`A = 250×250`, `N = 400`, `n = 2000`,
 /// `p_t = 0.3`, `α = 4`, `P_p = P_s = 10`, `R = r = 10`,
 /// `η_p = η_s = 8 dB`); workload presets downscale explicitly.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct ScenarioParams {
     /// Number of secondary users `n` (the base station is extra).
     pub num_sus: usize,

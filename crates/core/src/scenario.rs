@@ -2,19 +2,19 @@ use crate::{coolest_tree, ScenarioParams};
 use crn_geometry::{Deployment, GridIndex, Point, Region};
 use crn_interference::pcr;
 use crn_sim::{
-    BuildError, InvariantChecker, Probe, RadioParams, SimReport, SimWorld, Simulator, TraceLog,
+    BuildError, InvariantChecker, Probe, RadioParams, SimReport, SimWorld, Simulator, Traffic,
     Violation, WorldError,
 };
+use crn_theory::DelayBounds;
 use crn_topology::{CollectionTree, TreeError, TreeKind, UnitDiskGraph};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex};
 
 /// Which data collection algorithm to run over a [`Scenario`].
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum CollectionAlgorithm {
     /// The paper's Asynchronous Distributed Data Collection (Algorithm 1)
     /// over the CDS-based tree.
@@ -81,6 +81,10 @@ pub enum ScenarioError {
     /// [`Scenario::run_checked`]); carries the first violation, which is
     /// usually the root cause.
     Invariant(Box<Violation>),
+    /// Lemma 7's access probability `p_o` is 0 (e.g. `p_t = 1` with PUs in
+    /// range), so the paper's delay bounds do not exist (only from
+    /// [`Scenario::delay_bounds`]).
+    NoAccessOpportunity,
 }
 
 impl fmt::Display for ScenarioError {
@@ -95,6 +99,9 @@ impl fmt::Display for ScenarioError {
             ScenarioError::Sim(e) => write!(f, "simulator configuration rejected: {e}"),
             ScenarioError::Fault(e) => write!(f, "fault workload rejected: {e}"),
             ScenarioError::Invariant(v) => write!(f, "simulation invariant violated: {v}"),
+            ScenarioError::NoAccessOpportunity => f.write_str(
+                "p_o = 0: the paper's bounds need a positive spectrum-access probability",
+            ),
         }
     }
 }
@@ -102,7 +109,9 @@ impl fmt::Display for ScenarioError {
 impl std::error::Error for ScenarioError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
-            ScenarioError::Disconnected { .. } | ScenarioError::Invariant(_) => None,
+            ScenarioError::Disconnected { .. }
+            | ScenarioError::Invariant(_)
+            | ScenarioError::NoAccessOpportunity => None,
             ScenarioError::Tree(e) => Some(e),
             ScenarioError::World(e) => Some(e),
             ScenarioError::Sim(e) => Some(e),
@@ -136,7 +145,7 @@ impl From<BuildError> for ScenarioError {
 }
 
 /// Result of running one data collection task.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CollectionOutcome {
     /// Algorithm that produced the routing structure.
     pub algorithm: CollectionAlgorithm,
@@ -301,8 +310,8 @@ impl Scenario {
         Ok(tree)
     }
 
-    /// The simulator seed every run method uses: the master seed plus a
-    /// fixed odd offset. Distinct from the deployment stream but common to
+    /// The simulator seed every run uses: the master seed plus a fixed odd
+    /// offset. Distinct from the deployment stream but common to
     /// algorithms, so comparisons see the same primary-network behaviour
     /// profile.
     #[must_use]
@@ -310,69 +319,39 @@ impl Scenario {
         self.params.seed.wrapping_add(0x9E37_79B9_7F4A_7C15)
     }
 
-    /// Runs a full data collection task under `algorithm` with the
-    /// scenario's derived simulation seed ([`Scenario::sim_seed`]).
+    /// The paper's analytic bounds (Lemmas 5–8, Theorems 1–2) for ADDC on
+    /// this scenario: `Δ` and `Δ_b` from its CDS tree, `c₀ = A/n`, and
+    /// the scenario's PU density and duty cycle `p_t`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ScenarioError::NoAccessOpportunity`] when `p_o` is 0 (the
+    /// bounds divide by it), and propagates tree construction failures.
+    pub fn delay_bounds(&self) -> Result<DelayBounds, ScenarioError> {
+        let tree = self.tree(CollectionAlgorithm::Addc)?;
+        let p = &self.params;
+        DelayBounds::compute(
+            &p.phy,
+            p.pcr_constants,
+            p.pu_density(),
+            p.activity.duty_cycle(),
+            p.num_sus,
+            p.area_side * p.area_side / p.num_sus as f64,
+            tree.max_degree(),
+            tree.root_degree(),
+        )
+        .ok_or(ScenarioError::NoAccessOpportunity)
+    }
+
+    /// Runs a full data collection task under `algorithm`: one snapshot,
+    /// no probe.
     ///
     /// # Errors
     ///
     /// Propagates tree or world assembly failures.
     pub fn run(&self, algorithm: CollectionAlgorithm) -> Result<CollectionOutcome, ScenarioError> {
-        let (outcome, _noop) = self.run_probed(
-            algorithm,
-            self.sim_seed(),
-            crn_sim::Traffic::Snapshot,
-            crn_sim::NoopProbe,
-        )?;
+        let (outcome, _noop) = self.run_probed(algorithm, Traffic::Snapshot, crn_sim::NoopProbe)?;
         Ok(outcome)
-    }
-
-    /// Runs **continuous data collection**: `snapshots` rounds of one
-    /// packet per SU, generated every `interval_slots` slots. The
-    /// steady-state [`SimReport::capacity_fraction`] of such a run
-    /// exercises the paper's data collection *capacity* (Theorem 2's
-    /// Ω-bound), not just the single-snapshot delay.
-    ///
-    /// # Errors
-    ///
-    /// Propagates tree or world assembly failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval_slots` is not positive or `snapshots` is zero.
-    pub fn run_continuous(
-        &self,
-        algorithm: CollectionAlgorithm,
-        interval_slots: f64,
-        snapshots: u32,
-    ) -> Result<CollectionOutcome, ScenarioError> {
-        let traffic = crn_sim::Traffic::Periodic {
-            interval: interval_slots * self.params.mac.slot,
-            snapshots,
-        };
-        let (outcome, _noop) =
-            self.run_probed(algorithm, self.sim_seed(), traffic, crn_sim::NoopProbe)?;
-        Ok(outcome)
-    }
-
-    /// Like [`Scenario::run`], additionally capturing the run's full
-    /// [`TraceLog`] (the simulator's event-level trace). The run uses the
-    /// same derived seed as [`Scenario::run`], so the returned outcome —
-    /// and the delivery events inside the trace — match a plain `run`
-    /// exactly.
-    ///
-    /// # Errors
-    ///
-    /// Propagates tree or world assembly failures.
-    pub fn run_traced(
-        &self,
-        algorithm: CollectionAlgorithm,
-    ) -> Result<(CollectionOutcome, TraceLog), ScenarioError> {
-        self.run_probed(
-            algorithm,
-            self.sim_seed(),
-            crn_sim::Traffic::Snapshot,
-            TraceLog::unbounded(),
-        )
     }
 
     /// The assembled simulator world for `algorithm`, built on first use
@@ -400,24 +379,13 @@ impl Scenario {
         let parents: Vec<Option<u32>> = (0..self.graph.len() as u32)
             .map(|u| tree.parent(u))
             .collect();
-        // PU protection (sensing the primary network over the PCR) is
-        // mandatory for every algorithm; the SU-coordination range is the
-        // PCR only for algorithms that have it — the Coolest baseline uses
-        // a conventional CSMA range (see ScenarioParams docs).
-        let su_sense = match algorithm {
-            CollectionAlgorithm::Addc | CollectionAlgorithm::BfsTree => self.pcr,
-            CollectionAlgorithm::Coolest | CollectionAlgorithm::CoolestOracle => {
-                (self.params.baseline_su_sense_factor * self.params.phy.su_radius())
-                    .max(self.params.phy.su_radius())
-            }
-        };
         let world = SimWorld::builder(self.region)
             .su_positions(self.su_deployment.points().to_vec())
             .pu_positions(self.pu_deployment.points().to_vec())
             .parents(parents)
             .phy(self.params.phy)
             .pu_sense_range(self.pcr)
-            .su_sense_range(su_sense)
+            .su_sense_range(su_sense_range(algorithm, &self.params, self.pcr))
             .interference(self.params.interference)
             .build()?;
         let run = PreparedRun {
@@ -482,16 +450,10 @@ impl Scenario {
             if !tree_unchanged {
                 continue;
             }
-            let su_sense = match alg {
-                CollectionAlgorithm::Addc | CollectionAlgorithm::BfsTree => pcr,
-                CollectionAlgorithm::Coolest | CollectionAlgorithm::CoolestOracle => {
-                    heat_range(params).max(params.phy.su_radius())
-                }
-            };
             let world = old.world.recustomize(RadioParams {
                 phy: params.phy,
                 pu_sense_range: pcr,
-                su_sense_range: su_sense,
+                su_sense_range: su_sense_range(alg, params, pcr),
                 interference: params.interference,
             })?;
             prepared.insert(
@@ -539,32 +501,30 @@ impl Scenario {
                 self.params.num_sus, self.params.num_pus, self.params.area_side
             ),
         );
-        let (outcome, oracle) = self.run_probed(
-            algorithm,
-            self.sim_seed(),
-            crn_sim::Traffic::Snapshot,
-            checker,
-        )?;
+        let (outcome, oracle) = self.run_probed(algorithm, Traffic::Snapshot, checker)?;
         match oracle.first_violation() {
             Some(v) => Err(ScenarioError::Invariant(Box::new(v.clone()))),
             None => Ok((outcome, oracle)),
         }
     }
 
-    /// Shared run path: fetches the cached world for `algorithm`, attaches
-    /// `probe`, runs, and returns the probe alongside the outcome. This is
-    /// the backbone under every other run method, which all pass
-    /// [`Scenario::sim_seed`] — bring your own [`Probe`], seed or
-    /// [`crn_sim::Traffic`] for anything they don't cover.
+    /// The one run path: fetches the cached world for `algorithm`, runs it
+    /// at [`Scenario::sim_seed`] under `traffic` with `probe` attached, and
+    /// returns the probe alongside the outcome. [`Scenario::run`] and
+    /// [`Scenario::run_checked`] wrap it. Continuous collection, whose
+    /// steady-state [`SimReport::capacity_fraction`] exercises Theorem 2's
+    /// capacity bound, passes [`Traffic::Periodic`]; a full event trace
+    /// passes [`crn_sim::TraceLog::unbounded`]. Probes observe and never
+    /// perturb, so every probe sees the same run.
     ///
     /// # Errors
     ///
-    /// Propagates tree, world, or simulator assembly failures.
+    /// Propagates tree, world, or simulator assembly failures (including
+    /// a [`Traffic`] the simulator rejects).
     pub fn run_probed<P: Probe>(
         &self,
         algorithm: CollectionAlgorithm,
-        sim_seed: u64,
-        traffic: crn_sim::Traffic,
+        traffic: Traffic,
         probe: P,
     ) -> Result<(CollectionOutcome, P), ScenarioError> {
         let prepared = self.prepared(algorithm)?;
@@ -579,7 +539,7 @@ impl Scenario {
         let (report, probe): (SimReport, P) = Simulator::builder(prepared.world)
             .mac(self.params.mac)
             .activity(self.params.activity)
-            .seed(sim_seed)
+            .seed(self.sim_seed())
             .traffic(traffic)
             .faults(faults)
             .probe(probe)
@@ -595,6 +555,20 @@ impl Scenario {
             },
             probe,
         ))
+    }
+}
+
+/// The SU-coordination carrier-sensing range `algorithm` runs with. PU
+/// protection (sensing the primary network over the PCR) is mandatory for
+/// every algorithm; the SU range is the PCR only for algorithms that have
+/// it — the Coolest baselines use a conventional CSMA range
+/// `max(factor·r, r)` (see [`ScenarioParams::baseline_su_sense_factor`]).
+fn su_sense_range(algorithm: CollectionAlgorithm, params: &ScenarioParams, pcr: f64) -> f64 {
+    match algorithm {
+        CollectionAlgorithm::Addc | CollectionAlgorithm::BfsTree => pcr,
+        CollectionAlgorithm::Coolest | CollectionAlgorithm::CoolestOracle => {
+            (params.baseline_su_sense_factor * params.phy.su_radius()).max(params.phy.su_radius())
+        }
     }
 }
 
@@ -733,33 +707,42 @@ mod tests {
         assert_eq!(addc.len(), cool.len());
     }
 
+    const ALGORITHMS: [CollectionAlgorithm; 4] = [
+        CollectionAlgorithm::Addc,
+        CollectionAlgorithm::Coolest,
+        CollectionAlgorithm::CoolestOracle,
+        CollectionAlgorithm::BfsTree,
+    ];
+
     #[test]
-    fn explicit_sim_seed_changes_outcome() {
+    fn run_and_run_checked_wrap_run_probed() {
         let s = Scenario::generate(&small_params(4)).unwrap();
-        let with_seed = |seed| {
-            s.run_probed(
-                CollectionAlgorithm::Addc,
-                seed,
-                crn_sim::Traffic::Snapshot,
-                crn_sim::NoopProbe,
-            )
+        for alg in ALGORITHMS {
+            let plain = s.run(alg).unwrap();
+            let (probed, _noop) = s
+                .run_probed(alg, Traffic::Snapshot, crn_sim::NoopProbe)
+                .unwrap();
+            assert_eq!(plain, probed, "{alg}: run != run_probed(Snapshot, Noop)");
+            let (checked, _oracle) = s.run_checked(alg).unwrap();
+            assert_eq!(plain, checked, "{alg}: run_checked perturbed the run");
+        }
+    }
+
+    /// `snapshots` rounds of one packet per SU, one every `interval_slots`.
+    fn continuous(s: &Scenario, interval_slots: f64, snapshots: u32) -> CollectionOutcome {
+        let traffic = Traffic::Periodic {
+            interval: interval_slots * s.params().mac.slot,
+            snapshots,
+        };
+        s.run_probed(CollectionAlgorithm::Addc, traffic, crn_sim::NoopProbe)
             .unwrap()
             .0
-        };
-        assert_ne!(with_seed(1).report.delay, with_seed(2).report.delay);
-        // `run` is `run_probed` at the derived seed.
-        assert_eq!(
-            s.run(CollectionAlgorithm::Addc).unwrap(),
-            with_seed(s.sim_seed())
-        );
     }
 
     #[test]
     fn continuous_collection_delivers_every_snapshot() {
         let s = Scenario::generate(&small_params(6)).unwrap();
-        let o = s
-            .run_continuous(CollectionAlgorithm::Addc, 2000.0, 3)
-            .unwrap();
+        let o = continuous(&s, 2000.0, 3);
         assert!(o.report.finished);
         assert_eq!(o.report.packets_expected, 180);
         assert_eq!(o.report.packets_delivered, 180);
@@ -770,12 +753,8 @@ mod tests {
     #[test]
     fn tighter_intervals_raise_peak_queues() {
         let s = Scenario::generate(&small_params(7)).unwrap();
-        let slow = s
-            .run_continuous(CollectionAlgorithm::Addc, 5000.0, 3)
-            .unwrap();
-        let fast = s
-            .run_continuous(CollectionAlgorithm::Addc, 50.0, 3)
-            .unwrap();
+        let slow = continuous(&s, 5000.0, 3);
+        let fast = continuous(&s, 50.0, 3);
         assert!(
             fast.report.peak_queue >= slow.report.peak_queue,
             "fast {} < slow {}",
@@ -788,7 +767,13 @@ mod tests {
     fn traced_run_matches_plain_run() {
         let s = Scenario::generate(&small_params(8)).unwrap();
         let plain = s.run(CollectionAlgorithm::Addc).unwrap();
-        let (traced, log) = s.run_traced(CollectionAlgorithm::Addc).unwrap();
+        let (traced, log) = s
+            .run_probed(
+                CollectionAlgorithm::Addc,
+                Traffic::Snapshot,
+                crn_sim::TraceLog::unbounded(),
+            )
+            .unwrap();
         assert_eq!(plain, traced, "tracing must not perturb the run");
         // Every delivery in the report appears as a Delivery event at the
         // recorded first-delivery time.
@@ -934,6 +919,45 @@ mod tests {
     }
 
     #[test]
+    fn delay_bounds_equal_a_direct_compute() {
+        let s = Scenario::generate(&small_params(5)).unwrap();
+        let p = s.params();
+        let tree = s.tree(CollectionAlgorithm::Addc).unwrap();
+        let direct = DelayBounds::compute(
+            &p.phy,
+            p.pcr_constants,
+            p.pu_density(),
+            p.activity.duty_cycle(),
+            p.num_sus,
+            p.area_side * p.area_side / p.num_sus as f64,
+            tree.max_degree(),
+            tree.root_degree(),
+        )
+        .unwrap();
+        // Debug prints each f64 in shortest round-trip form, so equal
+        // strings mean equal bits.
+        assert_eq!(
+            format!("{:?}", s.delay_bounds().unwrap()),
+            format!("{direct:?}")
+        );
+    }
+
+    #[test]
+    fn saturated_primary_network_has_no_delay_bounds() {
+        let mut p = small_params(5);
+        p.activity = crn_spectrum::PuActivity::bernoulli(1.0).unwrap();
+        let s = Scenario::generate(&p).unwrap();
+        assert_eq!(
+            s.delay_bounds().unwrap_err(),
+            ScenarioError::NoAccessOpportunity
+        );
+        // Without PUs nothing blocks access, whatever p_t says.
+        p.num_pus = 0;
+        let bounds = Scenario::generate(&p).unwrap().delay_bounds().unwrap();
+        assert_eq!(bounds.p_o, 1.0);
+    }
+
+    #[test]
     fn algorithm_display_names() {
         assert_eq!(CollectionAlgorithm::Addc.to_string(), "ADDC");
         assert_eq!(CollectionAlgorithm::Coolest.to_string(), "Coolest");
@@ -942,12 +966,7 @@ mod tests {
 
     #[test]
     fn algorithm_parses_cli_and_display_spellings() {
-        for alg in [
-            CollectionAlgorithm::Addc,
-            CollectionAlgorithm::Coolest,
-            CollectionAlgorithm::CoolestOracle,
-            CollectionAlgorithm::BfsTree,
-        ] {
+        for alg in ALGORITHMS {
             let display: CollectionAlgorithm = alg.to_string().parse().unwrap();
             assert_eq!(display, alg, "display name must round-trip");
         }
@@ -967,6 +986,9 @@ mod tests {
         use std::error::Error;
         let e = ScenarioError::Disconnected { attempts: 2 };
         assert!(e.to_string().contains("2 attempts"));
+        assert!(e.source().is_none());
+        let e = ScenarioError::NoAccessOpportunity;
+        assert!(e.to_string().starts_with("p_o = 0"), "{e}");
         assert!(e.source().is_none());
         let e: ScenarioError = TreeError::EmptyGraph.into();
         assert!(e.source().is_some());

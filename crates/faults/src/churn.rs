@@ -1,7 +1,6 @@
 use crate::{FaultError, FaultEvent, FaultKind, FaultPlan};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Seed-domain separator so the churn stream never collides with the
 /// deployment stream (`seed`) or the simulation stream
@@ -16,7 +15,7 @@ const CHURN_SEED_SALT: u64 = 0x5DEE_CE66_D027_94C9;
 /// generator draws from its own RNG stream, salted away from the
 /// deployment and simulation streams, so attaching churn to a scenario
 /// never perturbs where nodes land or how backoffs unfold.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ChurnSpec {
     /// Expected crash events per 1000 slots, network-wide (`≥ 0`).
     pub rate_per_1k_slots: f64,

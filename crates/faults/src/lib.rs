@@ -34,14 +34,13 @@ mod plan;
 pub use churn::ChurnSpec;
 pub use plan::{FaultError, FaultEvent, FaultKind, FaultPlan, FaultSchedule};
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 /// How a scenario acquires its fault workload: none (the default, inert),
 /// an explicit [`FaultPlan`], or a seeded churn generator resolved against
 /// the scenario's own size, slot length, and seed at run time.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Clone, Debug, PartialEq, Default)]
 pub enum FaultsConfig {
     /// No faults; runs are bit-for-bit the fault-unaware simulation.
     #[default]

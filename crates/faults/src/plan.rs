@@ -1,5 +1,4 @@
 use crn_spectrum::PuActivity;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One schedulable fault, the DSL vocabulary of a [`FaultPlan`].
@@ -8,7 +7,7 @@ use std::fmt;
 /// station, secondary users are `1..=n`. The base station never crashes
 /// or pauses — its outages are modeled as brownout windows — so every
 /// per-node kind requires `su ≥ 1`.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum FaultKind {
     /// The SU dies: any transmission in flight aborts, its queue is
     /// dropped (counted as lost to faults), and its children re-parent
@@ -86,7 +85,7 @@ impl FaultKind {
 }
 
 /// A fault scheduled at an absolute simulation time (seconds).
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FaultEvent {
     /// When the fault fires, in seconds of simulated time (`≥ 0`, finite).
     pub time: f64,
@@ -161,7 +160,7 @@ impl std::error::Error for FaultError {}
 /// Plans are inert data; [`FaultPlan::compile`] validates and sorts them
 /// into a [`FaultSchedule`] the simulator can walk. The empty plan
 /// compiles to an empty schedule and injects nothing.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Clone, Debug, PartialEq, Default)]
 pub struct FaultPlan {
     events: Vec<FaultEvent>,
 }

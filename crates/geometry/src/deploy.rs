@@ -1,6 +1,5 @@
 use crate::{Point, Region};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// An i.i.d. uniform random placement of nodes inside a [`Region`].
 ///
@@ -19,7 +18,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(d.len(), 50);
 /// assert!(d.points().iter().all(|&p| d.region().contains(p)));
 /// ```
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Deployment {
     region: Region,
     points: Vec<Point>,

@@ -1,5 +1,4 @@
 use crate::Point;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An axis-aligned rectangular deployment region with its lower-left corner
@@ -18,7 +17,7 @@ use std::fmt;
 /// assert!(region.contains(Point::new(100.0, 200.0)));
 /// assert!(!region.contains(Point::new(-1.0, 0.0)));
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Region {
     width: f64,
     height: f64,

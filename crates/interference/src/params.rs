@@ -1,4 +1,3 @@
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Converts a decibel quantity to its linear ratio (`10^(db/10)`).
@@ -173,7 +172,7 @@ impl std::error::Error for ParamError {}
 /// assert_eq!(p.alpha(), 4.0);
 /// assert_eq!(p.su_radius(), 10.0);
 /// ```
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PhyParams {
     alpha: f64,
     pu_power: f64,

@@ -19,10 +19,9 @@
 //! corrected one (used by the `ablation_pcr` bench).
 
 use crate::PhyParams;
-use serde::{Deserialize, Serialize};
 
 /// Which `c₂` constant to use in the PCR formulas.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum PcrConstants {
     /// The constant exactly as printed in the paper:
     /// `c₂ = 6 + 6(√3/2)^{−α}(1/(α−2) − 1)`.

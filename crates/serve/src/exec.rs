@@ -146,7 +146,7 @@ impl Executor {
 
 /// Best-effort extraction of a caught panic's message.
 #[must_use]
-pub fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
+fn panic_message(panic: &Box<dyn std::any::Any + Send>) -> String {
     if let Some(s) = panic.downcast_ref::<&str>() {
         (*s).to_owned()
     } else if let Some(s) = panic.downcast_ref::<String>() {

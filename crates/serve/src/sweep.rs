@@ -11,7 +11,6 @@
 //! order or which process computed a point, which is what lets the
 //! cluster promise bit-identical sweep output at any worker count.
 
-use crate::exec::panic_message;
 use crate::protocol::{error_response, response_base, RunSpec};
 use crate::server::outcome_record_json;
 use crate::ErrorKind;
@@ -20,7 +19,6 @@ use crn_workloads::json::Json;
 use crn_workloads::Axis;
 use std::collections::VecDeque;
 use std::io::Write;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -138,17 +136,16 @@ pub fn drive_sweep<P>(
             None => points.push((seed, None, spec)),
             Some(axis) => {
                 for &x in &axis.values {
-                    let base = spec.params.clone();
-                    match catch_unwind(AssertUnwindSafe(|| axis.apply(&base, x))) {
+                    match axis.try_apply(&spec.params, x) {
                         Ok(params) => {
                             let mut point = spec.clone();
                             point.params = params;
                             points.push((seed, Some(x), point));
                         }
-                        Err(panic) => {
+                        Err(e) => {
                             return Some(error_response(
                                 ErrorKind::BadRequest,
-                                &format!("axis value {x} rejected: {}", panic_message(&panic)),
+                                &format!("axis value {x} rejected: {e}"),
                             ));
                         }
                     }

@@ -638,3 +638,36 @@ fn oversized_requests_are_rejected_and_the_server_survives() {
     client.shutdown().unwrap();
     server.wait();
 }
+
+/// A sweep axis value outside its parameter's domain is a typed `400`
+/// naming the value, answered before any point runs; the connection and
+/// the server keep serving.
+#[test]
+fn bad_sweep_axis_values_are_typed_bad_requests() {
+    let server = start(1, 4, 16);
+    let mut client = connect(&server);
+    for (axis, value) in [
+        (r#"{"kind":"pt","values":[0.2,1.5]}"#, "1.5"),
+        (r#"{"kind":"pus","values":[-1]}"#, "-1"),
+    ] {
+        let line = format!(
+            r#"{{"v":1,"cmd":"sweep","params":{{"sus":40,"pus":4,"side":36}},"axis":{axis}}}"#
+        );
+        let response = client.request_line(&line).unwrap();
+        assert_eq!(error_kind(&response), Some("bad_request"), "{response}");
+        let error = response.get("error").unwrap();
+        assert_eq!(error.get("code").and_then(Json::as_u64), Some(400));
+        let message = error.get("message").and_then(Json::as_str).unwrap();
+        assert!(
+            message.starts_with(&format!("axis value {value} rejected: ")),
+            "{message}"
+        );
+    }
+
+    let status = client.request_line(r#"{"v":1,"cmd":"status"}"#).unwrap();
+    assert!(ok(&status), "{status}");
+    assert_eq!(status.get("status").and_then(Json::as_str), Some("running"));
+
+    client.shutdown().unwrap();
+    server.wait();
+}

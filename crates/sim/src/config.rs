@@ -1,4 +1,3 @@
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -11,7 +10,7 @@ use std::str::FromStr;
 /// ([`crn_interference::cutoff`]): every gain beyond a per-receiver cutoff
 /// radius is dropped, and the analytic worst case of everything dropped is
 /// below `epsilon` of that receiver's weakest-link SIR decision margin.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Default)]
 pub enum InterferenceModel {
     /// Dense gain tables; every concurrent transmitter contributes to
     /// every receiver (the paper's literal cumulative model).
@@ -72,7 +71,7 @@ impl FromStr for InterferenceModel {
 /// Defaults mirror the paper's Section V settings: 1 ms slots, a 0.5 ms
 /// contention window, SIR-checked reception with RS capture, and a
 /// 1 000 000-slot safety cap.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MacConfig {
     /// Slot duration `τ` in seconds (the PU activity granularity).
     pub slot: f64,
@@ -115,7 +114,7 @@ pub(crate) const MAX_BACKOFF_EXP: u32 = 6;
 /// *continuous data collection* setting of the authors' companion work
 /// (repeated snapshots at a fixed interval), which is how the achievable
 /// data collection **capacity** is exercised in steady state.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Clone, Copy, Debug, PartialEq, Default)]
 pub enum Traffic {
     /// One packet per SU at `t = 0` (the paper's data collection task).
     #[default]

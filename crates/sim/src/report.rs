@@ -1,10 +1,8 @@
-use serde::{Deserialize, Serialize};
-
 /// Per-SU counters, indexed like the world's nodes (entry 0 is the base
 /// station, which never transmits). These are the raw material for
 /// straggler analysis: a node with many attempts and few successes sits
 /// in a PU-dense pocket or a collision hot spot.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NodeStats {
     /// Transmission attempts by this node.
     pub attempts: u32,
@@ -28,7 +26,7 @@ pub struct NodeStats {
 ///
 /// Produced by [`crate::Simulator::run`]; all delay quantities are in
 /// simulated seconds unless suffixed `_slots`.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SimReport {
     /// Whether the whole snapshot reached the base station before the
     /// safety cap.

@@ -1,5 +1,4 @@
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Error constructing a PU activity model.
@@ -38,7 +37,7 @@ impl std::error::Error for ActivityError {}
 /// in its current state with high probability, producing *bursts* of
 /// occupancy with the same long-run duty cycle. The `ablation_pu_model`
 /// bench compares collection delay under both at equal duty cycle.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct GilbertParams {
     /// Probability of switching OFF → ON at a slot boundary.
     pub p_on: f64,
@@ -51,7 +50,7 @@ pub struct GilbertParams {
 ///
 /// The model is *per PU*: [`PuActivity::advance`] updates a slice of PU
 /// on/off states by one slot.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub enum PuActivity {
     /// Each PU transmits in each slot independently with probability
     /// `p_t` — the paper's model.

@@ -20,8 +20,9 @@
 //!   `(2Δβ_κ+24β_{κ+1}−1)·τ/p_o + (n−Δ_b)(2β_κ+24β_{κ+1}−1)·τ/p_o`, so
 //!   capacity is `Ω(p_o·W / (2β_κ + 24β_{κ+1} − 1))` — order-optimal.
 //!
-//! The `validate-bounds` harness in `crn-bench` checks simulated delays
-//! against these numbers.
+//! `crn_core::Scenario::delay_bounds` evaluates them for a generated
+//! scenario; the `validate-bounds` harness in `crn-bench` checks simulated
+//! delays against those numbers.
 //!
 //! # Example
 //!
@@ -39,7 +40,8 @@
 //!     31.25,            // c0 = A/n
 //!     20,               // observed tree Δ
 //!     5,                // observed Δ_b
-//! );
+//! )
+//! .expect("p_o > 0");
 //! assert!(b.theorem2_delay_slots > b.theorem1_service_slots);
 //! assert!(b.capacity_fraction_lower > 0.0 && b.capacity_fraction_lower < 1.0);
 //! ```
@@ -50,7 +52,6 @@
 use crn_geometry::packing::beta;
 use crn_interference::{pcr, PcrConstants, PhyParams};
 use crn_spectrum::opportunity;
-use serde::{Deserialize, Serialize};
 
 /// Lemma 5: the number of dominators and connectors within an SU's PCR is
 /// at most `β_κ + 12·β_{κ+1}`.
@@ -151,7 +152,7 @@ pub fn theorem2_capacity_fraction(kappa: f64, p_o: f64) -> f64 {
 
 /// Every bound of Section IV-D evaluated for one scenario — the
 /// validation artifact the `validate-bounds` harness prints.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct DelayBounds {
     /// PCR scaling factor κ.
     pub kappa: f64,
@@ -181,11 +182,13 @@ impl DelayBounds {
     /// them with [`lemma6_delta_bound`], reported as
     /// [`DelayBounds::delta_whp_bound`]).
     ///
+    /// Returns `None` if the parameters put `p_o` at 0 (e.g. `p_t = 1` with
+    /// PUs in range, or `(1 − p_t)^(π·pcr²·N/A)` underflowing): the
+    /// paper's bounds require a positive access probability.
+    ///
     /// # Panics
     ///
-    /// Panics if the parameters put `p_o` at 0 (e.g. `p_t = 1` with PUs in
-    /// range) — the paper's bounds require a positive access probability —
-    /// or if `c0 ≤ 0`.
+    /// Panics if `c0 ≤ 0`.
     #[must_use]
     #[allow(clippy::too_many_arguments)]
     pub fn compute(
@@ -197,15 +200,14 @@ impl DelayBounds {
         c0: f64,
         delta: usize,
         delta_b: usize,
-    ) -> Self {
+    ) -> Option<Self> {
         let kappa = pcr::kappa(phy, constants);
         let range = pcr::carrier_sensing_range(phy, constants);
         let p_o = opportunity::expected_probability(p_t, pu_density, range);
-        assert!(
-            p_o > 0.0,
-            "p_o = 0: the paper's bounds need a positive access probability"
-        );
-        Self {
+        if p_o <= 0.0 {
+            return None;
+        }
+        Some(Self {
             kappa,
             p_o,
             lemma5_cds_nodes: lemma5_cds_nodes_in_pcr(kappa),
@@ -215,7 +217,7 @@ impl DelayBounds {
             lemma8_service_slots: lemma8_service_slots(kappa, p_o),
             theorem2_delay_slots: theorem2_delay_slots(kappa, delta, delta_b, n, p_o),
             capacity_fraction_lower: theorem2_capacity_fraction(kappa, p_o),
-        }
+        })
     }
 }
 
@@ -293,7 +295,8 @@ mod tests {
 
     #[test]
     fn compute_bundles_everything() {
-        let b = DelayBounds::compute(&phy(), PcrConstants::Paper, 0.0064, 0.3, 2000, 31.25, 20, 5);
+        let b = DelayBounds::compute(&phy(), PcrConstants::Paper, 0.0064, 0.3, 2000, 31.25, 20, 5)
+            .unwrap();
         assert!(b.kappa > 1.0);
         assert!(b.p_o > 0.0 && b.p_o < 1.0);
         assert!(b.theorem2_delay_slots > b.theorem1_service_slots);
@@ -307,8 +310,8 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "positive access probability")]
     fn saturated_pus_rejected_in_compute() {
-        let _ = DelayBounds::compute(&phy(), PcrConstants::Paper, 0.0064, 1.0, 2000, 31.25, 20, 5);
+        let b = DelayBounds::compute(&phy(), PcrConstants::Paper, 0.0064, 1.0, 2000, 31.25, 20, 5);
+        assert_eq!(b, None);
     }
 }

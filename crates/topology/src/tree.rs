@@ -1,9 +1,8 @@
 use crate::{mis, rank_order, UnitDiskGraph};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Role of a node in the CDS-based data collection tree (Section IV-A).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Role {
     /// Member of the maximal independent set (black nodes in Fig. 2). The
     /// base station is a dominator.
@@ -27,7 +26,7 @@ impl fmt::Display for Role {
 
 /// How a [`CollectionTree`] was produced. Used by the routing ablation and
 /// recorded in experiment outputs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum TreeKind {
     /// The paper's CDS-based construction (Wan et al., MOBIHOC 2009).
     Cds,

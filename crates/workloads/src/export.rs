@@ -5,11 +5,9 @@
 //! can be diffed across runs and machines. Floats use Rust's shortest
 //! round-trip formatting.
 
-use crate::json::Json;
 use crate::RunRecord;
-use crn_sim::{TraceEvent, TraceLog};
+use crn_sim::TraceLog;
 use std::fmt::Write as _;
-use std::path::Path;
 use std::str::FromStr;
 
 /// On-disk format for trace export.
@@ -42,28 +40,6 @@ pub fn trace_to_string(log: &TraceLog, format: TraceFormat) -> String {
         TraceFormat::Jsonl => log.to_jsonl(),
         TraceFormat::Csv => log.to_csv(),
     }
-}
-
-/// Writes a trace to `path` in `format`.
-///
-/// # Errors
-///
-/// Propagates the underlying I/O error.
-pub fn write_trace(path: &Path, log: &TraceLog, format: TraceFormat) -> std::io::Result<()> {
-    std::fs::write(path, trace_to_string(log, format))
-}
-
-/// Serializes sweep records as JSONL, one record per line, in input
-/// order. (CSV rendering of the same records lives in
-/// [`crate::table::csv_records`].)
-#[must_use]
-pub fn records_jsonl(records: &[RunRecord]) -> String {
-    let mut out = String::new();
-    for r in records {
-        out.push_str(&record_jsonl(r));
-        out.push('\n');
-    }
-    out
 }
 
 /// One record as a single JSON line.
@@ -106,95 +82,6 @@ pub fn record_jsonl(r: &RunRecord) -> String {
     s
 }
 
-/// Parses back a JSONL document written by [`records_jsonl`], one
-/// [`RunRecord`] per non-empty line.
-///
-/// This is the read half of the export contract: `parse(write(records))`
-/// reproduces the records, with the single caveat that non-finite floats
-/// were written as `null` (JSON has no `NaN`/`inf` literal) and come back
-/// as `NaN`.
-///
-/// # Errors
-///
-/// Returns a message naming the offending line (1-based) for malformed
-/// JSON, missing fields, or type mismatches.
-pub fn parse_records_jsonl(text: &str) -> Result<Vec<RunRecord>, String> {
-    let mut records = Vec::new();
-    for (idx, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        records.push(parse_record_line(line).map_err(|e| format!("record line {}: {e}", idx + 1))?);
-    }
-    Ok(records)
-}
-
-/// Parses one JSONL line into a [`RunRecord`].
-fn parse_record_line(line: &str) -> Result<RunRecord, String> {
-    let v: Json = line.parse().map_err(|e| format!("{e}"))?;
-    let str_field = |name: &str| -> Result<String, String> {
-        v.get(name)
-            .and_then(Json::as_str)
-            .map(str::to_owned)
-            .ok_or_else(|| format!("missing string field '{name}'"))
-    };
-    // Numeric fields written as `null` (the non-finite convention) read
-    // back as NaN; genuinely missing fields are an error.
-    let f64_field = |name: &str| -> Result<f64, String> {
-        let field = v
-            .get(name)
-            .ok_or_else(|| format!("missing number field '{name}'"))?;
-        if field.is_null() {
-            return Ok(f64::NAN);
-        }
-        field
-            .as_f64()
-            .ok_or_else(|| format!("field '{name}' is not a number"))
-    };
-    let u64_field = |name: &str| -> Result<u64, String> {
-        v.get(name)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("missing integer field '{name}'"))
-    };
-    let algorithm = str_field("algorithm")?
-        .parse()
-        .map_err(|e: String| format!("bad algorithm: {e}"))?;
-    let jain = match v.get("jain") {
-        None => return Err("missing field 'jain'".into()),
-        Some(Json::Null) => None,
-        Some(j) => Some(j.as_f64().ok_or("field 'jain' is not a number")?),
-    };
-    Ok(RunRecord {
-        figure: str_field("figure")?,
-        x_name: str_field("x_name")?,
-        x: f64_field("x")?,
-        algorithm,
-        rep: u32::try_from(u64_field("rep")?).map_err(|e| format!("rep: {e}"))?,
-        finished: v
-            .get("finished")
-            .and_then(Json::as_bool)
-            .ok_or("missing bool field 'finished'")?,
-        delay_slots: f64_field("delay_slots")?,
-        capacity_fraction: f64_field("capacity_fraction")?,
-        jain,
-        attempts: u64_field("attempts")?,
-        successes: u64_field("successes")?,
-        pu_aborts: u64_field("pu_aborts")?,
-        sir_failures: u64_field("sir_failures")?,
-        capture_losses: u64_field("capture_losses")?,
-        peak_queue: v
-            .get("peak_queue")
-            .and_then(Json::as_usize)
-            .ok_or("missing integer field 'peak_queue'")?,
-        tree_height: u32::try_from(u64_field("tree_height")?)
-            .map_err(|e| format!("tree_height: {e}"))?,
-        tree_max_degree: v
-            .get("tree_max_degree")
-            .and_then(Json::as_usize)
-            .ok_or("missing integer field 'tree_max_degree'")?,
-    })
-}
-
 /// JSON number rendering: shortest round-trip for finite values, `null`
 /// for NaN/±∞ — JSON has no non-finite literals, and a `NaN` token turns
 /// the whole line unparsable (an all-`t = 0` round yields a NaN Jain).
@@ -224,18 +111,6 @@ fn json_str(s: &str) -> String {
         }
     }
     out.push('"');
-    out
-}
-
-/// Serializes any sequence of trace events as JSONL (useful for events
-/// gathered outside a [`TraceLog`]).
-#[must_use]
-pub fn events_jsonl<'a>(events: impl IntoIterator<Item = &'a TraceEvent>) -> String {
-    let mut out = String::new();
-    for e in events {
-        out.push_str(&e.to_jsonl());
-        out.push('\n');
-    }
     out
 }
 
@@ -278,12 +153,6 @@ mod tests {
     }
 
     #[test]
-    fn records_jsonl_is_one_line_per_record() {
-        let out = records_jsonl(&[record(), record()]);
-        assert_eq!(out.lines().count(), 2);
-    }
-
-    #[test]
     fn json_str_escapes() {
         assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
     }
@@ -322,100 +191,5 @@ mod tests {
         assert_eq!("jsonl".parse::<TraceFormat>().unwrap(), TraceFormat::Jsonl);
         assert_eq!("csv".parse::<TraceFormat>().unwrap(), TraceFormat::Csv);
         assert!("xml".parse::<TraceFormat>().is_err());
-    }
-
-    /// Field-by-field equality where NaN == NaN (the read-back convention
-    /// for values exported as `null`).
-    fn assert_records_eq(a: &RunRecord, b: &RunRecord) {
-        let f64_eq = |x: f64, y: f64| x.to_bits() == y.to_bits() || (x.is_nan() && y.is_nan());
-        assert_eq!(a.figure, b.figure);
-        assert_eq!(a.x_name, b.x_name);
-        assert!(f64_eq(a.x, b.x), "x: {} vs {}", a.x, b.x);
-        assert_eq!(a.algorithm, b.algorithm);
-        assert_eq!(a.rep, b.rep);
-        assert_eq!(a.finished, b.finished);
-        assert!(f64_eq(a.delay_slots, b.delay_slots));
-        assert!(f64_eq(a.capacity_fraction, b.capacity_fraction));
-        match (a.jain, b.jain) {
-            (None, None) => {}
-            (Some(x), Some(y)) => assert!(f64_eq(x, y), "jain: {x} vs {y}"),
-            other => panic!("jain mismatch: {other:?}"),
-        }
-        assert_eq!(a.attempts, b.attempts);
-        assert_eq!(a.successes, b.successes);
-        assert_eq!(a.pu_aborts, b.pu_aborts);
-        assert_eq!(a.sir_failures, b.sir_failures);
-        assert_eq!(a.capture_losses, b.capture_losses);
-        assert_eq!(a.peak_queue, b.peak_queue);
-        assert_eq!(a.tree_height, b.tree_height);
-        assert_eq!(a.tree_max_degree, b.tree_max_degree);
-    }
-
-    #[test]
-    fn records_round_trip_through_jsonl() {
-        let mut second = record();
-        second.algorithm = CollectionAlgorithm::CoolestOracle;
-        second.rep = 7;
-        second.jain = Some(0.875);
-        second.figure = "name with \"quotes\",\nand a newline".into();
-        let records = vec![record(), second];
-        let parsed = parse_records_jsonl(&records_jsonl(&records)).unwrap();
-        assert_eq!(parsed.len(), records.len());
-        for (p, r) in parsed.iter().zip(&records) {
-            assert_records_eq(p, r);
-        }
-        // Finite-valued records round-trip under plain equality too.
-        assert_eq!(parsed, records);
-    }
-
-    #[test]
-    fn null_for_nan_reads_back_as_nan() {
-        // The PR 3 convention: non-finite floats export as null. Reading
-        // back maps null → NaN for required floats and null → None for
-        // the optional Jain; everything else must match exactly.
-        let mut r = record();
-        r.jain = Some(f64::NAN);
-        r.delay_slots = f64::INFINITY;
-        r.capacity_fraction = f64::NAN;
-        let parsed = parse_records_jsonl(&records_jsonl(&[r.clone()])).unwrap();
-        assert_eq!(parsed.len(), 1);
-        assert_eq!(parsed[0].jain, None, "null jain reads back as None");
-        assert!(parsed[0].delay_slots.is_nan());
-        assert!(parsed[0].capacity_fraction.is_nan());
-        let mut expect = r;
-        expect.jain = None;
-        expect.delay_slots = f64::NAN;
-        expect.capacity_fraction = f64::NAN;
-        assert_records_eq(&parsed[0], &expect);
-    }
-
-    #[test]
-    fn real_sweep_output_round_trips() {
-        // End-to-end over actual simulation output: a tiny Fig. 6 panel,
-        // exported and re-imported, reproduces the in-memory records.
-        let mut spec = crate::presets::fig6_spec(crate::PresetKind::Tiny, crate::Fig6Panel::C);
-        spec.reps = 1;
-        let records = crate::run_sweep(&spec, crate::SweepOptions::default()).unwrap();
-        assert!(!records.is_empty());
-        let parsed = parse_records_jsonl(&records_jsonl(&records)).unwrap();
-        assert_eq!(parsed.len(), records.len());
-        for (p, r) in parsed.iter().zip(&records) {
-            assert_records_eq(p, r);
-        }
-    }
-
-    #[test]
-    fn parse_reports_offending_line_and_field() {
-        let good = record_jsonl(&record());
-        let e = parse_records_jsonl(&format!("{good}\nnot json\n")).unwrap_err();
-        assert!(e.contains("line 2"), "{e}");
-        let e = parse_records_jsonl("{\"figure\":\"f\"}\n").unwrap_err();
-        assert!(e.contains("missing"), "{e}");
-        let e = parse_records_jsonl(&good.replace("\"algorithm\":\"ADDC\"", "\"algorithm\":\"x\""))
-            .unwrap_err();
-        assert!(e.contains("algorithm"), "{e}");
-        // Blank lines are skipped, not errors.
-        let parsed = parse_records_jsonl(&format!("\n{good}\n\n")).unwrap();
-        assert_eq!(parsed.len(), 1);
     }
 }

@@ -10,10 +10,9 @@
 //! 2. the PCR is non-decreasing in `P_p`, `P_s`, `η_p`, and `η_s`.
 
 use crn_interference::{pcr, PcrConstants, PhyParams, PhyParamsBuilder};
-use serde::{Deserialize, Serialize};
 
 /// Which parameter a Fig. 4 panel sweeps.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Fig4Panel {
     /// PU transmit power `P_p`.
     PuPower,
@@ -87,7 +86,7 @@ impl Fig4Panel {
 
 /// One row of the Fig. 4 reproduction: PCR for both α settings at one
 /// swept value.
-#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Fig4Row {
     /// Panel (swept parameter).
     pub panel: Fig4Panel,

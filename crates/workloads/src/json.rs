@@ -1,11 +1,10 @@
 //! A minimal, dependency-free JSON value model with a strict parser and a
 //! deterministic writer.
 //!
-//! The vendored `serde` is a no-op marker stand-in (no serializer backend
-//! exists in the offline dependency tree), so everything in this
-//! workspace that needs *machine-readable* structured I/O — the JSONL
-//! exports here and the `crn-serve` wire protocol — goes through this
-//! module instead.
+//! The workspace has no serialization framework (its dependency tree is
+//! offline), so everything that needs *machine-readable* structured I/O
+//! — the JSONL exports here and the `crn-serve` wire protocol — goes
+//! through this module.
 //!
 //! Design points:
 //!

@@ -16,12 +16,11 @@
 
 use crate::{Axis, AxisKind, SweepSpec};
 use crn_core::{CollectionAlgorithm, ScenarioParams};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
 /// Which scale to run an experiment at.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum PresetKind {
     /// The paper's exact Section V parameters. Expensive.
     Paper,
@@ -56,7 +55,7 @@ impl FromStr for PresetKind {
 }
 
 /// The six panels of the paper's Fig. 6.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Fig6Panel {
     /// Delay vs. number of PUs `N`.
     A,

@@ -1,9 +1,8 @@
 use crn_core::{CollectionAlgorithm, CollectionOutcome};
-use serde::{Deserialize, Serialize};
 
 /// One `(figure, x, algorithm, repetition)` simulation result — the raw
 /// row the harness stores before aggregation.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct RunRecord {
     /// Figure identifier (e.g. `"fig6a"`).
     pub figure: String,
@@ -76,7 +75,7 @@ impl RunRecord {
 
 /// Mean/std summary of all repetitions at one `(figure, x, algorithm)`
 /// point — one series point of a paper figure.
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct AggregatePoint {
     /// Figure identifier.
     pub figure: String,

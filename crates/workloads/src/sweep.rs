@@ -1,10 +1,9 @@
 use crn_core::{CollectionAlgorithm, ScenarioParams};
 use crn_interference::PhyParams;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Which scenario parameter a sweep varies — one per Fig. 6 panel.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum AxisKind {
     /// Panel (a): number of PUs `N`.
     NumPus,
@@ -67,7 +66,7 @@ impl fmt::Display for AxisKind {
 
 /// A swept parameter and its values (counts are carried as `f64` and
 /// rounded on application).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Axis {
     /// Which parameter varies.
     pub kind: AxisKind,
@@ -82,51 +81,58 @@ impl Axis {
         Self { kind, values }
     }
 
-    /// Returns `base` with this axis set to `value`.
+    /// Returns `base` with this axis set to `value`, or a message naming
+    /// the value when it is invalid for the axis.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if `value` is invalid for the axis (negative counts,
-    /// `p_t ∉ [0,1]`, `α ≤ 2`, non-positive powers, negative churn
-    /// rates).
-    #[must_use]
-    pub fn apply(&self, base: &ScenarioParams, value: f64) -> ScenarioParams {
+    /// Rejects negative PU counts, SU counts below 1, `p_t ∉ [0,1]`,
+    /// `α ≤ 2`, non-positive powers and negative churn rates.
+    pub fn try_apply(&self, base: &ScenarioParams, value: f64) -> Result<ScenarioParams, String> {
         let mut params = base.clone();
         match self.kind {
-            AxisKind::NumPus => {
-                assert!(value >= 0.0, "N must be non-negative, got {value}");
-                params.num_pus = value.round() as usize;
-            }
-            AxisKind::NumSus => {
-                assert!(value >= 1.0, "n must be at least 1, got {value}");
-                params.num_sus = value.round() as usize;
-            }
+            AxisKind::NumPus if value >= 0.0 => params.num_pus = value.round() as usize,
+            AxisKind::NumPus => return Err(format!("N must be non-negative, got {value}")),
+            AxisKind::NumSus if value >= 1.0 => params.num_sus = value.round() as usize,
+            AxisKind::NumSus => return Err(format!("n must be at least 1, got {value}")),
             AxisKind::Pt => {
                 params.activity = crn_spectrum::PuActivity::bernoulli(value)
-                    .unwrap_or_else(|e| panic!("bad p_t on axis: {e}"));
+                    .map_err(|e| format!("bad p_t on axis: {e}"))?;
             }
             AxisKind::Alpha => {
                 params.phy = rebuild_phy(&base.phy, |b| {
                     b.alpha(value);
-                });
+                })?;
             }
             AxisKind::PuPower => {
                 params.phy = rebuild_phy(&base.phy, |b| {
                     b.pu_power(value);
-                });
+                })?;
             }
             AxisKind::SuPower => {
                 params.phy = rebuild_phy(&base.phy, |b| {
                     b.su_power(value);
-                });
+                })?;
             }
             AxisKind::ChurnRate => {
                 let spec = crn_sim::ChurnSpec::new(value)
-                    .unwrap_or_else(|e| panic!("bad churn rate on axis: {e}"));
+                    .map_err(|e| format!("bad churn rate on axis: {e}"))?;
                 params.faults = crn_sim::FaultsConfig::Churn(spec);
             }
         }
-        params
+        Ok(params)
+    }
+
+    /// Returns `base` with this axis set to `value`.
+    ///
+    /// # Panics
+    ///
+    /// Panics with [`Axis::try_apply`]'s message if `value` is invalid
+    /// for the axis.
+    #[must_use]
+    pub fn apply(&self, base: &ScenarioParams, value: f64) -> ScenarioParams {
+        self.try_apply(base, value)
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 }
 
@@ -134,7 +140,7 @@ impl Axis {
 fn rebuild_phy(
     base: &PhyParams,
     tweak: impl FnOnce(&mut crn_interference::PhyParamsBuilder),
-) -> PhyParams {
+) -> Result<PhyParams, String> {
     let mut b = PhyParams::builder();
     b.alpha(base.alpha())
         .pu_power(base.pu_power())
@@ -144,13 +150,12 @@ fn rebuild_phy(
         .pu_sir_threshold(base.pu_sir_threshold())
         .su_sir_threshold(base.su_sir_threshold());
     tweak(&mut b);
-    b.build()
-        .unwrap_or_else(|e| panic!("invalid swept phy: {e}"))
+    b.build().map_err(|e| format!("invalid swept phy: {e}"))
 }
 
 /// One figure panel as an executable sweep: a base parameter set, an axis,
 /// the algorithms to compare, and a repetition count (the paper uses 10).
-#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct SweepSpec {
     /// Figure identifier (e.g. `"fig6a"`), carried into records.
     pub figure: String,
@@ -402,6 +407,64 @@ mod tests {
         assert_eq!(AxisKind::NumPus.label(), "N");
         assert_eq!(AxisKind::Alpha.to_string(), "alpha");
         assert_eq!(AxisKind::ChurnRate.label(), "churn");
+    }
+
+    fn reject(kind: AxisKind, value: f64) -> String {
+        Axis::new(kind, vec![value])
+            .try_apply(&base(), value)
+            .unwrap_err()
+    }
+
+    #[test]
+    fn try_apply_rejects_negative_pu_counts() {
+        assert_eq!(
+            reject(AxisKind::NumPus, -1.0),
+            "N must be non-negative, got -1"
+        );
+        assert_eq!(
+            reject(AxisKind::NumPus, f64::NAN),
+            "N must be non-negative, got NaN"
+        );
+    }
+
+    #[test]
+    fn try_apply_rejects_su_counts_below_one() {
+        assert_eq!(reject(AxisKind::NumSus, 0.0), "n must be at least 1, got 0");
+    }
+
+    #[test]
+    fn try_apply_rejects_p_t_outside_the_unit_interval() {
+        for value in [1.5, -0.1] {
+            let e = reject(AxisKind::Pt, value);
+            assert!(e.starts_with("bad p_t on axis: "), "{e}");
+            assert!(e.contains(&value.to_string()), "{e}");
+        }
+    }
+
+    #[test]
+    fn try_apply_rejects_alpha_at_most_two() {
+        let e = reject(AxisKind::Alpha, 2.0);
+        assert!(
+            e.starts_with("invalid swept phy: path-loss exponent"),
+            "{e}"
+        );
+    }
+
+    #[test]
+    fn try_apply_rejects_non_positive_powers() {
+        for kind in [AxisKind::PuPower, AxisKind::SuPower] {
+            for value in [0.0, -3.0] {
+                let e = reject(kind, value);
+                assert!(e.starts_with("invalid swept phy: "), "{kind} {value}: {e}");
+                assert!(e.contains(&value.to_string()), "{e}");
+            }
+        }
+    }
+
+    #[test]
+    fn try_apply_rejects_negative_churn_rates() {
+        let e = reject(AxisKind::ChurnRate, -1.0);
+        assert!(e.starts_with("bad churn rate on axis: "), "{e}");
     }
 
     #[test]

@@ -9,7 +9,6 @@
 
 use crn::core::{CollectionAlgorithm, Scenario, ScenarioParams};
 use crn::spectrum::{opportunity, PuActivity};
-use crn::theory;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let base = ScenarioParams::builder()
@@ -67,19 +66,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Situate the last Bernoulli run against Theorem 2's worst-case bound.
     let mut params = base.clone();
     params.activity = PuActivity::bernoulli(0.45)?;
-    let scenario = Scenario::generate(&params)?;
-    let tree = scenario.tree(CollectionAlgorithm::Addc)?;
-    let c0 = params.area_side * params.area_side / params.num_sus as f64;
-    let bounds = theory::DelayBounds::compute(
-        &params.phy,
-        params.pcr_constants,
-        params.pu_density(),
-        0.45,
-        params.num_sus,
-        c0,
-        tree.max_degree(),
-        tree.root_degree(),
-    );
+    let bounds = Scenario::generate(&params)?.delay_bounds()?;
     println!(
         "\nTheorem 2 bound at p_t = 0.45: {:.0} slots (observed {last_delay:.0} — \
          the bound is worst-case and holds with slack)",

@@ -12,7 +12,7 @@
 //! ```
 
 use crn::core::{CollectionAlgorithm, Scenario, ScenarioParams};
-use crn::sim::{TraceEventKind, TxOutcome};
+use crn::sim::{TraceEventKind, TraceLog, Traffic, TxOutcome};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let params = ScenarioParams::builder()
@@ -24,7 +24,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .max_connectivity_attempts(2000)
         .build();
     let scenario = Scenario::generate(&params)?;
-    let (outcome, trace) = scenario.run_traced(CollectionAlgorithm::Addc)?;
+    let (outcome, trace) = scenario.run_probed(
+        CollectionAlgorithm::Addc,
+        Traffic::Snapshot,
+        TraceLog::unbounded(),
+    )?;
     let r = &outcome.report;
     println!(
         "ADDC on {} SUs / {} PUs (p_t = {}): {}/{} packets in {:.0} slots, {} trace events\n",

@@ -37,9 +37,10 @@
 //! ```
 //!
 //! To watch a run instead of just summarizing it, attach a probe:
-//! `Scenario::run_traced` pairs the outcome with a [`sim::TraceLog`] of
-//! typed events, and [`sim::Simulator::builder`] accepts any
-//! [`sim::Probe`] (e.g. [`sim::TimeSeries`]) for custom instrumentation.
+//! `Scenario::run_probed` with [`sim::TraceLog::unbounded`] pairs the
+//! outcome with a log of typed events, and [`sim::Simulator::builder`]
+//! accepts any [`sim::Probe`] (e.g. [`sim::TimeSeries`]) for custom
+//! instrumentation.
 
 #![forbid(unsafe_code)]
 

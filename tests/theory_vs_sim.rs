@@ -3,23 +3,7 @@
 //! `validate-bounds` harness.
 
 use crn::core::{CollectionAlgorithm, Scenario, ScenarioParams};
-use crn::theory::{self, DelayBounds};
-
-fn bounds_for(scenario: &Scenario, p_t: f64) -> DelayBounds {
-    let p = scenario.params();
-    let tree = scenario.tree(CollectionAlgorithm::Addc).unwrap();
-    let c0 = p.area_side * p.area_side / p.num_sus as f64;
-    DelayBounds::compute(
-        &p.phy,
-        p.pcr_constants,
-        p.pu_density(),
-        p_t,
-        p.num_sus,
-        c0,
-        tree.max_degree(),
-        tree.root_degree(),
-    )
-}
+use crn::theory;
 
 #[test]
 fn theorem_bounds_hold_across_seeds() {
@@ -33,7 +17,7 @@ fn theorem_bounds_hold_across_seeds() {
             .max_connectivity_attempts(2000)
             .build();
         let scenario = Scenario::generate(&params).unwrap();
-        let bounds = bounds_for(&scenario, 0.3);
+        let bounds = scenario.delay_bounds().unwrap();
         let o = scenario.run(CollectionAlgorithm::Addc).unwrap();
         assert!(o.report.finished, "seed {seed}");
 
@@ -130,7 +114,7 @@ fn analytic_p_o_tracks_empirical_waits_in_order_of_magnitude() {
         .max_connectivity_attempts(2000)
         .build();
     let scenario = Scenario::generate(&params).unwrap();
-    let bounds = bounds_for(&scenario, 0.3);
+    let bounds = scenario.delay_bounds().unwrap();
     let o = scenario.run(CollectionAlgorithm::Addc).unwrap();
     let mean_service_slots = o.report.mean_service_time / params.mac.slot;
     let analytic_wait = 1.0 / bounds.p_o;

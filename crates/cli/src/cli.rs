@@ -5,14 +5,14 @@
 //! parsing is still pure and unit-tested.
 
 use crn_cluster::{ClusterConfig, ClusterCounters, Coordinator, WorkerConfig, WorkerNode};
-use crn_core::{CollectionAlgorithm, Scenario, ScenarioParams};
+use crn_core::Scenario;
 use crn_interference::{pcr, PcrConstants, PhyParams};
 use crn_serve::client::Client;
+use crn_serve::protocol::{parse_spec, spec_to_json, RunSpec, RUN_PARAMS};
 use crn_serve::server::{Counters, ServeConfig, Server};
 use crn_serve::store::StoreConfig;
-use crn_sim::{FaultsConfig, InterferenceModel, InvariantChecker, TraceLog, Traffic};
+use crn_sim::{InvariantChecker, TraceLog, Traffic};
 use crn_workloads::export::{trace_to_string, TraceFormat};
-use crn_workloads::faults_wire::fault_plan_from_json;
 use crn_workloads::json::Json;
 use crn_workloads::table::markdown_figure;
 use crn_workloads::{aggregate, presets, run_sweep, Fig6Panel, PresetKind, SweepOptions};
@@ -21,21 +21,22 @@ use std::fmt::Write as _;
 /// Top-level usage text.
 pub const USAGE: &str = "\
 usage:
-  crn run    [--sus N] [--pus N] [--side S] [--pt P] [--seed K] [--algo ALGO]
-             [--interference exact|truncated:EPS] [--check-invariants] [--map]
-             [--faults PLAN.json | --fault-preset none|churn:RATE]
-  crn trace  [run flags] [--format jsonl|csv] [--out FILE]
+  crn run    [run flags] [--algo ALGO] [--check-invariants] [--map]
+  crn trace  [run flags] [--algo ALGO] [--format jsonl|csv] [--out FILE]
   crn sweep  <a|b|c|d|e|f|all|churn> [--preset paper|scaled|tiny] [--reps R] [--threads T]
   crn pcr    [--alpha A] [--eta-db E] [--pp P] [--ps P] [--big-r R] [--r r]
-  crn bounds [--sus N] [--pus N] [--side S] [--pt P]
+  crn bounds [run flags]
   crn serve  [--addr H:P] [--workers N] [--queue-cap Q] [--cache-cap C] [--topo-cache-cap T]
              [--store DIR [--store-max-mb M]]
   crn serve  --coordinator [--addr H:P] [--workers N] [--queue-cap Q] [--cache-cap C]
-             [--store DIR [--store-max-mb M]] [--job-timeout-ms T]
-  crn serve  --join H:P [--name NAME] [--threads T] [--cache-cap C]
+             [--topo-cache-cap T] [--store DIR [--store-max-mb M]] [--job-timeout-ms T]
+  crn serve  --join H:P [--name NAME] [--threads T] [--cache-cap C] [--topo-cache-cap T]
              [--store DIR [--store-max-mb M]]
-  crn submit --addr H:P  [run flags] [--timeout-ms T] [--seed-count N [--seed-start K] [--stream]]
+  crn submit --addr H:P  [run flags] [--algo ALGO] [--check-invariants] [--timeout-ms T]
+             [--seed-count N [--seed-start K] [--stream]]
              | --stats | --status | --shutdown | --raw JSON
+run flags (the wire's params keys): [--sus N] [--pus N] [--side S] [--pt P] [--seed K]
+             [--interference exact|truncated:EPS] [--faults PLAN.json | --fault-preset none|churn:RATE]
 algorithms: addc (default), coolest, coolest-oracle, bfs
 exit codes: 0 ok, 1 runtime failure (violation, server error, timeout), 2 usage";
 
@@ -114,21 +115,26 @@ pub fn dispatch(args: &[String]) -> Result<String, CliError> {
     }
 }
 
+fn take_opt(args: &mut Vec<String>, flag: &str) -> Result<Option<String>, String> {
+    let Some(i) = args.iter().position(|a| a == flag) else {
+        return Ok(None);
+    };
+    if i + 1 >= args.len() {
+        return Err(format!("flag {flag} requires a value"));
+    }
+    let raw = args.remove(i + 1);
+    args.remove(i);
+    Ok(Some(raw))
+}
+
 fn take<T: std::str::FromStr>(args: &mut Vec<String>, flag: &str, default: T) -> Result<T, String>
 where
     T::Err: std::fmt::Display,
 {
-    if let Some(i) = args.iter().position(|a| a == flag) {
-        if i + 1 >= args.len() {
-            return Err(format!("flag {flag} requires a value"));
-        }
-        let raw = args.remove(i + 1);
-        args.remove(i);
+    take_opt(args, flag)?.map_or(Ok(default), |raw| {
         raw.parse()
             .map_err(|e| format!("bad value '{raw}' for {flag}: {e}"))
-    } else {
-        Ok(default)
-    }
+    })
 }
 
 fn ensure_consumed(args: &[String]) -> Result<(), String> {
@@ -139,70 +145,73 @@ fn ensure_consumed(args: &[String]) -> Result<(), String> {
     }
 }
 
-fn parse_algo(s: &str) -> Result<CollectionAlgorithm, String> {
-    match s {
-        "addc" => Ok(CollectionAlgorithm::Addc),
-        "coolest" => Ok(CollectionAlgorithm::Coolest),
-        "coolest-oracle" => Ok(CollectionAlgorithm::CoolestOracle),
-        "bfs" => Ok(CollectionAlgorithm::BfsTree),
-        other => Err(format!("unknown algorithm '{other}'")),
-    }
-}
-
-fn scenario_params(args: &mut Vec<String>) -> Result<ScenarioParams, String> {
-    let sus: usize = take(args, "--sus", 150)?;
-    let pus: usize = take(args, "--pus", 16)?;
-    let side: f64 = take(args, "--side", 70.0)?;
-    let p_t: f64 = take(args, "--pt", 0.3)?;
-    let seed: u64 = take(args, "--seed", 0)?;
-    let interference: InterferenceModel = take(args, "--interference", InterferenceModel::Exact)?;
-    let faults = fault_flags(args)?;
-    if !(0.0..=1.0).contains(&p_t) {
-        return Err(format!("--pt must be a probability, got {p_t}"));
-    }
-    if let Some(epsilon) = interference.epsilon() {
-        if !(epsilon > 0.0 && epsilon < 1.0) {
-            return Err(format!(
-                "--interference truncation epsilon must lie in (0, 1), got {epsilon}"
-            ));
+/// Parses the run flags into a [`RunSpec`] by mapping them onto the wire's
+/// `params` object and calling the service's own parser, so each flag
+/// means exactly what its `params` key means in a request, defaults and
+/// checks included. `--KEY VALUE` sets key `KEY` of [`RUN_PARAMS`]; the
+/// `faults` value comes from the plan file `--faults` names, or from
+/// `--fault-preset`. `request` holds the top-level fields the command
+/// takes.
+fn run_spec_from(args: &mut Vec<String>, mut request: Json) -> Result<RunSpec, CliError> {
+    let plan_path = take_opt(args, "--faults")?;
+    let preset = take_opt(args, "--fault-preset")?;
+    let (faults_from, mut faults) = match (plan_path, preset) {
+        (Some(_), Some(_)) => {
+            return Err(CliError::usage(
+                "--faults and --fault-preset are mutually exclusive",
+            ))
+        }
+        (Some(path), None) => {
+            let plan = std::fs::read_to_string(&path)
+                .map_err(|e| format!("cannot read fault plan {path}: {e}"))?
+                .trim()
+                .parse::<Json>()
+                .map_err(|e| format!("{path}: {e}"))?;
+            (path, Some(plan))
+        }
+        (None, preset) => ("--fault-preset".to_owned(), preset.map(Json::Str)),
+    };
+    let mut params = Json::obj();
+    for key in RUN_PARAMS {
+        let value = match key {
+            "faults" => faults.take(),
+            _ => take_opt(args, &format!("--{key}"))?.map(flag_value),
+        };
+        if let Some(value) = value {
+            params.set(key, value);
         }
     }
-    Ok(ScenarioParams::builder()
-        .num_sus(sus)
-        .num_pus(pus)
-        .area_side(side)
-        .p_t(p_t)
-        .seed(seed)
-        .interference(interference)
-        .max_connectivity_attempts(3000)
-        .faults(faults)
-        .build())
+    request.set("params", params);
+    parse_spec(&request).map_err(|e| {
+        // Errors name the flags, and the plan file, not the wire keys.
+        let message = e.message.replace("params.", "--");
+        CliError::usage(message.replace("--faults", &faults_from))
+    })
 }
 
-/// Parses the fault workload flags: `--faults PLAN.json` (an explicit
-/// plan in the `faults_wire` format) or `--fault-preset none|churn:RATE`
-/// (the preset grammar). The two are mutually exclusive; absent both, the
-/// run is guaranteed bit-for-bit the fault-free simulation.
-fn fault_flags(args: &mut Vec<String>) -> Result<FaultsConfig, String> {
-    let plan_path: String = take(args, "--faults", String::new())?;
-    let preset: String = take(args, "--fault-preset", String::new())?;
-    if !plan_path.is_empty() && !preset.is_empty() {
-        return Err("--faults and --fault-preset are mutually exclusive".into());
+/// [`run_spec_from`] with `--algo` and `--check-invariants`: every field
+/// of a [`RunSpec`].
+fn run_spec(args: &mut Vec<String>) -> Result<RunSpec, CliError> {
+    let mut request = Json::obj();
+    if let Some(algo) = take_opt(args, "--algo")? {
+        request.set("algo", Json::Str(algo));
     }
-    if !plan_path.is_empty() {
-        let text = std::fs::read_to_string(&plan_path)
-            .map_err(|e| format!("cannot read fault plan {plan_path}: {e}"))?;
-        let v: Json = text
-            .trim()
-            .parse()
-            .map_err(|e| format!("{plan_path}: {e}"))?;
-        let plan = fault_plan_from_json(&v).map_err(|e| format!("{plan_path}: {e}"))?;
-        return Ok(FaultsConfig::Plan(plan));
+    request.set(
+        "check_invariants",
+        Json::Bool(presence(args, "--check-invariants")),
+    );
+    run_spec_from(args, request)
+}
+
+/// A flag value as a request carries it: a number when it reads as one,
+/// a string otherwise. Which type each key wants is the spec parser's to
+/// check.
+fn flag_value(raw: String) -> Json {
+    match (raw.parse(), raw.parse()) {
+        (Ok(n), _) => Json::UInt(n),
+        (_, Ok(x)) => Json::float(x),
+        _ => Json::Str(raw),
     }
-    if !preset.is_empty() {
-        return preset.parse::<FaultsConfig>();
-    }
-    Ok(FaultsConfig::None)
 }
 
 fn presence(args: &mut Vec<String>, flag: &str) -> bool {
@@ -215,28 +224,27 @@ fn presence(args: &mut Vec<String>, flag: &str) -> bool {
 }
 
 fn cmd_run(mut args: Vec<String>) -> Result<String, CliError> {
-    let algo = parse_algo(&take(&mut args, "--algo", "addc".to_owned())?)?;
     let show_map = presence(&mut args, "--map");
-    let check_invariants = presence(&mut args, "--check-invariants");
     // Undocumented testing aid: run the engine with the Algorithm 1
     // fairness wait disabled while the oracle audits against the honest
     // config, yielding a real end-to-end invariant violation (and exit
     // code 1). Used by the exit-code integration tests.
     let inject_fairness_skip = presence(&mut args, "--inject-fairness-skip");
-    let params = scenario_params(&mut args)?;
+    let spec = run_spec(&mut args)?;
     ensure_consumed(&args)?;
-    if inject_fairness_skip && !check_invariants {
+    if inject_fairness_skip && !spec.check_invariants {
         return Err(CliError::usage(
             "--inject-fairness-skip requires --check-invariants",
         ));
     }
     if inject_fairness_skip {
-        return run_with_injected_fairness_skip(&params, algo);
+        return run_with_injected_fairness_skip(&spec);
     }
-    let scenario = Scenario::generate(&params).map_err(CliError::runtime)?;
+    let (params, algo) = (&spec.params, spec.algorithm);
+    let scenario = Scenario::generate(params).map_err(CliError::runtime)?;
     // `run_checked` shares `run`'s derived seed, so the checked report is
     // identical to the unchecked one — the oracle observes, never perturbs.
-    let (outcome, oracle) = if check_invariants {
+    let (outcome, oracle) = if spec.check_invariants {
         let (outcome, oracle) = scenario.run_checked(algo).map_err(CliError::runtime)?;
         (outcome, Some(oracle))
     } else {
@@ -314,23 +322,17 @@ fn cmd_run(mut args: Vec<String>) -> Result<String, CliError> {
 /// the honest MAC, so the oracle reports a scheduler-hygiene violation —
 /// which this function turns into a runtime (exit 1) error, exactly like
 /// a genuine violation caught in the field.
-fn run_with_injected_fairness_skip(
-    params: &ScenarioParams,
-    algo: CollectionAlgorithm,
-) -> Result<String, CliError> {
-    let mut rigged = params.clone();
+fn run_with_injected_fairness_skip(spec: &RunSpec) -> Result<String, CliError> {
+    let mut rigged = spec.params.clone();
     rigged.mac.fairness_wait = false;
     let scenario = Scenario::generate(&rigged).map_err(CliError::runtime)?;
-    let world = scenario.world(algo).map_err(CliError::runtime)?;
-    let checker = InvariantChecker::new(world, params.mac).with_repro(
-        params.seed,
-        format!(
-            "n={} N={} side={} alg={algo} (fairness wait disabled)",
-            params.num_sus, params.num_pus, params.area_side
-        ),
+    let world = scenario.world(spec.algorithm).map_err(CliError::runtime)?;
+    let checker = InvariantChecker::new(world, spec.params.mac).with_repro(
+        spec.params.seed,
+        format!("{} --inject-fairness-skip", spec.repro()),
     );
     let (_outcome, oracle) = scenario
-        .run_probed(algo, Traffic::Snapshot, checker)
+        .run_probed(spec.algorithm, Traffic::Snapshot, checker)
         .map_err(CliError::runtime)?;
     match oracle.first_violation() {
         Some(v) => Err(CliError::runtime(format!("invariant violation: {v}"))),
@@ -345,14 +347,16 @@ fn run_with_injected_fairness_skip(
 /// derived seed as `crn run`, so its `delivery` events line up exactly
 /// with the run's reported delivery times.
 fn cmd_trace(mut args: Vec<String>) -> Result<String, CliError> {
-    let algo = parse_algo(&take(&mut args, "--algo", "addc".to_owned())?)?;
     let format: TraceFormat = take(&mut args, "--format", "jsonl".to_owned())?.parse()?;
     let out_path: String = take(&mut args, "--out", String::new())?;
-    let params = scenario_params(&mut args)?;
+    let spec = run_spec(&mut args)?;
     ensure_consumed(&args)?;
-    let scenario = Scenario::generate(&params).map_err(CliError::runtime)?;
+    if spec.check_invariants {
+        return Err(CliError::usage("crn trace takes no --check-invariants"));
+    }
+    let scenario = Scenario::generate(&spec.params).map_err(CliError::runtime)?;
     let (outcome, log) = scenario
-        .run_probed(algo, Traffic::Snapshot, TraceLog::unbounded())
+        .run_probed(spec.algorithm, Traffic::Snapshot, TraceLog::unbounded())
         .map_err(CliError::runtime)?;
     let rendered = trace_to_string(&log, format);
     if out_path.is_empty() {
@@ -442,9 +446,9 @@ fn cmd_pcr(mut args: Vec<String>) -> Result<String, CliError> {
 }
 
 fn cmd_bounds(mut args: Vec<String>) -> Result<String, CliError> {
-    let params = scenario_params(&mut args)?;
+    let spec = run_spec_from(&mut args, Json::obj())?;
     ensure_consumed(&args)?;
-    let b = Scenario::generate(&params)
+    let b = Scenario::generate(&spec.params)
         .and_then(|scenario| scenario.delay_bounds())
         .map_err(CliError::runtime)?;
     let mut out = String::new();
@@ -471,15 +475,12 @@ fn cmd_bounds(mut args: Vec<String>) -> Result<String, CliError> {
 /// on-disk result store there; `--store-max-mb M` (default 0 = no limit)
 /// caps it with LRU eviction. Pure, unit-tested.
 fn parse_store_flags(args: &mut Vec<String>) -> Result<Option<StoreConfig>, CliError> {
-    let dir: String = take(args, "--store", String::new())?;
+    let dir = take_opt(args, "--store")?;
     let max_mb: u64 = take(args, "--store-max-mb", 0)?;
-    if dir.is_empty() {
-        if max_mb > 0 {
-            return Err(CliError::usage("--store-max-mb requires --store DIR"));
-        }
-        return Ok(None);
+    if dir.is_none() && max_mb > 0 {
+        return Err(CliError::usage("--store-max-mb requires --store DIR"));
     }
-    Ok(Some(StoreConfig {
+    Ok(dir.map(|dir| StoreConfig {
         dir: dir.into(),
         max_bytes: max_mb * 1024 * 1024,
     }))
@@ -487,53 +488,42 @@ fn parse_store_flags(args: &mut Vec<String>) -> Result<Option<StoreConfig>, CliE
 
 /// Parses `crn serve` flags into a [`ServeConfig`] (pure, unit-tested).
 fn parse_serve_config(args: &mut Vec<String>) -> Result<ServeConfig, CliError> {
-    let addr: String = take(args, "--addr", "127.0.0.1:0".to_owned())?;
-    let workers: usize = take(args, "--workers", 4)?;
-    let queue_cap: usize = take(args, "--queue-cap", 64)?;
-    let cache_cap: usize = take(args, "--cache-cap", 1024)?;
-    let topo_cache_cap: usize = take(args, "--topo-cache-cap", 64)?;
-    let store = parse_store_flags(args)?;
-    if workers == 0 {
+    let d = ServeConfig::default();
+    let cfg = ServeConfig {
+        addr: take(args, "--addr", d.addr)?,
+        workers: take(args, "--workers", d.workers)?,
+        queue_cap: take(args, "--queue-cap", d.queue_cap)?,
+        cache_cap: take(args, "--cache-cap", d.cache_cap)?,
+        topo_cache_cap: take(args, "--topo-cache-cap", d.topo_cache_cap)?,
+        store: parse_store_flags(args)?,
+    };
+    if cfg.workers == 0 {
         return Err(CliError::usage("--workers must be at least 1"));
     }
-    Ok(ServeConfig {
-        addr,
-        workers,
-        queue_cap,
-        cache_cap,
-        topo_cache_cap,
-        store,
-    })
+    Ok(cfg)
 }
 
 /// Parses `crn serve --coordinator` flags (pure, unit-tested). The
 /// returned worker count is the number of worker *processes* to spawn
 /// (0 = none; external workers join with `crn serve --join`).
 fn parse_cluster_config(args: &mut Vec<String>) -> Result<(ClusterConfig, usize), CliError> {
-    let addr: String = take(args, "--addr", "127.0.0.1:0".to_owned())?;
+    let d = ClusterConfig::default();
     let workers: usize = take(args, "--workers", 2)?;
-    let queue_cap: usize = take(args, "--queue-cap", 256)?;
-    let cache_cap: usize = take(args, "--cache-cap", 1024)?;
-    let topo_cache_cap: usize = take(args, "--topo-cache-cap", 64)?;
-    let job_timeout_ms: u64 = take(args, "--job-timeout-ms", 30_000)?;
-    let store = parse_store_flags(args)?;
-    Ok((
-        ClusterConfig {
-            addr,
-            queue_cap,
-            cache_cap,
-            topo_cache_cap,
-            // The coordinator's own store lives in a subdirectory so
-            // spawned workers can share the parent --store DIR.
-            store: store.map(|s| StoreConfig {
-                dir: s.dir.join("coordinator"),
-                max_bytes: s.max_bytes,
-            }),
-            job_timeout_ms,
-            ..ClusterConfig::default()
-        },
-        workers,
-    ))
+    let cfg = ClusterConfig {
+        addr: take(args, "--addr", d.addr)?,
+        queue_cap: take(args, "--queue-cap", d.queue_cap)?,
+        cache_cap: take(args, "--cache-cap", d.cache_cap)?,
+        topo_cache_cap: take(args, "--topo-cache-cap", d.topo_cache_cap)?,
+        job_timeout_ms: take(args, "--job-timeout-ms", d.job_timeout_ms)?,
+        // The coordinator's own store lives in a subdirectory so
+        // spawned workers can share the parent --store DIR.
+        store: parse_store_flags(args)?.map(|s| StoreConfig {
+            dir: s.dir.join("coordinator"),
+            max_bytes: s.max_bytes,
+        }),
+        ..d
+    };
+    Ok((cfg, workers))
 }
 
 /// Parses `crn serve --join` flags into a [`WorkerConfig`] (pure,
@@ -542,22 +532,19 @@ fn parse_worker_config(
     coordinator: String,
     args: &mut Vec<String>,
 ) -> Result<WorkerConfig, CliError> {
-    let name: String = take(args, "--name", format!("worker-{}", std::process::id()))?;
-    let threads: usize = take(args, "--threads", 2)?;
-    let cache_cap: usize = take(args, "--cache-cap", 1024)?;
-    let topo_cache_cap: usize = take(args, "--topo-cache-cap", 64)?;
-    let store = parse_store_flags(args)?;
-    if threads == 0 {
+    let d = WorkerConfig::default();
+    let cfg = WorkerConfig {
+        coordinator,
+        name: take(args, "--name", format!("worker-{}", std::process::id()))?,
+        threads: take(args, "--threads", d.threads)?,
+        cache_cap: take(args, "--cache-cap", d.cache_cap)?,
+        topo_cache_cap: take(args, "--topo-cache-cap", d.topo_cache_cap)?,
+        store: parse_store_flags(args)?,
+    };
+    if cfg.threads == 0 {
         return Err(CliError::usage("--threads must be at least 1"));
     }
-    Ok(WorkerConfig {
-        coordinator,
-        name,
-        threads,
-        cache_cap,
-        topo_cache_cap,
-        store,
-    })
+    Ok(cfg)
 }
 
 /// `crn serve`: bind, print the bound address immediately (so scripts can
@@ -693,10 +680,11 @@ fn cmd_serve_coordinator(mut args: Vec<String>) -> Result<String, CliError> {
     Ok(serve_summary(&counters, Some(&fleet)))
 }
 
-/// Builds the protocol request line for `crn submit` (pure, unit-tested).
+/// Builds the protocol request line for `crn submit` (pure, unit-tested):
+/// the run flags parse as for `crn run`, and the line carries the parsed
+/// spec in its wire shape.
 fn build_submit_request(args: &mut Vec<String>) -> Result<String, CliError> {
-    let raw: String = take(args, "--raw", String::new())?;
-    if !raw.is_empty() {
+    if let Some(raw) = take_opt(args, "--raw")? {
         return Ok(raw);
     }
     for (flag, cmd) in [
@@ -708,38 +696,18 @@ fn build_submit_request(args: &mut Vec<String>) -> Result<String, CliError> {
             return Ok(format!(r#"{{"v":1,"cmd":"{cmd}"}}"#));
         }
     }
-    let algo: String = take(args, "--algo", "addc".to_owned())?;
-    parse_algo(&algo)?; // reject bad algorithms locally, before shipping
-    let check_invariants = presence(args, "--check-invariants");
     let stream = presence(args, "--stream");
-    let sus: u64 = take(args, "--sus", 150)?;
-    let pus: u64 = take(args, "--pus", 16)?;
-    let side: f64 = take(args, "--side", 70.0)?;
-    let p_t: f64 = take(args, "--pt", 0.3)?;
-    let seed: u64 = take(args, "--seed", 0)?;
-    let interference: InterferenceModel = take(args, "--interference", InterferenceModel::Exact)?;
     let timeout_ms: u64 = take(args, "--timeout-ms", 0)?;
     let seed_count: u64 = take(args, "--seed-count", 0)?;
     let seed_start: u64 = take(args, "--seed-start", 0)?;
     if stream && seed_count == 0 {
         return Err(CliError::usage("--stream requires a sweep (--seed-count)"));
     }
-    let mut params = Json::obj();
-    params
-        .set("sus", Json::UInt(sus))
-        .set("pus", Json::UInt(pus))
-        .set("side", Json::float(side))
-        .set("pt", Json::float(p_t))
-        .set("seed", Json::UInt(seed))
-        .set("interference", Json::Str(interference.to_string()));
-    let mut req = Json::obj();
+    let mut req = spec_to_json(&run_spec(args)?);
     req.set("v", Json::UInt(1)).set(
         "cmd",
         Json::Str(if seed_count > 0 { "sweep" } else { "run" }.into()),
     );
-    req.set("params", params)
-        .set("algo", Json::Str(algo))
-        .set("check_invariants", Json::Bool(check_invariants));
     if seed_count > 0 {
         req.set("seed_start", Json::UInt(seed_start))
             .set("seed_count", Json::UInt(seed_count));
@@ -873,10 +841,8 @@ fn stats_cluster_summary(response: &Json) -> Option<String> {
 /// appends a human-readable p50/p95/p99 summary computed from the
 /// server's latency histogram.
 fn cmd_submit(mut args: Vec<String>) -> Result<String, CliError> {
-    let addr: String = take(&mut args, "--addr", String::new())?;
-    if addr.is_empty() {
-        return Err(CliError::usage("submit requires --addr HOST:PORT"));
-    }
+    let addr = take_opt(&mut args, "--addr")?
+        .ok_or_else(|| CliError::usage("submit requires --addr HOST:PORT"))?;
     let want_stats = args.iter().any(|a| a == "--stats");
     let want_stream = args.iter().any(|a| a == "--stream");
     let request = build_submit_request(&mut args)?;
@@ -929,6 +895,7 @@ fn cmd_submit(mut args: Vec<String>) -> Result<String, CliError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crn_core::CollectionAlgorithm;
 
     fn run(args: &[&str]) -> Result<String, CliError> {
         dispatch(&args.iter().map(|s| (*s).to_owned()).collect::<Vec<_>>())
@@ -1504,6 +1471,69 @@ mod tests {
         // Bad algorithms are rejected locally.
         let mut args: Vec<String> = vec!["--algo".into(), "magic".into()];
         assert!(build_submit_request(&mut args).is_err());
+    }
+
+    fn served_spec(line: &str) -> RunSpec {
+        match crn_serve::protocol::parse_request(line).unwrap() {
+            crn_serve::protocol::Request::Run { spec, .. } => spec,
+            other => panic!("expected a run request: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_served_specs_repro_line_reruns_the_same_spec() {
+        // Every wire field at a non-default value.
+        let spec = served_spec(
+            r#"{"v":1,"cmd":"run","params":{"sus":61,"pus":9,"side":41.5,"pt":0.35,
+                "seed":1234,"interference":"truncated:0.07","faults":"churn:2.5"},
+                "algo":"coolest","check_invariants":true}"#,
+        );
+        let repro = spec.repro();
+        let mut args: Vec<String> = repro.split_whitespace().map(str::to_owned).collect();
+        assert_eq!(
+            args.drain(..2).collect::<Vec<_>>(),
+            ["crn", "run"],
+            "{repro}"
+        );
+        let rerun = run_spec(&mut args).unwrap();
+        assert!(args.is_empty(), "unconsumed: {args:?}");
+        assert_eq!(rerun, spec, "{repro}");
+        assert_eq!(rerun.cache_key(), spec.cache_key());
+    }
+
+    #[test]
+    fn submit_sends_the_spec_crn_run_parses() {
+        let path = std::env::temp_dir().join("crn_cli_submit_plan.json");
+        std::fs::write(&path, r#"{"events":[{"t":0.001,"kind":"crash","su":1}]}"#).unwrap();
+        let common = "--sus 40 --pus 4 --side 36 --pt 0.25 --seed 5 \
+                      --interference truncated:0.1 --algo coolest --check-invariants";
+        let plan = path.to_str().unwrap();
+        for faults in [["--fault-preset", "churn:3"], ["--faults", plan]] {
+            let flags: Vec<String> = common
+                .split_whitespace()
+                .chain(faults)
+                .map(str::to_owned)
+                .collect();
+            let mut run_args = flags.clone();
+            let local = run_spec(&mut run_args).unwrap();
+            let mut submit_args = flags;
+            let line = build_submit_request(&mut submit_args).unwrap();
+            assert!(run_args.is_empty() && submit_args.is_empty());
+            let served = served_spec(&line);
+            assert_eq!(served, local, "{line}");
+            assert_eq!(served.cache_key(), local.cache_key());
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn trace_and_bounds_take_only_their_run_fields() {
+        let e = run(&["trace", "--check-invariants"]).unwrap_err();
+        assert_eq!(e.code, 2);
+        assert!(e.message.contains("--check-invariants"), "{e}");
+        let e = run(&["bounds", "--algo", "coolest"]).unwrap_err();
+        assert_eq!(e.code, 2);
+        assert!(e.message.contains("unrecognized"), "{e}");
     }
 
     #[test]

@@ -1,11 +1,6 @@
 //! `crn` — command-line interface to the ADDC (ICDCS 2012) reproduction.
 //!
-//! ```text
-//! crn run   [--sus N] [--pus N] [--side S] [--pt P] [--seed K] [--algo addc|coolest|coolest-oracle|bfs]
-//! crn sweep <a..f|all> [--preset paper|scaled|tiny] [--reps R] [--threads T]
-//! crn pcr   [--alpha A] [--eta-db E] [--pp P] [--ps P] [--big-r R] [--r r]
-//! crn bounds [--sus N] [--pus N] [--side S] [--pt P]
-//! ```
+//! `crn help` prints the commands and their flags ([`cli::USAGE`]).
 
 #![forbid(unsafe_code)]
 

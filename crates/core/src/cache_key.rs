@@ -119,12 +119,13 @@ pub fn canonical_radio_string(p: &ScenarioParams) -> String {
         bits(&mut s, v);
         s.push(',');
     }
+    // The trailing 1 stands where a collision-backoff switch once wrote
+    // its flag (backoff is always on), so every existing key holds.
     let _ = write!(
         s,
-        "{}{}{}",
+        "{}{}1",
         u8::from(p.mac.check_sir),
         u8::from(p.mac.fairness_wait),
-        u8::from(p.mac.collision_backoff)
     );
     s.push_str(";intf=");
     match p.interference {

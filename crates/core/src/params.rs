@@ -177,13 +177,6 @@ impl ScenarioParamsBuilder {
         self
     }
 
-    /// Sets the Coolest baseline's SU-sensing range as a multiple of `r`
-    /// (default 1.0; must be ≥ 1).
-    pub fn baseline_su_sense_factor(&mut self, factor: f64) -> &mut Self {
-        self.params.baseline_su_sense_factor = factor;
-        self
-    }
-
     /// Produces the parameter set.
     ///
     /// # Panics

@@ -28,6 +28,7 @@ use crn_sim::{FaultsConfig, InterferenceModel};
 use crn_workloads::faults_wire;
 use crn_workloads::json::Json;
 use crn_workloads::{Axis, AxisKind};
+use std::fmt::Write as _;
 
 /// The protocol version this build speaks.
 pub const PROTOCOL_VERSION: u64 = 1;
@@ -55,6 +56,24 @@ pub(crate) const MAX_EXACT_PUS: usize = 1_000;
 pub(crate) const MAX_TRUNCATED_SUS: usize = 250_000;
 /// PU bound under truncated interference (see [`MAX_EXACT_SUS`]).
 pub(crate) const MAX_TRUNCATED_PUS: usize = 50_000;
+/// Upper bound on `params.side`. The unit-disk graph's grid index
+/// allocates ⌈side / r⌉² buckets, with r = 10 on the wire, so a side of
+/// 10⁶ asks for 10¹⁰ bucket headers (about 240 GB), and that allocation
+/// failure aborts the process like an oversized world (see
+/// [`MAX_EXACT_SUS`]). 10,000 gives 10⁶ buckets (24 MB) and still admits
+/// a 250,000-SU world at the paper preset's density (side ≈ 2,800).
+pub(crate) const MAX_SIDE: f64 = 10_000.0;
+
+/// How many deployments every run draws before it reports the world
+/// disconnected. Fixed here, not taken from a request, so no client sets
+/// the length of the connectivity retry loop.
+pub(crate) const CONNECTIVITY_ATTEMPTS: usize = 3_000;
+
+/// The keys of the wire `params` object, in the order [`spec_to_json`]
+/// writes them. Each is also a `crn run` flag: `--KEY VALUE`, except that
+/// `--faults` names a file holding the `faults` value and `--fault-preset`
+/// gives it in the preset grammar.
+pub const RUN_PARAMS: [&str; 7] = ["sus", "pus", "side", "pt", "seed", "interference", "faults"];
 
 /// One simulation to execute: the full deterministic identity of a run.
 #[derive(Clone, Debug, PartialEq)]
@@ -112,39 +131,59 @@ impl RunSpec {
         h
     }
 
-    /// A one-line reproduction recipe (reported with timeouts/errors).
+    /// The `crn run` line that reruns this simulation: `--algo`, one flag
+    /// per [`RUN_PARAMS`] field and `--check-invariants`. A fault workload
+    /// the preset grammar cannot spell (an explicit plan, or churn with a
+    /// non-default downtime or horizon) becomes a `--faults` placeholder
+    /// naming the plan file to write.
     #[must_use]
     pub fn repro(&self) -> String {
-        let faults = match &self.params.faults {
-            FaultsConfig::None => String::new(),
-            FaultsConfig::Churn(c) => format!(" --fault-preset churn:{}", c.rate_per_1k_slots),
-            // An explicit plan has no flag-only spelling; point at the
-            // wire shape so the operator knows what file to reconstruct.
-            FaultsConfig::Plan(plan) => {
-                format!(" --faults <plan.json: {} events>", plan.events().len())
-            }
-        };
-        format!(
-            "crn run --algo {} --sus {} --pus {} --side {} --pt {} --seed {} --interference {}{faults}{}",
-            match self.algorithm {
-                CollectionAlgorithm::Addc => "addc",
-                CollectionAlgorithm::Coolest => "coolest",
-                CollectionAlgorithm::CoolestOracle => "coolest-oracle",
-                CollectionAlgorithm::BfsTree => "bfs",
-            },
-            self.params.num_sus,
-            self.params.num_pus,
-            self.params.area_side,
-            self.params.activity.duty_cycle(),
-            self.params.seed,
-            self.params.interference,
-            if self.check_invariants {
-                " --check-invariants"
-            } else {
-                ""
-            },
-        )
+        let algo = self.algorithm.to_string().to_ascii_lowercase();
+        let mut line = format!("crn run --algo {algo}");
+        for (key, value) in params_fields(&self.params) {
+            let _ = match (key, value) {
+                ("faults", plan) => write!(line, " {}", faults_flag(&self.params.faults, &plan)),
+                (_, Json::Str(s)) => write!(line, " --{key} {s}"),
+                (_, v) => write!(line, " --{key} {v}"),
+            };
+        }
+        if self.check_invariants {
+            line.push_str(" --check-invariants");
+        }
+        line
     }
+}
+
+/// The `crn run` flag for a fault workload whose wire value is `plan`: the
+/// preset when the preset grammar spells it exactly, else a `--faults`
+/// placeholder naming the plan file to write.
+fn faults_flag(faults: &FaultsConfig, plan: &Json) -> String {
+    match faults {
+        FaultsConfig::Plan(p) => format!("--faults <plan.json: {} events>", p.events().len()),
+        _ if faults.to_string().parse().as_ref() == Ok(faults) => {
+            format!("--fault-preset {faults}")
+        }
+        _ => format!("--faults <plan.json: {plan}>"),
+    }
+}
+
+/// The `params` fields of a run in [`RUN_PARAMS`] order, `faults` left
+/// out when there are none.
+fn params_fields(p: &ScenarioParams) -> Vec<(&'static str, Json)> {
+    let values = [
+        Json::UInt(p.num_sus as u64),
+        Json::UInt(p.num_pus as u64),
+        Json::float(p.area_side),
+        Json::float(p.activity.duty_cycle()),
+        Json::UInt(p.seed),
+        Json::Str(p.interference.to_string()),
+        faults_wire::faults_config_to_json(&p.faults),
+    ];
+    RUN_PARAMS
+        .into_iter()
+        .zip(values)
+        .filter(|(key, _)| *key != "faults" || !p.faults.is_none())
+        .collect()
 }
 
 /// A parsed protocol request.
@@ -209,36 +248,20 @@ impl ProtoError {
 /// Returns [`ProtoError`] for invalid JSON, a missing/unsupported
 /// version, an unknown command, or malformed fields.
 pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
-    let v: Json = line.parse().map_err(|e| ProtoError::bad(format!("{e}")))?;
-    let version = v
-        .get("v")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| ProtoError::bad("missing protocol version field 'v'"))?;
-    if version != PROTOCOL_VERSION {
-        return Err(ProtoError {
-            kind: ErrorKind::UnsupportedVersion,
-            message: format!(
-                "unsupported protocol version {version} (this server speaks v{PROTOCOL_VERSION})"
-            ),
-        });
-    }
-    let cmd = v
-        .get("cmd")
-        .and_then(Json::as_str)
-        .ok_or_else(|| ProtoError::bad("missing string field 'cmd'"))?;
-    match cmd {
+    let (v, cmd) = envelope(line)?;
+    match cmd.as_str() {
         "status" => Ok(Request::Status),
         "stats" => Ok(Request::Stats),
         "shutdown" => Ok(Request::Shutdown),
         "run" => {
-            let spec = parse_spec(&v)?;
+            let spec = admit(parse_spec(&v)?)?;
             Ok(Request::Run {
                 spec,
                 timeout_ms: opt_u64(&v, "timeout_ms")?,
             })
         }
         "sweep" => {
-            let spec = parse_spec(&v)?;
+            let spec = admit(parse_spec(&v)?)?;
             let axis = parse_axis(&v)?;
             if let Some(axis) = &axis {
                 check_axis_world(axis, &spec.params)?;
@@ -268,6 +291,30 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
         }
         other => Err(ProtoError::bad(format!("unknown cmd '{other}'"))),
     }
+}
+
+/// Parses a line's JSON, checks its protocol version, and returns it with
+/// its `cmd`: the envelope of requests and cluster messages alike.
+fn envelope(line: &str) -> Result<(Json, String), ProtoError> {
+    let v: Json = line.parse().map_err(|e| ProtoError::bad(format!("{e}")))?;
+    let version = v
+        .get("v")
+        .and_then(Json::as_u64)
+        .ok_or_else(|| ProtoError::bad("missing protocol version field 'v'"))?;
+    if version != PROTOCOL_VERSION {
+        return Err(ProtoError {
+            kind: ErrorKind::UnsupportedVersion,
+            message: format!(
+                "unsupported protocol version {version} (this build speaks v{PROTOCOL_VERSION})"
+            ),
+        });
+    }
+    let cmd = v
+        .get("cmd")
+        .and_then(Json::as_str)
+        .ok_or_else(|| ProtoError::bad("missing string field 'cmd'"))?
+        .to_owned();
+    Ok((v, cmd))
 }
 
 fn opt_u64(v: &Json, key: &str) -> Result<Option<u64>, ProtoError> {
@@ -320,6 +367,21 @@ fn seeds_over_cap(count: u64) -> ProtoError {
     ProtoError::bad(format!(
         "sweep of {count} seeds exceeds the per-request cap of {MAX_SWEEP_SEEDS}"
     ))
+}
+
+/// The service's admission bounds on a parsed spec: [`MAX_SIDE`] and the
+/// world caps of [`check_world`]. They protect a long-lived process, so
+/// request lines and cluster work meet them and `crn run` does not.
+fn admit(spec: RunSpec) -> Result<RunSpec, ProtoError> {
+    let p = &spec.params;
+    if p.area_side > MAX_SIDE {
+        return Err(ProtoError::bad(format!(
+            "params.side {} exceeds the cap of {MAX_SIDE}",
+            p.area_side
+        )));
+    }
+    check_world(p.num_sus, p.num_pus, p.interference)?;
+    Ok(spec)
 }
 
 /// Rejects a world larger than the bounds for its interference model
@@ -395,34 +457,31 @@ fn parse_axis(v: &Json) -> Result<Option<Axis>, ProtoError> {
     Ok(Some(Axis::new(kind, values)))
 }
 
-/// Parses the `params` object (CLI-flag vocabulary, CLI defaults) plus
-/// the run options into a [`RunSpec`].
-fn parse_spec(v: &Json) -> Result<RunSpec, ProtoError> {
+/// Parses one run: the `params` object ([`RUN_PARAMS`], with the defaults
+/// of `crn run`) and the top-level `algo`, `check_invariants` and
+/// `inject_panic`. Request lines, cluster work and the `crn` command's run
+/// flags all arrive here. It checks that the fields describe a run; the
+/// service's size bounds are applied after it, at admission.
+///
+/// # Errors
+///
+/// Returns a `bad_request` [`ProtoError`] for an unknown `params` key or a
+/// malformed or out-of-domain field.
+pub fn parse_spec(v: &Json) -> Result<RunSpec, ProtoError> {
     let empty = Json::obj();
     let p = match v.get("params") {
         None => &empty,
-        Some(obj @ Json::Obj(_)) => obj,
+        Some(obj @ Json::Obj(pairs)) => {
+            if let Some((key, _)) = pairs
+                .iter()
+                .find(|(k, _)| !RUN_PARAMS.contains(&k.as_str()))
+            {
+                return Err(ProtoError::bad(format!("unknown params field '{key}'")));
+            }
+            obj
+        }
         Some(_) => return Err(ProtoError::bad("'params' must be an object")),
     };
-    for (key, _) in match p {
-        Json::Obj(pairs) => pairs.iter(),
-        _ => unreachable!("checked above"),
-    } {
-        if !matches!(
-            key.as_str(),
-            "sus"
-                | "pus"
-                | "side"
-                | "pt"
-                | "seed"
-                | "interference"
-                | "max_connectivity_attempts"
-                | "baseline_su_sense_factor"
-                | "faults"
-        ) {
-            return Err(ProtoError::bad(format!("unknown params field '{key}'")));
-        }
-    }
     let uint = |key: &str, default: u64| -> Result<u64, ProtoError> {
         match p.get(key) {
             None => Ok(default),
@@ -451,7 +510,7 @@ fn parse_spec(v: &Json) -> Result<RunSpec, ProtoError> {
             "params.pt must be a probability, got {p_t}"
         )));
     }
-    if side <= 0.0 || !side.is_finite() {
+    if side <= 0.0 {
         return Err(ProtoError::bad(format!(
             "params.side must be positive, got {side}"
         )));
@@ -471,15 +530,6 @@ fn parse_spec(v: &Json) -> Result<RunSpec, ProtoError> {
                 "truncation epsilon must lie in (0, 1), got {epsilon}"
             )));
         }
-    }
-    check_world(sus, pus, interference)?;
-    let attempts = usize::try_from(uint("max_connectivity_attempts", 3000)?)
-        .map_err(|_| ProtoError::bad("params.max_connectivity_attempts out of range"))?;
-    let base_factor = float("baseline_su_sense_factor", 1.0)?;
-    if base_factor < 1.0 {
-        return Err(ProtoError::bad(
-            "params.baseline_su_sense_factor must be >= 1",
-        ));
     }
     // Faults travel either as a preset string ("none", "churn:RATE") or
     // as the structured wire shapes ({"churn":{...}}, {"events":[...]}).
@@ -513,8 +563,7 @@ fn parse_spec(v: &Json) -> Result<RunSpec, ProtoError> {
         .p_t(p_t)
         .seed(seed)
         .interference(interference)
-        .max_connectivity_attempts(attempts)
-        .baseline_su_sense_factor(base_factor)
+        .max_connectivity_attempts(CONNECTIVITY_ATTEMPTS)
         .faults(faults)
         .build();
     Ok(RunSpec {
@@ -594,32 +643,12 @@ pub fn error_response(kind: ErrorKind, message: &str) -> Json {
 /// parser on the receiving end.
 #[must_use]
 pub fn spec_to_json(spec: &RunSpec) -> Json {
-    let mut p = Json::obj();
-    p.set("sus", Json::UInt(spec.params.num_sus as u64))
-        .set("pus", Json::UInt(spec.params.num_pus as u64))
-        .set("side", Json::float(spec.params.area_side))
-        .set("pt", Json::float(spec.params.activity.duty_cycle()))
-        .set("seed", Json::UInt(spec.params.seed))
-        .set(
-            "interference",
-            Json::Str(spec.params.interference.to_string()),
-        )
-        .set(
-            "max_connectivity_attempts",
-            Json::UInt(spec.params.max_connectivity_attempts as u64),
-        )
-        .set(
-            "baseline_su_sense_factor",
-            Json::float(spec.params.baseline_su_sense_factor),
-        );
-    if !spec.params.faults.is_none() {
-        p.set(
-            "faults",
-            faults_wire::faults_config_to_json(&spec.params.faults),
-        );
-    }
+    let params = params_fields(&spec.params)
+        .into_iter()
+        .map(|(key, value)| (key.to_owned(), value))
+        .collect();
     let mut o = Json::obj();
-    o.set("params", p)
+    o.set("params", Json::Obj(params))
         .set("algo", Json::Str(spec.algorithm.to_string()))
         .set("check_invariants", Json::Bool(spec.check_invariants))
         .set("inject_panic", Json::Bool(spec.inject_panic));
@@ -712,24 +741,8 @@ impl ClusterMsg {
     /// Returns [`ProtoError`] for invalid JSON, a missing/unsupported
     /// version, a non-cluster command, or malformed fields.
     pub fn parse(line: &str) -> Result<ClusterMsg, ProtoError> {
-        let v: Json = line.parse().map_err(|e| ProtoError::bad(format!("{e}")))?;
-        let version = v
-            .get("v")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| ProtoError::bad("missing protocol version field 'v'"))?;
-        if version != PROTOCOL_VERSION {
-            return Err(ProtoError {
-                kind: ErrorKind::UnsupportedVersion,
-                message: format!(
-                    "unsupported protocol version {version} (this node speaks v{PROTOCOL_VERSION})"
-                ),
-            });
-        }
-        let cmd = v
-            .get("cmd")
-            .and_then(Json::as_str)
-            .ok_or_else(|| ProtoError::bad("missing string field 'cmd'"))?;
-        match cmd {
+        let (v, cmd) = envelope(line)?;
+        match cmd.as_str() {
             "join" => {
                 let worker = v
                     .get("worker")
@@ -747,7 +760,7 @@ impl ClusterMsg {
                 let spec_obj = v
                     .get("spec")
                     .ok_or_else(|| ProtoError::bad("work needs a 'spec' object"))?;
-                let spec = parse_spec(spec_obj)?;
+                let spec = admit(parse_spec(spec_obj)?)?;
                 Ok(ClusterMsg::Work { id, spec })
             }
             "result" => {
@@ -914,6 +927,8 @@ mod tests {
             r#""pus":1001"#,
             r#""sus":250001,"interference":"truncated:0.1""#,
             r#""pus":50001,"interference":"truncated:0.1""#,
+            r#""side":1e6"#,
+            r#""side":10000.5,"sus":40"#,
         ] {
             let e = run(bad).unwrap_err();
             assert_eq!(e.kind, ErrorKind::BadRequest, "{bad}");
@@ -926,6 +941,8 @@ mod tests {
             r#""sus":2000,"pus":800"#,
             r#""sus":5000,"pus":1000"#,
             r#""sus":250000,"pus":50000,"interference":"truncated:0.1""#,
+            r#""sus":250000,"pus":50000,"side":2800,"interference":"truncated:0.1""#,
+            r#""side":10000"#,
         ] {
             assert!(run(good).is_ok(), "{good}");
         }
@@ -1181,8 +1198,7 @@ mod tests {
     fn spec_round_trips_through_its_wire_shape() {
         // Every wire-expressible knob at a non-default value.
         let line = r#"{"v":1,"cmd":"run","params":{"sus":61,"pus":9,"side":41.5,"pt":0.35,
-            "seed":1234,"interference":"truncated:0.07","max_connectivity_attempts":500,
-            "baseline_su_sense_factor":1.5,"faults":"churn:2.5"},"algo":"coolest",
+            "seed":1234,"interference":"truncated:0.07","faults":"churn:2.5"},"algo":"coolest",
             "check_invariants":true}"#;
         let Request::Run { spec, .. } = parse_request(line).unwrap() else {
             panic!("not a run");
@@ -1198,6 +1214,72 @@ mod tests {
         };
         assert_eq!(spec, back);
         assert_eq!(spec.cache_key(), back.cache_key());
+    }
+
+    #[test]
+    fn params_accept_exactly_the_run_flags() {
+        // The connectivity budget and the baseline's sensing factor are
+        // not run flags: a request cannot set either.
+        for key in ["max_connectivity_attempts", "baseline_su_sense_factor"] {
+            let e = parse_request(&format!(r#"{{"v":1,"cmd":"run","params":{{"{key}":2}}}}"#))
+                .unwrap_err();
+            assert_eq!(e.kind, ErrorKind::BadRequest, "{key}");
+            assert!(e.message.contains("unknown params field"), "{}", e.message);
+        }
+        let Request::Run { spec, .. } = parse_request(r#"{"v":1,"cmd":"run"}"#).unwrap() else {
+            panic!("not a run");
+        };
+        assert_eq!(spec.params.max_connectivity_attempts, CONNECTIVITY_ATTEMPTS);
+        assert_eq!(spec.params.baseline_su_sense_factor, 1.0);
+        // The encoder writes exactly the run keys, faults only when set.
+        let keys = |spec: &RunSpec| match spec_to_json(spec).get("params") {
+            Some(Json::Obj(pairs)) => pairs.iter().map(|(k, _)| k.clone()).collect::<Vec<_>>(),
+            other => panic!("params is not an object: {other:?}"),
+        };
+        assert_eq!(keys(&spec), RUN_PARAMS[..6]);
+        let mut churn = spec.clone();
+        churn.params.faults = "churn:2".parse().unwrap();
+        assert_eq!(keys(&churn), RUN_PARAMS);
+    }
+
+    #[test]
+    fn cluster_work_meets_the_admission_bounds() {
+        let work = |params: &str| {
+            ClusterMsg::parse(&format!(
+                r#"{{"v":1,"cmd":"work","id":1,"spec":{{"params":{{{params}}}}}}}"#
+            ))
+        };
+        assert!(work(r#""sus":40"#).is_ok());
+        for bad in [r#""sus":5001"#, r#""side":1e6"#] {
+            let e = work(bad).unwrap_err();
+            assert!(e.message.contains("cap"), "{bad} → {}", e.message);
+        }
+    }
+
+    #[test]
+    fn repro_keeps_a_placeholder_for_faults_the_presets_cannot_spell() {
+        let Request::Run { spec, .. } =
+            parse_request(r#"{"v":1,"cmd":"run","params":{"faults":"churn:3"}}"#).unwrap()
+        else {
+            panic!("not a run");
+        };
+        assert!(
+            spec.repro().ends_with(" --fault-preset churn:3"),
+            "{}",
+            spec.repro()
+        );
+        let mut slow_repair = spec.clone();
+        let FaultsConfig::Churn(c) = &mut slow_repair.params.faults else {
+            panic!("not churn");
+        };
+        c.downtime_slots *= 2.0;
+        let repro = slow_repair.repro();
+        assert!(
+            repro.contains(" --faults <plan.json: {\"churn\":"),
+            "{repro}"
+        );
+        assert!(repro.contains("downtime_slots"), "{repro}");
+        assert!(!repro.contains("--fault-preset"), "{repro}");
     }
 
     #[test]

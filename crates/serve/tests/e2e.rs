@@ -616,6 +616,7 @@ fn oversized_requests_are_rejected_and_the_server_survives() {
     for line in [
         r#"{"v":1,"cmd":"sweep","params":{"sus":40},"seed_count":1000000000000}"#,
         r#"{"v":1,"cmd":"run","params":{"sus":100000000000,"pus":1}}"#,
+        r#"{"v":1,"cmd":"run","params":{"side":1e6}}"#,
     ] {
         let response = client.request_line(line).unwrap();
         assert_eq!(error_kind(&response), Some("bad_request"), "{line}");

@@ -95,16 +95,16 @@ pub struct MacConfig {
     /// applied after each transmission (the `ablation_fairness` bench
     /// turns it off).
     pub fairness_wait: bool,
-    /// Binary exponential backoff on **collision** failures (SIR
-    /// violations and capture losses): each consecutive collision doubles
-    /// the node's contention window up to 2⁶·τ_c; success resets it.
-    /// PU handoffs do not trigger it (they signal spectrum loss, not
-    /// congestion). This is the paper's footnote-2 collision resolution;
-    /// without it, under-sensed CSMA (the Coolest baseline) can livelock.
-    pub collision_backoff: bool,
 }
 
 /// Largest collision-backoff exponent (window cap `2⁶·τ_c`).
+///
+/// Every SU backs off exponentially on **collision** failures (SIR
+/// violations and capture losses): each consecutive collision doubles its
+/// contention window up to this cap; success resets it. PU handoffs do not
+/// trigger it (they signal spectrum loss, not congestion). This is the
+/// paper's footnote-2 collision resolution; without it, under-sensed CSMA
+/// (the Coolest baseline) can livelock.
 pub(crate) const MAX_BACKOFF_EXP: u32 = 6;
 
 /// When secondary users produce data.
@@ -267,7 +267,6 @@ impl Default for MacConfig {
             max_sim_time: 1e-3 * 1_000_000.0,
             check_sir: true,
             fairness_wait: true,
-            collision_backoff: true,
         }
     }
 }

@@ -68,7 +68,8 @@ struct SuState {
     t_i: f64,
     /// Contention window of the current round (`τ_c · 2^cw_exp`).
     cw: f64,
-    /// Collision-backoff exponent (see [`MacConfig::collision_backoff`]).
+    /// Collision-backoff exponent, at most
+    /// [`MAX_BACKOFF_EXP`](crate::config::MAX_BACKOFF_EXP).
     cw_exp: u32,
     /// When the current head-of-queue packet started being served.
     head_since: f64,
@@ -892,13 +893,9 @@ impl<P: Probe> Simulator<P> {
 
     fn start_round(&mut self, su: u32) {
         debug_assert!(!self.su[su as usize].queue.is_empty());
-        let exp = if self.mac.collision_backoff {
-            self.su[su as usize]
-                .cw_exp
-                .min(crate::config::MAX_BACKOFF_EXP)
-        } else {
-            0
-        };
+        let exp = self.su[su as usize]
+            .cw_exp
+            .min(crate::config::MAX_BACKOFF_EXP);
         let cw = self.mac.contention_window * f64::from(1u32 << exp);
         // Uniform on (0, cw]: flip the half-open range of gen_range.
         let t_i = cw - self.rng.gen_range(0.0..cw);

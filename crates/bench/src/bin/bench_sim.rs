@@ -4,18 +4,20 @@
 //!
 //! For each size `n` the harness times the structure phase (`Topology`
 //! build) once, then per interference model times radio customization
-//! (`SimWorld::new` on the shared topology), measures event throughput
-//! of a short capped run — the median, min and max of five deterministic
-//! reruns (`Exact` dense tables are skipped above `n = 5000`, where they
-//! would need gigabytes), and records the bytes its gain tables hold plus
-//! a peak-RSS proxy (`VmHWM` from `/proc/self/status`). The top-level
+//! (`SimWorld::new` on the shared topology) — the median, min and max of
+//! three builds — and measures event throughput of a short capped run —
+//! the median, min and max of five deterministic reruns (`Exact` dense
+//! tables are skipped above `n = 5000`, where they would need
+//! gigabytes), and records the bytes its gain tables hold plus a
+//! peak-RSS proxy (`VmHWM` from `/proc/self/status`). The top-level
 //! `cores` field records the host's available parallelism; every figure
 //! here is single-threaded.
 //!
 //! It also times the headline of the split API: a radio-only
 //! re-customization (an SU transmit-power bump) against a full
-//! from-scratch rebuild at the new parameters, asserting along the way
-//! that both worlds produce bit-identical reports.
+//! from-scratch rebuild at the new parameters, three of each with their
+//! median, min and max, asserting along the way that both worlds produce
+//! bit-identical reports.
 //!
 //! Each size is measured in a **spawned child process** (`--one-size`),
 //! because `VmHWM` is a monotone per-process high-water mark: reading it
@@ -68,20 +70,34 @@ fn sim_seconds_for(n: usize, smoke: bool) -> f64 {
     }
 }
 
+/// Every `[f64; 3]` below is the median, min and max over its repetitions.
 struct ModelStats {
     construct_ms: f64,
-    customize_s: f64,
-    recustomize_s: f64,
-    rebuild_s: f64,
+    customize_s: [f64; 3],
+    recustomize_s: [f64; 3],
+    rebuild_s: [f64; 3],
     recustomize_speedup: f64,
     gain_table_bytes: usize,
     events: u64,
-    /// Median, min and max over the reruns.
     events_per_sec: [f64; 3],
 }
 
 /// Deterministic reruns behind each throughput figure.
 const RERUNS: usize = 5;
+/// Builds behind each construction figure (customize, recustomize,
+/// rebuild): one call on a shared virtualized host wanders by tens of
+/// percent.
+const BUILDS: usize = 3;
+
+/// The median, min and max of `samples`.
+fn spread(mut samples: Vec<f64>) -> [f64; 3] {
+    samples.sort_by(f64::total_cmp);
+    [
+        samples[samples.len() / 2],
+        samples[0],
+        samples[samples.len() - 1],
+    ]
+}
 
 struct SizeStats {
     n: usize,
@@ -138,24 +154,44 @@ fn measure(
     check_invariants: bool,
 ) -> ModelStats {
     let params = grid_radio(model);
-    let started = Instant::now();
-    let world =
-        Arc::new(SimWorld::new(topology.clone(), params).expect("grid radio params are valid"));
-    let customize_s = started.elapsed().as_secs_f64();
+    // Each repetition drops its predecessor's world first, so the peak
+    // holds one.
+    let mut customize_s = Vec::with_capacity(BUILDS);
+    let mut world = None;
+    for _ in 0..BUILDS {
+        drop(world.take());
+        let started = Instant::now();
+        let built = SimWorld::new(topology.clone(), params).expect("grid radio params are valid");
+        customize_s.push(started.elapsed().as_secs_f64());
+        world = Some(built);
+    }
+    let world = Arc::new(world.expect("BUILDS >= 1"));
     let gain_table_bytes = world.gain_table_bytes();
 
     // Radio-only re-customization vs a full from-scratch rebuild at the
     // same new parameters.
     let bumped = params.phy(bump_su_power(&params.phy));
-    let started = Instant::now();
-    let recustomized = world
-        .recustomize(bumped)
-        .expect("power-only recustomize succeeds");
-    let recustomize_s = started.elapsed().as_secs_f64();
-    let started = Instant::now();
-    let rebuilt =
-        SimWorld::new(Arc::new(grid_topology(n)), bumped).expect("rebuilt grid world is valid");
-    let rebuild_s = started.elapsed().as_secs_f64();
+    let (mut recustomize_s, mut rebuild_s) = (Vec::new(), Vec::new());
+    let mut pair = None;
+    for _ in 0..BUILDS {
+        drop(pair.take());
+        let started = Instant::now();
+        let recustomized = world
+            .recustomize(bumped)
+            .expect("power-only recustomize succeeds");
+        recustomize_s.push(started.elapsed().as_secs_f64());
+        let started = Instant::now();
+        let rebuilt =
+            SimWorld::new(Arc::new(grid_topology(n)), bumped).expect("rebuilt grid world is valid");
+        rebuild_s.push(started.elapsed().as_secs_f64());
+        pair = Some((recustomized, rebuilt));
+    }
+    let (recustomized, rebuilt) = pair.expect("BUILDS >= 1");
+    let (customize_s, recustomize_s, rebuild_s) = (
+        spread(customize_s),
+        spread(recustomize_s),
+        spread(rebuild_s),
+    );
 
     // Both paths must agree bit-for-bit before either timing counts.
     let equiv_seconds = sim_seconds.min(0.05);
@@ -190,18 +226,17 @@ fn measure(
         }
         events = ev;
     }
-    eps.sort_by(f64::total_cmp);
     let report = report.expect("the reruns happened");
     assert!(report.attempts > 0, "capped run must make progress");
     ModelStats {
-        construct_ms: (topology_build_s + customize_s) * 1e3,
+        construct_ms: (topology_build_s + customize_s[0]) * 1e3,
         customize_s,
         recustomize_s,
         rebuild_s,
-        recustomize_speedup: rebuild_s / recustomize_s.max(1e-9),
+        recustomize_speedup: rebuild_s[0] / recustomize_s[0].max(1e-9),
         gain_table_bytes,
         events,
-        events_per_sec: [eps[RERUNS / 2], eps[0], eps[RERUNS - 1]],
+        events_per_sec: spread(eps),
     }
 }
 
@@ -212,22 +247,27 @@ fn vm_hwm_kb() -> Option<u64> {
     line.split_whitespace().nth(1)?.parse().ok()
 }
 
+/// `"name": median, "name_min": min, "name_max": max`, each with
+/// `decimals` decimals.
+fn spread_json(name: &str, [median, min, max]: [f64; 3], decimals: usize) -> String {
+    format!(
+        "\"{name}\": {median:.decimals$}, \"{name}_min\": {min:.decimals$}, \
+         \"{name}_max\": {max:.decimals$}"
+    )
+}
+
 fn model_json(stats: &ModelStats) -> String {
     format!(
-        "{{\"construct_ms\": {:.3}, \"customize_s\": {:.6}, \"recustomize_s\": {:.6}, \
-         \"rebuild_s\": {:.6}, \"recustomize_speedup\": {:.1}, \"gain_table_bytes\": {}, \
-         \"events\": {}, \"events_per_sec\": {:.0}, \"events_per_sec_min\": {:.0}, \
-         \"events_per_sec_max\": {:.0}}}",
+        "{{\"construct_ms\": {:.3}, {}, {}, {}, \"recustomize_speedup\": {:.1}, \
+         \"gain_table_bytes\": {}, \"events\": {}, {}}}",
         stats.construct_ms,
-        stats.customize_s,
-        stats.recustomize_s,
-        stats.rebuild_s,
+        spread_json("customize_s", stats.customize_s, 6),
+        spread_json("recustomize_s", stats.recustomize_s, 6),
+        spread_json("rebuild_s", stats.rebuild_s, 6),
         stats.recustomize_speedup,
         stats.gain_table_bytes,
         stats.events,
-        stats.events_per_sec[0],
-        stats.events_per_sec[1],
-        stats.events_per_sec[2]
+        spread_json("events_per_sec", stats.events_per_sec, 0),
     )
 }
 

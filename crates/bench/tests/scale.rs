@@ -4,8 +4,8 @@
 //! CI's scale job runs them with
 //! `cargo test --release -p crn-bench -- --ignored`.
 
-use crn_bench::synthetic::grid_world;
-use crn_sim::{InterferenceModel, MacConfig, Simulator, TraceLog};
+use crn_bench::synthetic::{grid_radio, grid_topology, grid_world};
+use crn_sim::{InterferenceModel, MacConfig, SimWorld, Simulator, TraceLog};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -131,5 +131,53 @@ fn sparse_beats_dense_at_five_thousand_sus() {
     assert!(
         dense_build >= 5.0 * sparse_build,
         "sparse construction must be ≥5× faster: dense {dense_build:.3}s vs sparse {sparse_build:.3}s"
+    );
+}
+
+/// How much grid-world customization may cost per SU at 4n against n
+/// (ROADMAP item 4): a linear-time build keeps the ratio near 1, while a
+/// per-(slot, PU) pass grows it with n.
+const MAX_PER_SU_GROWTH: f64 = 1.5;
+
+#[test]
+#[ignore = "release-mode scale gate (CI scale job)"]
+fn sparse_customization_cost_per_su_grows_at_most_half_from_n_to_4n() {
+    let model = InterferenceModel::Truncated { epsilon: 0.1 };
+    let sizes = [10_000usize, 40_000];
+    let topologies = sizes.map(|n| Arc::new(grid_topology(n)));
+    // A sample builds a size's world until it has built 40,000 SUs (the
+    // small world four times), so samples of both sizes do the same work
+    // and last about as long: a single 0.1 s build on a shared host
+    // wanders by a third. The sizes alternate round by round, so load
+    // from a neighbouring test or tenant falls on both alike; each figure
+    // is a median of 3 samples.
+    let mut us_per_su = [Vec::new(), Vec::new()];
+    for _ in 0..3 {
+        for (i, topology) in topologies.iter().enumerate() {
+            let builds = sizes[1] / sizes[i];
+            let started = Instant::now();
+            for _ in 0..builds {
+                let world = SimWorld::new(topology.clone(), grid_radio(model)).expect("valid grid");
+                drop(world);
+            }
+            us_per_su[i].push(started.elapsed().as_secs_f64() * 1e6 / sizes[1] as f64);
+        }
+    }
+    let [small, large] = us_per_su.map(|mut v| {
+        v.sort_by(f64::total_cmp);
+        v[1]
+    });
+    eprintln!(
+        "sparse customization: {small:.1} us/SU at n = {}, {large:.1} us/SU at n = {} ({:.2}x)",
+        sizes[0],
+        sizes[1],
+        large / small
+    );
+    assert!(
+        large <= MAX_PER_SU_GROWTH * small,
+        "customization is not linear: {large:.1} us/SU at n = {} against {small:.1} at n = {} \
+         (more than {MAX_PER_SU_GROWTH}x)",
+        sizes[1],
+        sizes[0]
     );
 }

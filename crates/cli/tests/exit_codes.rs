@@ -92,6 +92,20 @@ fn bounds_without_access_opportunity_exit_one() {
     assert!(!stderr.contains("usage:"), "{stderr}");
 }
 
+/// A world too sparse to connect fails every connectivity attempt: a
+/// runtime failure (exit 1) naming the cause, not a hang.
+#[test]
+fn unconnectable_world_exits_one() {
+    let out = crn()
+        .args(["run", "--side", "10000"])
+        .output()
+        .expect("spawn crn");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("no connected deployment"), "{stderr}");
+    assert!(!stderr.contains("usage:"), "{stderr}");
+}
+
 #[test]
 fn clean_checked_run_exits_zero() {
     let out = crn()

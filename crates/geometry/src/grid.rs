@@ -7,6 +7,10 @@ use crate::{Point, Region};
 /// bucket grid with cell size matched to the dominant query radius gives
 /// near-constant-time queries without the complexity of a k-d tree.
 ///
+/// The cells live in one counting-sorted CSR (`start`/`ids`, with each
+/// id's position copied alongside): cells are row-major, so every grid
+/// row a query box covers is one contiguous slice.
+///
 /// Indices returned by queries refer to the slice passed to
 /// [`GridIndex::build`].
 ///
@@ -25,13 +29,22 @@ pub struct GridIndex {
     cell: f64,
     cols: usize,
     rows: usize,
-    /// `buckets[r * cols + c]` holds the indices of points in cell `(c, r)`.
-    buckets: Vec<Vec<u32>>,
+    /// Cell `(c, r)` holds `ids[start[r * cols + c]..start[r * cols + c + 1]]`,
+    /// in insertion order.
+    start: Vec<u32>,
+    ids: Vec<u32>,
+    /// `points[ids[i]]` at `i`, so a query reads positions contiguously.
+    cell_points: Vec<Point>,
 }
 
 impl GridIndex {
-    /// Builds an index over `points` deployed in `region`, with grid cell
-    /// size `cell` (typically the most common query radius).
+    /// Builds an index over `points` deployed in `region`, with grid cells
+    /// of side at least `cell` (typically the most common query radius).
+    ///
+    /// `cell` is a lower bound: the side never drops below the mean
+    /// spacing `sqrt(area / len)` (nor below the longer region side over
+    /// `len`), so an index holds at most about one cell per point however
+    /// sparse the points are. Queries are exact for any cell size.
     ///
     /// Points outside the region are still indexed (they are clamped into
     /// the boundary cells), so callers never lose nodes to floating-point
@@ -51,6 +64,10 @@ impl GridIndex {
             points.len() <= u32::MAX as usize,
             "too many points for a GridIndex"
         );
+        let n = points.len().max(1) as f64;
+        let cell = cell
+            .max((region.area() / n).sqrt())
+            .max(region.width().max(region.height()) / n);
         let cols = (region.width() / cell).ceil().max(1.0) as usize;
         let rows = (region.height() / cell).ceil().max(1.0) as usize;
         let mut index = Self {
@@ -58,11 +75,25 @@ impl GridIndex {
             cell,
             cols,
             rows,
-            buckets: vec![Vec::new(); cols * rows],
+            start: vec![0; cols * rows + 1],
+            ids: vec![0; points.len()],
+            cell_points: vec![Point::ORIGIN; points.len()],
         };
+        // Counting sort by cell; ids go in ascending, so each cell keeps
+        // insertion order.
+        for &p in points {
+            let c = index.cell_of(p);
+            index.start[c + 1] += 1;
+        }
+        for c in 0..cols * rows {
+            index.start[c + 1] += index.start[c];
+        }
+        let mut cursor = index.start[..cols * rows].to_vec();
         for (i, &p) in points.iter().enumerate() {
-            let b = index.bucket_of(p);
-            index.buckets[b].push(i as u32);
+            let at = &mut cursor[index.cell_of(p)];
+            index.ids[*at as usize] = i as u32;
+            index.cell_points[*at as usize] = p;
+            *at += 1;
         }
         index
     }
@@ -93,7 +124,7 @@ impl GridIndex {
         ((y / self.cell).floor().max(0.0) as usize).min(self.rows - 1)
     }
 
-    fn bucket_of(&self, p: Point) -> usize {
+    fn cell_of(&self, p: Point) -> usize {
         self.clamp_row(p.y) * self.cols + self.clamp_col(p.x)
     }
 
@@ -119,11 +150,11 @@ impl GridIndex {
         let r_lo = self.clamp_row(center.y - radius);
         let r_hi = self.clamp_row(center.y + radius);
         for row in r_lo..=r_hi {
-            for col in c_lo..=c_hi {
-                for &i in &self.buckets[row * self.cols + col] {
-                    if self.points[i as usize].distance_sq(center) <= r_sq {
-                        f(i);
-                    }
+            let lo = self.start[row * self.cols + c_lo] as usize;
+            let hi = self.start[row * self.cols + c_hi + 1] as usize;
+            for (&i, p) in self.ids[lo..hi].iter().zip(&self.cell_points[lo..hi]) {
+                if p.distance_sq(center) <= r_sq {
+                    f(i);
                 }
             }
         }
@@ -221,6 +252,45 @@ mod tests {
         let idx = GridIndex::build(&pts, Region::square(4.0), 1.0);
         let c = Point::new(1.5, 1.5);
         assert_eq!(idx.count_within(c, 1.0), idx.within_disk(c, 1.0).len());
+    }
+
+    #[test]
+    fn sparse_points_get_about_one_cell_each() {
+        // 151 points in a 10,000-unit square at cell 10 would be 10^6
+        // cells; the spacing floor keeps the grid near one cell per point.
+        let mut rng = rand::rngs::StdRng::seed_from_u64(151);
+        let n = 151;
+        let pts: Vec<Point> = (0..n)
+            .map(|_| Point::new(rng.gen_range(0.0..10_000.0), rng.gen_range(0.0..10_000.0)))
+            .collect();
+        let idx = GridIndex::build(&pts, Region::square(10_000.0), 10.0);
+        let cells = idx.cols * idx.rows;
+        assert!(
+            cells as f64 <= n as f64 + 2.0 * (n as f64).sqrt() + 1.0,
+            "{cells} cells for {n} points"
+        );
+        for &(c, r) in &[
+            (pts[0], 10.0),
+            (pts[7], 900.0),
+            (Point::new(5_000.0, 5_000.0), 2_500.0),
+            (Point::new(-50.0, 10_050.0), 4_000.0),
+        ] {
+            assert_eq!(idx.within_disk(c, r), brute_force(&pts, c, r));
+        }
+    }
+
+    #[test]
+    fn cells_visit_in_insertion_order() {
+        let pts = vec![
+            Point::new(5.5, 0.5),
+            Point::new(0.5, 0.5),
+            Point::new(5.6, 0.6),
+            Point::new(0.6, 0.6),
+        ];
+        let idx = GridIndex::build(&pts, Region::new(10.0, 1.0), 1.0);
+        let mut seen = Vec::new();
+        idx.for_each_within(Point::new(3.0, 0.5), 5.0, |i| seen.push(i));
+        assert_eq!(seen, vec![1, 3, 0, 2]);
     }
 
     #[test]

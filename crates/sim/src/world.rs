@@ -461,8 +461,11 @@ impl SimWorld {
         self.radio.gain_table_bytes()
     }
 
-    /// Truncation diagnostics: per-slot `(cutoff radii, certified
-    /// excluded-PU residual powers)`. `None` in exact mode.
+    /// Truncation diagnostics: per-slot `(cutoff radii, excluded-PU
+    /// residual powers)`. A residual is a certified upper bound on the
+    /// power every excluded PU delivers when all transmit at once: the
+    /// far-field bound where that fits the slot's budget, and exact at
+    /// the slots that fall back to the exact fold. `None` in exact mode.
     #[must_use]
     pub fn truncation_stats(&self) -> Option<(&[f64], &[f64])> {
         self.radio.truncation_stats()

@@ -64,6 +64,12 @@ impl ScenarioParams {
     pub fn su_density(&self) -> f64 {
         (self.num_sus + 1) as f64 / (self.area_side * self.area_side)
     }
+
+    /// The derived Proper Carrier-sensing Range `κ·r` of these parameters.
+    #[must_use]
+    pub fn pcr(&self) -> f64 {
+        crn_interference::pcr::carrier_sensing_range(&self.phy, self.pcr_constants)
+    }
 }
 
 /// Builder for [`ScenarioParams`]; see [`ScenarioParams::builder`].

@@ -1,6 +1,5 @@
 use crate::{coolest_tree, ScenarioParams};
 use crn_geometry::{Deployment, GridIndex, Point, Region};
-use crn_interference::pcr;
 use crn_sim::{
     BuildError, InvariantChecker, Probe, RadioParams, SimReport, SimWorld, Simulator, Traffic,
     Violation, WorldError,
@@ -229,7 +228,7 @@ impl Scenario {
             }
             let pu_deployment = Deployment::uniform(region, params.num_pus, &mut rng);
             let pu_index = GridIndex::build(pu_deployment.points(), region, params.phy.su_radius());
-            let pcr = pcr::carrier_sensing_range(&params.phy, params.pcr_constants);
+            let pcr = params.pcr();
             return Ok(Self {
                 params: params.clone(),
                 region,
@@ -422,7 +421,7 @@ impl Scenario {
         if params.topology_key() != self.params.topology_key() {
             return Scenario::generate(params);
         }
-        let pcr = pcr::carrier_sensing_range(&params.phy, params.pcr_constants);
+        let pcr = params.pcr();
         let same_duty =
             params.activity.duty_cycle().to_bits() == self.params.activity.duty_cycle().to_bits();
         let heat_range = |p: &ScenarioParams| p.baseline_su_sense_factor * p.phy.su_radius();

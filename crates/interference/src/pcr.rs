@@ -56,18 +56,27 @@ pub fn c3(params: &PhyParams) -> f64 {
 #[must_use]
 pub fn c2(alpha: f64, constants: PcrConstants) -> f64 {
     assert!(alpha > 2.0, "c2 requires alpha > 2, got {alpha}");
+    checked_c2(alpha, constants).unwrap_or_else(|| {
+        panic!(
+            "c2 is not positive for alpha = {alpha} under {constants:?}; \
+             the paper's printed constant breaks down here — use PcrConstants::Corrected"
+        )
+    })
+}
+
+/// [`c2`] where it is defined, `None` where [`c2`] panics.
+#[must_use]
+pub fn checked_c2(alpha: f64, constants: PcrConstants) -> Option<f64> {
+    if alpha.is_nan() || alpha <= 2.0 {
+        return None;
+    }
     let hex = (3.0_f64.sqrt() / 2.0).powf(-alpha);
     let tail = match constants {
         PcrConstants::Paper => 1.0 / (alpha - 2.0) - 1.0,
         PcrConstants::Corrected => 1.0 / (alpha - 2.0),
     };
     let c2 = 6.0 + 6.0 * hex * tail;
-    assert!(
-        c2 > 0.0,
-        "c2 = {c2} is not positive for alpha = {alpha} under {constants:?}; \
-         the paper's printed constant breaks down here — use PcrConstants::Corrected"
-    );
-    c2
+    (c2 > 0.0).then_some(c2)
 }
 
 /// Lemma 2's κ branch (protecting PUs), already scaled by `R/r` so it is

@@ -64,6 +64,19 @@ pub(crate) const MAX_TRUNCATED_PUS: usize = 50_000;
 /// a 250,000-SU world at the paper preset's density (side ≈ 2,800).
 pub(crate) const MAX_SIDE: f64 = 10_000.0;
 
+/// Upper bound on the carrier-sensing entries a world is expected to hold
+/// (see [`sense_entries`]), checked on `params` and on every point of an
+/// axis that moves the SU count or the PCR. The SU and PU caps bound how
+/// many nodes a world has, not how closely they pack: 250,000 SUs in the
+/// default 70 × 70 area expect 2.4·10¹⁰ entries and exhaust memory while
+/// building. The presets expect 10⁴–1.2·10⁵, the exact cap at side 70
+/// 9.5·10⁶ and the largest sparse world the benchmarks build (250,000
+/// SUs at side 2,800) 1.5·10⁷. A truncated grid world built and run
+/// peaked at about 6 B per expected entry (3.6·10⁷ entries: 223 MB,
+/// 6.3·10⁷: 444 MB, 1.8·10⁸: 1.1 GB), so this cap keeps one admitted
+/// world's radio state near 300 MB.
+pub(crate) const MAX_SENSE_ENTRIES: f64 = 5e7;
+
 /// How many deployments every run draws before it reports the world
 /// disconnected. Fixed here, not taken from a request, so no client sets
 /// the length of the connectivity retry loop.
@@ -381,7 +394,36 @@ fn admit(spec: RunSpec) -> Result<RunSpec, ProtoError> {
         )));
     }
     check_world(p.num_sus, p.num_pus, p.interference)?;
+    check_density(p)?;
     Ok(spec)
+}
+
+/// The carrier-sensing entries `params` is expected to build: every SU
+/// times the SUs inside one PCR disk at the world's density,
+/// `(sus + 1)² · π · PCR² / side²`, with a disk wider than the area
+/// holding every SU once. `None` where the PCR is undefined (an `alpha`
+/// the paper's constant breaks down at): that point fails when it runs.
+fn sense_entries(params: &ScenarioParams) -> Option<f64> {
+    crn_interference::pcr::checked_c2(params.phy.alpha(), params.pcr_constants)?;
+    let n = (params.num_sus + 1) as f64;
+    let pcr = params.pcr();
+    let share = std::f64::consts::PI * pcr * pcr / (params.area_side * params.area_side);
+    Some(n * n * share.min(1.0))
+}
+
+/// Rejects a world packed denser than [`MAX_SENSE_ENTRIES`] allows.
+fn check_density(params: &ScenarioParams) -> Result<(), ProtoError> {
+    let Some(entries) = sense_entries(params) else {
+        return Ok(());
+    };
+    if entries.is_nan() || entries > MAX_SENSE_ENTRIES {
+        return Err(ProtoError::bad(format!(
+            "{} sus in a side of {} expect {entries:.2e} carrier-sensing entries, over the \
+             cap of {MAX_SENSE_ENTRIES:.0e}; widen params.side",
+            params.num_sus, params.area_side
+        )));
+    }
+    Ok(())
 }
 
 /// Rejects a world larger than the bounds for its interference model
@@ -401,16 +443,20 @@ fn check_world(sus: usize, pus: usize, model: InterferenceModel) -> Result<(), P
     Ok(())
 }
 
-/// [`check_world`] for every point of a `sus` or `pus` axis.
+/// [`check_world`] and [`check_density`] for every point of an axis that
+/// moves the node counts or, through the PHY, the PCR; each point is
+/// checked with its own parameters.
 fn check_axis_world(axis: &Axis, params: &ScenarioParams) -> Result<(), ProtoError> {
+    if matches!(axis.kind, AxisKind::Pt | AxisKind::ChurnRate) {
+        return Ok(());
+    }
     for &x in &axis.values {
-        // Rounded as `Axis::apply` rounds; the cast saturates.
-        let count = x.round() as usize;
-        match axis.kind {
-            AxisKind::NumSus => check_world(count, params.num_pus, params.interference)?,
-            AxisKind::NumPus => check_world(params.num_sus, count, params.interference)?,
-            _ => return Ok(()),
-        }
+        // A value invalid for its axis fails its own point when it runs.
+        let Ok(point) = axis.try_apply(params, x) else {
+            continue;
+        };
+        check_world(point.num_sus, point.num_pus, point.interference)?;
+        check_density(&point)?;
     }
     Ok(())
 }
@@ -940,7 +986,6 @@ mod tests {
             r#""sus":2660,"pus":400"#,
             r#""sus":2000,"pus":800"#,
             r#""sus":5000,"pus":1000"#,
-            r#""sus":250000,"pus":50000,"interference":"truncated:0.1""#,
             r#""sus":250000,"pus":50000,"side":2800,"interference":"truncated:0.1""#,
             r#""side":10000"#,
         ] {
@@ -959,6 +1004,61 @@ mod tests {
         assert!(e.message.contains("cap"), "{}", e.message);
         assert!(sweep(r#"{"kind":"sus","values":[1340,2660]}"#).is_ok());
         assert!(sweep(r#"{"kind":"su_power","values":[1e11]}"#).is_ok());
+    }
+
+    #[test]
+    fn densely_packed_worlds_are_rejected_at_admission() {
+        let run = |params: &str| {
+            parse_request(&format!(r#"{{"v":1,"cmd":"run","params":{{{params}}}}}"#))
+        };
+        // Under the truncated counts cap, but packed into the default
+        // 70 × 70 area: 2.4·10¹⁰ expected entries.
+        let e = run(r#""sus":250000,"interference":"truncated:0.1""#).unwrap_err();
+        assert_eq!(e.kind, ErrorKind::BadRequest);
+        assert!(
+            e.message.contains("carrier-sensing entries"),
+            "{}",
+            e.message
+        );
+        // Spread over side 2,800 the same world is admitted.
+        assert!(run(r#""sus":250000,"side":2800,"interference":"truncated:0.1""#).is_ok());
+        let sweep = |params: &str, axis: &str| {
+            parse_request(&format!(
+                r#"{{"v":1,"cmd":"sweep","params":{{{params}}},"axis":{axis}}}"#
+            ))
+        };
+        // A PCR disk wider than the area holds each SU once: an enormous
+        // SU power does not reject a small world.
+        assert!(sweep(r#""seed":1"#, r#"{"kind":"su_power","values":[1e11]}"#).is_ok());
+        // The paper's PCR is undefined at alpha 5; that point fails when it
+        // runs, not at admission.
+        assert!(sweep(r#""seed":1"#, r#"{"kind":"alpha","values":[3,5]}"#).is_ok());
+        let e = sweep(
+            r#""sus":200000,"side":2800,"interference":"truncated:0.1""#,
+            r#"{"kind":"alpha","values":[2.1]}"#,
+        )
+        .unwrap_err();
+        assert!(
+            e.message.contains("carrier-sensing entries"),
+            "{}",
+            e.message
+        );
+        // Every point of an axis is checked with its own count and PHY.
+        let sparse = r#""interference":"truncated:0.1","side":1000"#;
+        let e = sweep(sparse, r#"{"kind":"sus","values":[1000,200000]}"#).unwrap_err();
+        assert!(
+            e.message.contains("carrier-sensing entries"),
+            "{}",
+            e.message
+        );
+        let dense = r#""sus":100000,"interference":"truncated:0.1","side":1000"#;
+        assert!(sweep(dense, r#"{"kind":"su_power","values":[10]}"#).is_ok());
+        let e = sweep(dense, r#"{"kind":"su_power","values":[10,1e4]}"#).unwrap_err();
+        assert!(
+            e.message.contains("carrier-sensing entries"),
+            "{}",
+            e.message
+        );
     }
 
     #[test]

@@ -1,5 +1,6 @@
 use crate::event::{EventKind, EventQueue};
 use crate::probe::{NoopProbe, Probe, TraceEvent, TraceEventKind, TxOutcome};
+use crate::radio::Cells;
 use crate::report::NodeStats;
 use crate::{BuildError, MacConfig, SimReport, SimWorld, Traffic};
 use crn_faults::{FaultKind, FaultSchedule};
@@ -118,10 +119,11 @@ enum SirPath {
     /// retained reference implementation (always used in dense mode,
     /// forceable elsewhere via [`SimulatorBuilder::full_scan`]).
     Scan,
-    /// Transmitter-indexed delta updates over the radio's reverse CSR
-    /// rows: each TxStart/TxEnd/PuOn/PuOff walks one precomputed
-    /// `(slot, gain)` row into per-slot accumulators and re-checks only
-    /// the receivers whose interference actually changed.
+    /// Reception-local sums: only a receiver slot with a reception in
+    /// progress holds an interference sum. A TxStart/TxEnd updates the
+    /// receiving slots in the cells around the transmitter, a PU toggle
+    /// the receiving slots whose near rows hold it, and each re-checks
+    /// only the receptions whose interference changed.
     Delta,
 }
 
@@ -224,19 +226,16 @@ fn listen_bit(listen_off: &[u32], pu: u32, pos: u32) -> (usize, u64) {
     )
 }
 
-/// Delta path: the per-receiver-slot interference accumulator. These
-/// three fields are read and written together on every reverse-row walk,
-/// so they are packed into one 16-byte struct — each of the several
-/// hundred random slot touches per TxStart/TxEnd then costs a single
-/// cache line (four slots per line) instead of hitting parallel arrays.
-/// The rarely-touched self-jamming term lives in the separate
-/// `slot_self` array to keep this struct at 16 bytes.
+/// Delta path: the per-receiver-slot interference accumulator, live only
+/// while the slot receives: opened at its first reception, reset at its
+/// last.
 #[derive(Clone, Copy, Debug)]
 struct SlotAcc {
     /// Total live interference-relevant power summed at this receiver
-    /// slot — every active SU's contribution (including its own intended
-    /// signal, undegraded) plus every on-PU's contribution. A reception's
-    /// interference is `intf - own`.
+    /// slot — every active SU's contribution within its cutoff (including
+    /// its own intended signal, undegraded) plus every on-PU's
+    /// contribution from its near row. A reception's interference is
+    /// `intf - own`.
     intf: f64,
     /// Live contributors to `intf` (nonzero-gain terms only). When it
     /// returns to zero the sum snaps to exactly 0.0, discarding
@@ -245,6 +244,14 @@ struct SlotAcc {
     /// Head of the intrusive chain of transmitters whose *receiver* is
     /// this slot ([`NO_SU`] when empty) — the set a slot re-check walks.
     head: u32,
+    /// The slot *owner's* self-jamming term while the owner is itself
+    /// transmitting (0.0 otherwise). The self-gain is computed over a
+    /// distance clamp, so it dwarfs every real contribution by tens of
+    /// orders of magnitude — running it through `intf` would absorb them
+    /// all and leave ulp-scale garbage behind on removal. Keeping the one
+    /// monster term apart and adding it at evaluation time makes its
+    /// removal exact.
+    self_term: f64,
 }
 
 impl SlotAcc {
@@ -252,7 +259,71 @@ impl SlotAcc {
         intf: 0.0,
         cnt: 0,
         head: NO_SU,
+        self_term: 0.0,
     };
+
+    fn add(&mut self, term: f64) {
+        self.intf += term;
+        self.cnt += 1;
+    }
+
+    /// Withdraws `term`; the sum snaps to exactly 0.0 as its last
+    /// contributor leaves, whatever rounding residue subtraction leaves.
+    fn withdraw(&mut self, term: f64) {
+        debug_assert!(self.cnt > 0, "slot contributor underflow");
+        self.cnt -= 1;
+        self.intf = if self.cnt == 0 {
+            0.0
+        } else {
+            (self.intf - term).max(0.0)
+        };
+    }
+}
+
+/// Delta path: the live transmitters and the receiving slots (those with
+/// a reception in progress), bucketed by cells no narrower than the
+/// largest SU cutoff, so every transmitter a receiving slot hears lies in
+/// the 3×3 block around its receiver's cell.
+#[derive(Debug)]
+struct LiveCells {
+    cells: Cells,
+    /// Per cell, the live transmitters positioned in it.
+    txs: Vec<Vec<u32>>,
+    /// Per cell, the receiving slots whose receiver is positioned in it.
+    rxs: Vec<Vec<u32>>,
+}
+
+impl LiveCells {
+    /// Cells over the SUs of `world`, at most about one per SU, a hair
+    /// wider than its largest cutoff so that rounding in the cell
+    /// arithmetic cannot split a heard pair; one empty cell on the scan
+    /// path.
+    fn new(world: &SimWorld, path: SirPath) -> Self {
+        let cells = match (path, world.truncation_stats()) {
+            (SirPath::Delta, Some((cutoff, _))) => {
+                let reach = cutoff.iter().fold(0.0f64, |a, &c| a.max(c));
+                let sus = world.su_positions().iter().copied();
+                Cells::new(sus, 1.0, reach * (1.0 + 1e-6))
+            }
+            _ => Cells::new(std::iter::empty(), 1.0, 1.0),
+        };
+        Self {
+            txs: vec![Vec::new(); cells.len()],
+            rxs: vec![Vec::new(); cells.len()],
+            cells,
+        }
+    }
+}
+
+/// The most receiver slots a world may have for debug builds to check the
+/// delta path's sums after every event (see `Simulator::check_live_sums`).
+#[cfg(debug_assertions)]
+const CHECKED_SLOTS: usize = 1024;
+
+/// Removes `x` from the cell list `list`.
+fn unlist(list: &mut Vec<u32>, x: u32) {
+    let i = list.iter().position(|&y| y == x).expect("listed");
+    list.swap_remove(i);
 }
 
 /// The asynchronous discrete-event simulator of Algorithm 1's MAC over a
@@ -334,22 +405,17 @@ pub struct Simulator<P: Probe = NoopProbe> {
     /// construction; see [`SirPath`]).
     path: SirPath,
     /// Delta path: per-receiver-slot accumulator, one [`SlotAcc`] per
-    /// slot. Packed so the several-hundred-entry reverse-row walks touch
-    /// one random cache line per slot instead of four parallel arrays.
+    /// slot, meaningful while the slot receives.
     slot: Vec<SlotAcc>,
-    /// Delta path: the slot *owner's* self-jamming term while the owner
-    /// is itself transmitting (0.0 otherwise), parallel to `slot`. The
-    /// self-gain is computed over a distance clamp, so it dwarfs every
-    /// real contribution by tens of orders of magnitude — running it
-    /// through [`SlotAcc::intf`] would absorb them all and leave
-    /// ulp-scale garbage behind on removal. Keeping the one monster term
-    /// out of the accumulator and adding it at evaluation time makes its
-    /// removal exact; it is touched at most once per row walk, so it
-    /// stays out of the hot 16-byte accumulator.
-    slot_self: Vec<f64>,
     /// Delta path: next link of the per-slot transmitter chain
     /// ([`SlotAcc::head`]), indexed by transmitter.
     next_at_slot: Vec<u32>,
+    /// Delta path: where the live transmitters and receiving slots are.
+    live: LiveCells,
+    /// Delta path, during a PU slot: the `(pu, slot, gain)` terms its
+    /// toggles move, ordered by PU (see [`Simulator::gather_pu_terms`]);
+    /// empty between PU slots.
+    pu_terms: Vec<(u32, u32, f64)>,
 
     // Outcome accumulators.
     delivered: usize,
@@ -454,9 +520,10 @@ impl<P: Probe> SimulatorBuilder<P> {
     }
 
     /// Forces the full-scan reference path for interference updates even
-    /// when the world's radio carries a reverse index (defaults to
-    /// `false`). The two paths produce bit-identical reports; this knob
-    /// exists so equivalence tests and benchmarks can pin the reference.
+    /// on a `Truncated` world, which otherwise runs reception-local sums
+    /// (defaults to `false`). The two paths produce bit-identical reports;
+    /// this knob exists so equivalence tests and benchmarks can pin the
+    /// reference.
     #[must_use]
     pub fn full_scan(mut self, full_scan: bool) -> Self {
         self.full_scan = full_scan;
@@ -542,9 +609,9 @@ impl<P: Probe> Simulator<P> {
                 return Err(BuildError::BadFaultTarget { target, nodes: n });
             }
         }
-        // Dense radios carry no reverse index, so they always take the
+        // Dense radios keep no per-slot cutoffs, so they always take the
         // reference scan path (it doubles as the bit-exact oracle).
-        let path = if !full_scan && world.has_reverse_index() {
+        let path = if !full_scan && world.truncation_stats().is_some() {
             SirPath::Delta
         } else {
             SirPath::Scan
@@ -590,8 +657,9 @@ impl<P: Probe> Simulator<P> {
             rx_lock: vec![None; slots],
             path,
             slot: vec![SlotAcc::EMPTY; delta_slots],
-            slot_self: vec![0.0; delta_slots],
             next_at_slot: vec![NO_SU; delta_txs],
+            live: LiveCells::new(&world, path),
+            pu_terms: Vec::new(),
             delivered: 0,
             packets_expected: n.saturating_sub(1) * traffic.snapshots() as usize,
             delivery_times: vec![None; n],
@@ -665,6 +733,8 @@ impl<P: Probe> Simulator<P> {
                 EventKind::FaultAt { index } => self.on_fault_at(index),
                 EventKind::Heal { su } => self.on_heal(su),
             }
+            #[cfg(debug_assertions)]
+            self.check_live_sums();
         }
         let end = self.finished_at.unwrap_or(self.mac.max_sim_time);
         self.probe.on_finish(end);
@@ -947,7 +1017,7 @@ impl<P: Probe> Simulator<P> {
         // This transmitter's contribution enters every receiver that can
         // hear it, and the affected ongoing receptions are re-verdicted.
         // `own` is the (undegraded) contribution at our own receiver.
-        let mut own = 0.0;
+        let own = p_s * world.su_gain(su, rx_slot);
         let mut interference = 0.0;
         let mut contributors = 0u32;
         match self.path {
@@ -993,40 +1063,12 @@ impl<P: Probe> Simulator<P> {
                         contributors += 1;
                     }
                 }
-                own = p_s * world.su_gain(su, rx_slot);
             }
             SirPath::Delta => {
-                // One pass over the precomputed reverse row: accumulate
-                // into each touched slot and re-verdict just that slot's
-                // receptions. Each slot appears at most once in the row,
-                // so per-slot re-checks see the fully updated sum. The
-                // entry for our *own* receiver slot (if we are a
-                // receiver) is the clamped self-jamming monster — it
-                // bypasses the accumulator (see `slot_self`).
-                let my_slot = world.receiver_slot(su).unwrap_or(NO_SU);
-                let (slots, gains) = world
-                    .who_hears_su(su)
-                    .expect("delta path implies a reverse index");
-                for (&s, &g) in slots.iter().zip(gains) {
-                    if s == my_slot {
-                        self.slot_self[s as usize] = p_s * g;
-                        if self.slot[s as usize].head != NO_SU {
-                            self.recheck_slot(s);
-                        }
-                        continue;
-                    }
-                    let acc = &mut self.slot[s as usize];
-                    acc.intf += p_s * g;
-                    acc.cnt += 1;
-                    if s == rx_slot {
-                        own = p_s * g;
-                    }
-                    // The chain head lives on the cache line just
-                    // written, so skipping slots with no in-flight
-                    // reception (the vast majority) is free.
-                    if acc.head != NO_SU {
-                        self.recheck_slot(s);
-                    }
+                self.move_su_term(su, true);
+                // The first reception at a slot opens its sum.
+                if self.slot[rx_slot as usize].head == NO_SU {
+                    self.open_slot(rx_slot, su);
                 }
                 // Our own term is in the slot sum (we are not chained yet,
                 // so the re-check above never sees us); interference is
@@ -1041,7 +1083,7 @@ impl<P: Probe> Simulator<P> {
                 } else {
                     (acc.intf - own).max(0.0)
                 };
-                interference = rest + self.slot_self[rx_slot as usize];
+                interference = rest + acc.self_term;
             }
         }
         debug_assert!(own > 0.0, "transmitter inaudible at its own receiver");
@@ -1182,27 +1224,13 @@ impl<P: Probe> Simulator<P> {
                     self.next_at_slot[cur as usize] = self.next_at_slot[su as usize];
                 }
                 self.next_at_slot[su as usize] = NO_SU;
-                // ...and withdraw our contribution (own term included)
-                // from every slot that heard us. Our self-jamming term
-                // lives outside the accumulator, so clearing it is exact.
-                let my_slot = world.receiver_slot(su).unwrap_or(NO_SU);
-                let (slots, gains) = world
-                    .who_hears_su(su)
-                    .expect("delta path implies a reverse index");
-                for (&s, &g) in slots.iter().zip(gains) {
-                    if s == my_slot {
-                        self.slot_self[s as usize] = 0.0;
-                        continue;
-                    }
-                    let acc = &mut self.slot[s as usize];
-                    debug_assert!(acc.cnt > 0, "slot contributor underflow");
-                    acc.cnt -= 1;
-                    acc.intf = if acc.cnt == 0 {
-                        0.0
-                    } else {
-                        (acc.intf - p_s * g).max(0.0)
-                    };
+                // ...closing the slot if we were its last reception...
+                if self.slot[slot].head == NO_SU {
+                    self.close_slot(tx.rx_slot);
                 }
+                // ...and withdraw our term from every receiving slot that
+                // heard us.
+                self.move_su_term(su, false);
             }
         }
 
@@ -1581,6 +1609,9 @@ impl<P: Probe> Simulator<P> {
     fn on_pu_slot(&mut self, index: u64) {
         self.pu_scratch.copy_from_slice(&self.pu_on);
         self.activity.advance(&mut self.pu_scratch, &mut self.rng);
+        if self.path == SirPath::Delta {
+            self.gather_pu_terms();
+        }
         for k in 0..self.pu_scratch.len() {
             let new = self.pu_scratch[k];
             if new != self.pu_on[k] {
@@ -1595,8 +1626,53 @@ impl<P: Probe> Simulator<P> {
             (index + 1) as f64 * self.mac.slot,
             EventKind::PuSlot { index: index + 1 },
         );
+        self.pu_terms.clear();
         #[cfg(debug_assertions)]
         self.check_listeners();
+    }
+
+    /// Delta path, before a PU slot's toggles: gathers the `(pu, slot,
+    /// gain)` terms they move — each toggling PU in the near row of each
+    /// receiving slot — ordered by PU, the order the toggles run in. No
+    /// slot opens during a PU slot, so these are all the terms it moves.
+    fn gather_pu_terms(&mut self) {
+        let world = Arc::clone(&self.world);
+        for pos in 0..self.active.len() {
+            let s = self.active.rx_slot[pos];
+            // A slot's chain head stands for it, so each is read once.
+            if self.slot[s as usize].head != self.active.su[pos] {
+                continue;
+            }
+            let (ids, gains) = world.near_pus(s).expect("delta runs on sparse radios");
+            for (&k, &g) in ids.iter().zip(gains) {
+                if self.pu_scratch[k as usize] != self.pu_on[k as usize] {
+                    self.pu_terms.push((k, s, g));
+                }
+            }
+        }
+        self.pu_terms.sort_unstable_by_key(|&(k, _, _)| k);
+    }
+
+    /// Delta path: adds (`on`) or withdraws toggling PU `k`'s gathered
+    /// terms, skipping any slot an abort earlier in the PU slot closed. A
+    /// toggle's terms may run in any order: a re-check reads only its own
+    /// slot, and an addition re-checks each.
+    fn move_pu_terms(&mut self, k: usize, on: bool) {
+        let p_p = self.world.phy().pu_power();
+        let lo = self.pu_terms.partition_point(|t| (t.0 as usize) < k);
+        let hi = self.pu_terms.partition_point(|t| t.0 as usize <= k);
+        for i in lo..hi {
+            let (_, s, g) = self.pu_terms[i];
+            let acc = &mut self.slot[s as usize];
+            if acc.head == NO_SU {
+                continue;
+            } else if on {
+                acc.add(p_p * g);
+                self.recheck_slot(s);
+            } else {
+                acc.withdraw(p_p * g);
+            }
+        }
     }
 
     fn set_pu_on(&mut self, k: usize) {
@@ -1620,19 +1696,7 @@ impl<P: Probe> Simulator<P> {
                 }
                 self.check_all_sir();
             }
-            SirPath::Delta => {
-                let (slots, gains) = world
-                    .who_hears_pu(k)
-                    .expect("delta path implies a reverse index");
-                for (&s, &g) in slots.iter().zip(gains) {
-                    let acc = &mut self.slot[s as usize];
-                    acc.intf += p_p * g;
-                    acc.cnt += 1;
-                    if acc.head != NO_SU {
-                        self.recheck_slot(s);
-                    }
-                }
-            }
+            SirPath::Delta => self.move_pu_terms(k, true),
         }
 
         // Listening SUs overhearing this PU: freeze backoffs; transmitters
@@ -1678,21 +1742,7 @@ impl<P: Probe> Simulator<P> {
                     }
                 }
             }
-            SirPath::Delta => {
-                let (slots, gains) = world
-                    .who_hears_pu(k)
-                    .expect("delta path implies a reverse index");
-                for (&s, &g) in slots.iter().zip(gains) {
-                    let acc = &mut self.slot[s as usize];
-                    debug_assert!(acc.cnt > 0, "slot contributor underflow");
-                    acc.cnt -= 1;
-                    acc.intf = if acc.cnt == 0 {
-                        0.0
-                    } else {
-                        (acc.intf - p_p * g).max(0.0)
-                    };
-                }
-            }
+            SirPath::Delta => self.move_pu_terms(k, false),
         }
 
         self.for_each_listener(k, world.pu_fanout(k), Self::pu_busy_dec);
@@ -1733,7 +1783,7 @@ impl<P: Probe> Simulator<P> {
         let cnt = acc.cnt;
         // `x + 0.0` preserves the bits of every finite `x >= 0.0`, so
         // adding an absent self term is exact.
-        let self_term = self.slot_self[slot as usize];
+        let self_term = acc.self_term;
         let mut cur = acc.head;
         while cur != NO_SU {
             let pos = self.active_pos[cur as usize];
@@ -1750,6 +1800,146 @@ impl<P: Probe> Simulator<P> {
                 }
             }
             cur = self.next_at_slot[cur as usize];
+        }
+    }
+
+    /// Delta path: adds (`on`) or withdraws `su`'s term at every receiving
+    /// slot that hears it, all of them in the 3×3 cell block around it,
+    /// and lists or unlists `su` as live. An addition re-checks each
+    /// slot's receptions; each slot is listed once, so a re-check sees the
+    /// fully updated sum, and a removal never needs one (a shrinking sum
+    /// cannot newly fail the sticky SIR test). At `su`'s *own* slot, if it
+    /// is a receiver, the term is the clamped self-jamming monster, kept
+    /// apart in [`SlotAcc::self_term`] so that clearing it is exact.
+    fn move_su_term(&mut self, su: u32, on: bool) {
+        let world = Arc::clone(&self.world);
+        let p_s = world.phy().su_power();
+        let my_slot = world.receiver_slot(su).unwrap_or(NO_SU);
+        let cell = self.live.cells.of(world.su_positions()[su as usize]);
+        if on {
+            self.live.txs[cell].push(su);
+        } else {
+            unlist(&mut self.live.txs[cell], su);
+        }
+        for c in self.live.cells.around(cell) {
+            for i in 0..self.live.rxs[c].len() {
+                let s = self.live.rxs[c][i];
+                let g = world.su_gain(su, s);
+                let acc = &mut self.slot[s as usize];
+                if g == 0.0 {
+                    continue;
+                } else if s == my_slot {
+                    acc.self_term = if on { p_s * g } else { 0.0 };
+                } else if on {
+                    acc.add(p_s * g);
+                } else {
+                    acc.withdraw(p_s * g);
+                }
+                if on {
+                    self.recheck_slot(s);
+                }
+            }
+        }
+    }
+
+    /// Delta path: the cell of slot `s`'s receiver.
+    fn slot_cell(&self, s: u32) -> usize {
+        let rx = self.world.receivers()[s as usize];
+        self.live.cells.of(self.world.su_positions()[rx as usize])
+    }
+
+    /// Delta path: the live transmitters in the 3×3 cell block around slot
+    /// `s`'s receiver, a superset of those within its cutoff.
+    fn block_txs(&self, s: u32) -> impl Iterator<Item = u32> + '_ {
+        let cells = self.live.cells.around(self.slot_cell(s));
+        cells.flat_map(|c| self.live.txs[c].iter().copied())
+    }
+
+    /// Delta path: slot `s`'s sum over the transmitters `txs` it hears, in
+    /// their order (the owner's term kept apart), then over the on-PUs of
+    /// its served near row.
+    fn slot_sum(&self, s: u32, txs: impl Iterator<Item = u32>) -> SlotAcc {
+        let (p_s, p_p) = (self.world.phy().su_power(), self.world.phy().pu_power());
+        let owner = self.world.receivers()[s as usize];
+        let mut acc = SlotAcc::EMPTY;
+        for t in txs {
+            let g = self.world.su_gain(t, s);
+            if g != 0.0 && t == owner {
+                acc.self_term = p_s * g;
+            } else if g != 0.0 {
+                acc.add(p_s * g);
+            }
+        }
+        let (ids, gains) = self.world.near_pus(s).expect("delta runs on sparse radios");
+        for (&k, &g) in ids.iter().zip(gains) {
+            if self.pu_on[k as usize] {
+                acc.add(p_p * g);
+            }
+        }
+        acc
+    }
+
+    /// Delta path: opens slot `s` for its first reception, `su`'s, which
+    /// is live already. The sum starts from the other live transmitters
+    /// within the slot's cutoff, all in the cell block around it, then
+    /// `su`'s own term, then the on-PUs of the slot's near row; the slot
+    /// is listed as receiving.
+    fn open_slot(&mut self, s: u32, su: u32) {
+        debug_assert!(self.pu_terms.is_empty(), "slot {s} opened in a PU slot");
+        let others = self.block_txs(s).filter(|&t| t != su);
+        self.slot[s as usize] = self.slot_sum(s, others.chain([su]));
+        let cell = self.slot_cell(s);
+        self.live.rxs[cell].push(s);
+    }
+
+    /// Delta path: closes slot `s` after its last reception. Its sum is
+    /// dropped, so no residue outlives a reception.
+    fn close_slot(&mut self, s: u32) {
+        self.slot[s as usize] = SlotAcc::EMPTY;
+        let cell = self.slot_cell(s);
+        unlist(&mut self.live.rxs[cell], s);
+    }
+
+    /// Debug builds, after every event on the delta path: the cells list
+    /// exactly the live transmitters and the receiving slots, each in its
+    /// own cell, and every receiving slot's count and self term match its
+    /// contributors recounted from positions and on-PUs (over its cell
+    /// block, which those exact cells make every live transmitter that
+    /// can reach it). Worlds above [`CHECKED_SLOTS`] skip it: there the
+    /// per-event recount slowed a 5,000-SU debug test from under a second
+    /// to about a minute.
+    #[cfg(debug_assertions)]
+    fn check_live_sums(&self) {
+        if self.path != SirPath::Delta || self.slot.len() > CHECKED_SLOTS {
+            return;
+        }
+        let sus = self.world.su_positions();
+        let (mut txs, mut rxs) = (Vec::new(), Vec::new());
+        for c in 0..self.live.cells.len() {
+            txs.extend_from_slice(&self.live.txs[c]);
+            rxs.extend_from_slice(&self.live.rxs[c]);
+            let wrong_tx = self.live.txs[c]
+                .iter()
+                .find(|&&t| self.live.cells.of(sus[t as usize]) != c);
+            let wrong_rx = self.live.rxs[c].iter().find(|&&s| self.slot_cell(s) != c);
+            assert_eq!((wrong_tx, wrong_rx), (None, None), "listed in a wrong cell");
+        }
+        let mut live = self.active.su.clone();
+        let mut receiving = self.active.rx_slot.clone();
+        for v in [&mut txs, &mut rxs, &mut live, &mut receiving] {
+            v.sort_unstable();
+        }
+        receiving.dedup();
+        assert_eq!(
+            (txs, rxs),
+            (live.clone(), receiving.clone()),
+            "cells disagree"
+        );
+        for s in receiving {
+            let (got, want) = (self.slot[s as usize], self.slot_sum(s, self.block_txs(s)));
+            assert_eq!(got.cnt, want.cnt, "slot {s}: contributors drifted");
+            let bits = |a: SlotAcc| a.self_term.to_bits();
+            assert_eq!(bits(got), bits(want), "slot {s}: stale self term");
         }
     }
 

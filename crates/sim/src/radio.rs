@@ -222,24 +222,6 @@ struct CutoffStage {
     cutoff: Vec<f64>,
 }
 
-/// Transmitter-major SU→slot CSR of near-field gains.
-#[derive(Debug)]
-struct SuCsrStage {
-    key: StructureKey,
-    /// Row offsets, length `n + 1`.
-    su_off: Vec<u32>,
-    /// Receiver slots per SU row, ascending.
-    su_slot: Vec<u32>,
-    /// Gains aligned with `su_slot`.
-    su_gain: Vec<f64>,
-}
-
-impl SuCsrStage {
-    fn bytes(&self) -> usize {
-        (self.su_off.len() + self.su_slot.len()) * 4 + self.su_gain.len() * 8
-    }
-}
-
 /// Receiver-major near-field PU lists: row `s` holds the PUs slot `s`
 /// keeps, ids ascending, with their precomputed gains.
 #[derive(Debug)]
@@ -305,28 +287,33 @@ impl PuStructure {
         (&self.ext_id[lo..hi], &self.ext_gain[lo..hi])
     }
 
-    /// Each slot's pull count under `threshold`, with the far-field gain
+    /// Slot `s`'s pull count under threshold `t`, with the far-field gain
     /// it leaves excluded: the first of the slot's bounds that fits, else
-    /// the exact level after the pulls. `None` when some slot needs more
-    /// of its chain than this structure holds (the caller then rebuilds
-    /// it).
+    /// the exact level after the pulls. `None` when the slot needs more of
+    /// its chain than this structure holds (the caller then rebuilds it).
     ///
     /// Bounds and levels are pure functions of the geometry, so the result
     /// does not depend on which budget built the structure.
-    fn pull_counts(&self, threshold: &[f64]) -> Option<(Vec<u32>, Vec<f64>)> {
-        let mut pulls = Vec::with_capacity(threshold.len());
-        let mut excluded = Vec::with_capacity(threshold.len());
-        for (s, &t) in threshold.iter().enumerate() {
-            let (k, v) = if self.bound[s] <= t {
-                (0, self.bound[s])
-            } else {
-                let chain = self.levels(s);
-                // The chain is non-increasing, so its first value at or
-                // below the threshold is canonical: the refined bound
-                // (index 0) or level 0 pull nothing, level `k` pulls `k`.
-                let i = chain.partition_point(|&v| v > t);
-                (i.saturating_sub(1) as u32, *chain.get(i)?)
-            };
+    fn pull(&self, s: usize, t: f64) -> Option<(u32, f64)> {
+        if self.bound[s] <= t {
+            return Some((0, self.bound[s]));
+        }
+        let chain = self.levels(s);
+        // The chain is non-increasing, so its first value at or below the
+        // threshold is canonical: the refined bound (index 0) or level 0
+        // pull nothing, level `k` pulls `k`.
+        let i = chain.partition_point(|&v| v > t);
+        Some((i.saturating_sub(1) as u32, *chain.get(i)?))
+    }
+
+    /// [`PuStructure::pull`] for every slot, `threshold(s)` giving slot
+    /// `s`'s threshold.
+    fn pull_counts(&self, threshold: impl Fn(usize) -> f64) -> Option<(Vec<u32>, Vec<f64>)> {
+        let m = self.bound.len();
+        let mut pulls = Vec::with_capacity(m);
+        let mut excluded = Vec::with_capacity(m);
+        for s in 0..m {
+            let (k, v) = self.pull(s, threshold(s))?;
             pulls.push(k);
             excluded.push(v);
         }
@@ -340,81 +327,38 @@ impl PuStructure {
     }
 }
 
-/// The served near-field PU lists for one vector of pull counts, plus
-/// their transmitter-major transpose. Both are a pure function of the
-/// [`PuStructure`] and the counts, so radios that agree on every count
-/// share one copy; only the power-scaled residual is per radio.
-#[derive(Debug)]
-struct ServedPu {
-    /// Slot `s` serves its base row plus the first `pulls[s]` pulled PUs,
-    /// ids ascending. When no slot pulls, this is the structure's `base`.
-    lists: Arc<PuLists>,
-    rev: PuRevStage,
-}
-
-impl ServedPu {
-    fn new(num_pus: usize, structure: &PuStructure, pulls: &[u32]) -> Result<Self, WorldError> {
-        let lists = if pulls.iter().all(|&k| k == 0) {
-            structure.base.clone()
-        } else {
-            Arc::new(merge_pulled(structure, pulls)?)
-        };
-        let rev = PuRevStage::from_lists(num_pus, &lists);
-        Ok(Self { lists, rev })
-    }
-
-    /// Whether these lists serve exactly `pulls` over `structure`, the
-    /// structure they were built from. A served row is its base row plus
-    /// its pulled PUs, which the cutoff keeps disjoint.
-    fn serves(&self, structure: &PuStructure, pulls: &[u32]) -> bool {
-        pulls
-            .iter()
-            .enumerate()
-            .all(|(s, &k)| self.lists.row(s).0.len() == structure.base.row(s).0.len() + k as usize)
+/// The served near-field PU lists for one vector of pull counts: slot `s`
+/// serves its base row plus the first `pulls[s]` pulled PUs, ids
+/// ascending. They are a pure function of the [`PuStructure`] and the
+/// counts, so radios that agree on every count share one copy, and when
+/// no slot pulls they are the structure's `base`.
+fn served_lists(structure: &PuStructure, pulls: &[u32]) -> Result<Arc<PuLists>, WorldError> {
+    if pulls.iter().all(|&k| k == 0) {
+        Ok(structure.base.clone())
+    } else {
+        Ok(Arc::new(merge_pulled(structure, pulls)?))
     }
 }
 
-/// Transmitter-major transpose of the served near-field PU lists: for
-/// each PU, the receiver slots whose near lists keep it, with the same
-/// precomputed gains (slots ascending per row).
-///
-/// Together with the transmitter-major rows of [`SuCsrStage`] this is
-/// the reverse index the engine's delta path walks: turning a PU on or
-/// off (or starting/ending an SU transmission) touches exactly one row
-/// instead of scanning every active reception, and the row carries the
-/// gains so the event loop never calls `pu_gain`/`su_gain`.
-#[derive(Debug)]
-struct PuRevStage {
-    pu_off: Vec<u32>,
-    pu_slot: Vec<u32>,
-    pu_gain: Vec<f64>,
+/// Whether `lists` serve exactly `pulls` over `structure`, the structure
+/// they were built from. A served row is its base row plus its pulled
+/// PUs, which the cutoff keeps disjoint.
+fn serves(lists: &PuLists, structure: &PuStructure, pulls: &[u32]) -> bool {
+    pulls
+        .iter()
+        .enumerate()
+        .all(|(s, &k)| lists.row(s).0.len() == structure.base.row(s).0.len() + k as usize)
 }
 
-impl PuRevStage {
-    /// Transposes receiver-major [`PuLists`] (O(nnz) counting scatter).
-    fn from_lists(num_pus: usize, lists: &PuLists) -> Self {
-        let (pu_off, pu_slot, pu_gain) =
-            crate::topology::transpose_csr(num_pus, &lists.off, &lists.id, &lists.gain);
-        Self {
-            pu_off,
-            pu_slot,
-            pu_gain,
-        }
-    }
-
-    fn bytes(&self) -> usize {
-        (self.pu_off.len() + self.pu_slot.len()) * 4 + self.pu_gain.len() * 8
-    }
-}
-
-/// Sparse gain stages (`Truncated` model).
+/// Sparse gain stages (`Truncated` model). SU gains are not stored:
+/// [`SparseRadio::su_gain`] recomputes each from positions.
 #[derive(Clone, Debug)]
 struct SparseRadio {
+    law: PathLoss,
     gmin: Arc<GminStage>,
     cutoff: Arc<CutoffStage>,
-    su: Arc<SuCsrStage>,
     structure: Arc<PuStructure>,
-    served: Arc<ServedPu>,
+    served: Arc<PuLists>,
     /// Per-slot certified upper bound on the power received if every
     /// excluded PU transmitted at once (the PU-side truncation error):
     /// the far-field bound where it fits the budget, else exact.
@@ -435,6 +379,25 @@ pub struct Radio {
     params: RadioParams,
     sense: Arc<SenseStage>,
     gains: RadioGains,
+}
+
+impl SparseRadio {
+    /// The gain from `su` at `slot`, from the positions of `topology`:
+    /// `gain_sq(d²)` exactly when the squared distance `d²` to the slot's
+    /// receiver is at most its cutoff squared — the test a
+    /// [`crn_geometry::GridIndex`] disk query of that radius applies — and
+    /// `0.0` beyond.
+    fn su_gain(&self, topology: &Topology, su: u32, slot: u32) -> f64 {
+        let sus = topology.su_positions();
+        let q = sus[topology.receivers()[slot as usize] as usize];
+        let d2 = sus[su as usize].distance_sq(q);
+        let c = self.cutoff.cutoff[slot as usize];
+        if d2 <= c * c {
+            self.law.gain_sq(d2)
+        } else {
+            0.0
+        }
+    }
 }
 
 impl Radio {
@@ -540,53 +503,72 @@ impl Radio {
                     Some(p) if p.cutoff.key == skey => p.cutoff.clone(),
                     _ => Arc::new(build_cutoffs(topology, params, epsilon, &gmin.g_min, skey)),
                 };
-                let su = match prev_sparse {
-                    Some(p) if p.su.key == skey => p.su.clone(),
-                    _ => Arc::new(build_su_csr(topology, phy.alpha(), &cutoff.cutoff, skey)?),
-                };
-                let threshold = pu_thresholds(phy, epsilon, &gmin.g_min);
-                let reused = prev_sparse
-                    .filter(|p| p.structure.key == skey)
-                    .and_then(|p| {
-                        Some((p.structure.clone(), p.structure.pull_counts(&threshold)?))
-                    });
-                let (structure, (pulls, excluded)) = match reused {
-                    Some(reused) => reused,
-                    None => {
-                        let structure = build_pu_structure(
-                            topology,
-                            phy.alpha(),
-                            &cutoff.cutoff,
-                            &threshold,
-                            skey,
-                        )?;
-                        let counts = structure
-                            .pull_counts(&threshold)
-                            .expect("a freshly built structure covers its own budgets");
-                        (Arc::new(structure), counts)
-                    }
-                };
-                // Served lists depend only on the structure and the pull
-                // counts, so a radio that agrees with its predecessor on
-                // both keeps its lists and reverse index.
-                let served = match prev_sparse {
-                    Some(p)
-                        if Arc::ptr_eq(&p.structure, &structure)
-                            && p.served.serves(&structure, &pulls) =>
-                    {
-                        p.served.clone()
-                    }
-                    _ => Arc::new(ServedPu::new(topology.num_pus(), &structure, &pulls)?),
-                };
-                let pu_residual = excluded.iter().map(|&v| phy.pu_power() * v).collect();
-                RadioGains::Sparse(SparseRadio {
-                    gmin,
-                    cutoff,
-                    su,
-                    structure,
-                    served,
-                    pu_residual,
-                })
+                let law = PathLoss::new(phy.alpha());
+                let g_min = &gmin.g_min;
+                let threshold = |s: usize| pu_threshold(phy, epsilon, g_min[s]);
+                // A step that moves no slot's pull count or excluded gain,
+                // at an unchanged `P_p`, keeps the served lists and the
+                // residual: each slot is checked under both budgets
+                // without materializing either.
+                let unmoved = prev.zip(prev_sparse).filter(|(p, sp)| {
+                    let before = &p.params.phy;
+                    let bits = |v: Option<(u32, f64)>| v.map(|(k, x)| (k, x.to_bits()));
+                    sp.structure.key == skey
+                        && before.pu_power().to_bits() == phy.pu_power().to_bits()
+                        && (0..g_min.len()).all(|s| {
+                            let old = sp
+                                .structure
+                                .pull(s, pu_threshold(before, epsilon, g_min[s]));
+                            bits(old) == bits(sp.structure.pull(s, threshold(s)))
+                        })
+                });
+                if let Some((_, sp)) = unmoved {
+                    // The structure key covers alpha and the cutoffs too.
+                    RadioGains::Sparse(sp.clone())
+                } else {
+                    let reused = prev_sparse
+                        .filter(|p| p.structure.key == skey)
+                        .and_then(|p| {
+                            Some((p.structure.clone(), p.structure.pull_counts(threshold)?))
+                        });
+                    let (structure, (pulls, excluded)) = match reused {
+                        Some(reused) => reused,
+                        None => {
+                            let structure = build_pu_structure(
+                                topology,
+                                &law,
+                                &cutoff.cutoff,
+                                threshold,
+                                skey,
+                            )?;
+                            let counts = structure
+                                .pull_counts(threshold)
+                                .expect("a freshly built structure covers its own budgets");
+                            (Arc::new(structure), counts)
+                        }
+                    };
+                    // Served lists depend only on the structure and the
+                    // pull counts, so a radio that agrees with its
+                    // predecessor on both keeps its lists.
+                    let served = match prev_sparse {
+                        Some(p)
+                            if Arc::ptr_eq(&p.structure, &structure)
+                                && serves(&p.served, &structure, &pulls) =>
+                        {
+                            p.served.clone()
+                        }
+                        _ => served_lists(&structure, &pulls)?,
+                    };
+                    let pu_residual = excluded.iter().map(|&v| phy.pu_power() * v).collect();
+                    RadioGains::Sparse(SparseRadio {
+                        law,
+                        gmin,
+                        cutoff,
+                        structure,
+                        served,
+                        pu_residual,
+                    })
+                }
             }
         };
 
@@ -624,7 +606,7 @@ impl Radio {
         match &self.gains {
             RadioGains::Dense(d) => d.pu_gain[pu * d.slots + slot as usize],
             RadioGains::Sparse(s) => {
-                let (ids, gains) = s.served.lists.row(slot as usize);
+                let (ids, gains) = s.served.row(slot as usize);
                 match ids.binary_search(&(pu as u32)) {
                     Ok(idx) => gains[idx],
                     Err(_) => 0.0,
@@ -633,61 +615,22 @@ impl Radio {
         }
     }
 
-    pub(crate) fn su_gain(&self, su: u32, slot: u32) -> f64 {
+    /// The gain from `su` at `slot`: the dense table entry, or on a
+    /// truncated radio [`SparseRadio::su_gain`] over `topology`, the
+    /// deployment this radio was customized for. Kept this small so the
+    /// dense lookup inlines into the scan path's loops.
+    #[inline]
+    pub(crate) fn su_gain(&self, topology: &Topology, su: u32, slot: u32) -> f64 {
         match &self.gains {
             RadioGains::Dense(d) => d.su_gain[su as usize * d.slots + slot as usize],
-            RadioGains::Sparse(s) => {
-                let csr = &s.su;
-                let lo = csr.su_off[su as usize] as usize;
-                let hi = csr.su_off[su as usize + 1] as usize;
-                match csr.su_slot[lo..hi].binary_search(&slot) {
-                    Ok(idx) => csr.su_gain[lo + idx],
-                    Err(_) => 0.0,
-                }
-            }
+            RadioGains::Sparse(s) => s.su_gain(topology, su, slot),
         }
     }
 
     pub(crate) fn near_pus(&self, slot: u32) -> Option<(&[u32], &[f64])> {
         match &self.gains {
             RadioGains::Dense(_) => None,
-            RadioGains::Sparse(s) => Some(s.served.lists.row(slot as usize)),
-        }
-    }
-
-    /// Whether this radio carries the transmitter-indexed reverse rows
-    /// (`who_hears_su`/`who_hears_pu`) the delta engine needs.
-    pub(crate) fn has_reverse_index(&self) -> bool {
-        matches!(self.gains, RadioGains::Sparse(_))
-    }
-
-    /// The receiver slots that hear `su` in the sparse near-field
-    /// tables, with precomputed gains (slots ascending) — row `su` of
-    /// the transmitter-major SU CSR. `None` in dense mode.
-    pub(crate) fn who_hears_su(&self, su: u32) -> Option<(&[u32], &[f64])> {
-        match &self.gains {
-            RadioGains::Dense(_) => None,
-            RadioGains::Sparse(s) => {
-                let csr = &s.su;
-                let lo = csr.su_off[su as usize] as usize;
-                let hi = csr.su_off[su as usize + 1] as usize;
-                Some((&csr.su_slot[lo..hi], &csr.su_gain[lo..hi]))
-            }
-        }
-    }
-
-    /// The receiver slots whose near lists keep PU `pu`, with
-    /// precomputed gains (slots ascending) — row `pu` of the reverse
-    /// PU index. `None` in dense mode.
-    pub(crate) fn who_hears_pu(&self, pu: usize) -> Option<(&[u32], &[f64])> {
-        match &self.gains {
-            RadioGains::Dense(_) => None,
-            RadioGains::Sparse(s) => {
-                let rev = &s.served.rev;
-                let lo = rev.pu_off[pu] as usize;
-                let hi = rev.pu_off[pu + 1] as usize;
-                Some((&rev.pu_slot[lo..hi], &rev.pu_gain[lo..hi]))
-            }
+            RadioGains::Sparse(s) => Some(s.served.row(slot as usize)),
         }
     }
 
@@ -706,16 +649,14 @@ impl Radio {
         match &self.gains {
             RadioGains::Dense(d) => (d.pu_gain.len() + d.su_gain.len()) * 8,
             RadioGains::Sparse(s) => {
-                let served_lists = if Arc::ptr_eq(&s.served.lists, &s.structure.base) {
+                let served_lists = if Arc::ptr_eq(&s.served, &s.structure.base) {
                     0
                 } else {
-                    s.served.lists.bytes()
+                    s.served.bytes()
                 };
                 (s.cutoff.cutoff.len() + s.pu_residual.len()) * 8
-                    + s.su.bytes()
                     + s.structure.bytes()
                     + served_lists
-                    + s.served.rev.bytes()
             }
         }
     }
@@ -824,55 +765,11 @@ fn build_cutoffs(
     CutoffStage { key, cutoff }
 }
 
-/// The transmitter-major SU→slot CSR, built in place by two passes of
-/// the same per-receiver grid queries: the first counts each SU's row
-/// length, the second writes every entry at its row's cursor. Both visit
-/// receiver slots ascending, so every row comes out slot-ascending and
-/// nothing is staged beside the finished table.
-fn build_su_csr(
-    topology: &Topology,
-    alpha: f64,
-    cutoff: &[f64],
-    key: StructureKey,
-) -> Result<SuCsrStage, WorldError> {
-    let sus = topology.su_positions();
-    let receivers = topology.receivers();
-    let index = topology.su_index();
-    let n = sus.len();
-    let law = PathLoss::new(alpha);
-    let mut su_off = vec![0u32; n + 1];
-    for (s, &rx) in receivers.iter().enumerate() {
-        index.for_each_within(sus[rx as usize], cutoff[s], |j| su_off[j as usize + 1] += 1);
-    }
-    let nnz = prefix_offsets("SU near-field", &mut su_off)?;
-    let mut su_slot = vec![0u32; nnz];
-    let mut su_gain = vec![0.0f64; nnz];
-    let mut cursor = su_off[..n].to_vec();
-    for (s, &rx) in receivers.iter().enumerate() {
-        let q = sus[rx as usize];
-        index.for_each_within(q, cutoff[s], |j| {
-            let c = &mut cursor[j as usize];
-            su_slot[*c as usize] = s as u32;
-            su_gain[*c as usize] = law.gain_sq(sus[j as usize].distance_sq(q));
-            *c += 1;
-        });
-    }
-    Ok(SuCsrStage {
-        key,
-        su_off,
-        su_slot,
-        su_gain,
-    })
-}
-
-/// PU-side exclusion threshold per slot, in gain space:
-/// `p_p · excluded ≤ 0.5·ε·(p_s·g_min)/η_s` rearranged so the comparison
-/// against the stored bound and levels is power-free.
-fn pu_thresholds(phy: &PhyParams, epsilon: f64, g_min: &[f64]) -> Vec<f64> {
-    g_min
-        .iter()
-        .map(|&g| 0.5 * epsilon * phy.su_power() * g / (phy.su_sir_threshold() * phy.pu_power()))
-        .collect()
+/// PU-side exclusion threshold of a slot with weakest-link gain `g_min`,
+/// in gain space: `p_p · excluded ≤ 0.5·ε·(p_s·g_min)/η_s` rearranged so
+/// the comparison against the stored bound and levels is power-free.
+fn pu_threshold(phy: &PhyParams, epsilon: f64, g_min: f64) -> f64 {
+    0.5 * epsilon * phy.su_power() * g_min / (phy.su_sir_threshold() * phy.pu_power())
 }
 
 /// The exact radius of a slot's far-field bound, in multiples of the
@@ -963,7 +860,8 @@ fn box_distance_sq(a: &[f64; 4], b: &[f64; 4]) -> f64 {
 
 /// A grid of square cells, row-major, over the bounding box of a point
 /// set.
-struct Cells {
+#[derive(Debug)]
+pub(crate) struct Cells {
     origin: [f64; 2],
     side: f64,
     cols: usize,
@@ -974,7 +872,7 @@ impl Cells {
     /// Cells over `points` holding about `per_cell` of them each, no
     /// narrower than `min_side`, and never more along one axis than there
     /// are points.
-    fn new(points: impl Iterator<Item = Point>, per_cell: f64, min_side: f64) -> Self {
+    pub(crate) fn new(points: impl Iterator<Item = Point>, per_cell: f64, min_side: f64) -> Self {
         let (mut all, mut n) = (EMPTY_BOX, 0usize);
         for p in points {
             grow_box(&mut all, &point_box(p));
@@ -998,15 +896,26 @@ impl Cells {
         }
     }
 
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.cols * self.rows
     }
 
     /// The cell of `p`, a point of the set (others clamp to the edge).
-    fn of(&self, p: Point) -> usize {
+    pub(crate) fn of(&self, p: Point) -> usize {
         let c = (((p.x - self.origin[0]) / self.side) as usize).min(self.cols - 1);
         let r = (((p.y - self.origin[1]) / self.side) as usize).min(self.rows - 1);
         r * self.cols + c
+    }
+
+    /// Cell `c` and its neighbours: the 3×3 block around it, clipped to
+    /// the grid. Two points of the set less than a cell side apart lie in
+    /// each other's blocks.
+    pub(crate) fn around(&self, c: usize) -> impl Iterator<Item = usize> {
+        let (col, row) = (c % self.cols, c / self.cols);
+        let cols = col.saturating_sub(1)..=(col + 1).min(self.cols - 1);
+        let width = self.cols;
+        (row.saturating_sub(1)..=(row + 1).min(self.rows - 1))
+            .flat_map(move |r| cols.clone().map(move |c| r * width + c))
     }
 }
 
@@ -1119,6 +1028,23 @@ impl PuGrid {
         sum
     }
 
+    /// How many PUs of the leaf cells `leaves` lie within `cutoff_sq` of
+    /// `q`: the length of the near list [`PuGrid::evaluate`] pushes.
+    fn count_near(&self, leaves: &[u32], q: Point, cutoff_sq: f64) -> u32 {
+        let mut n = 0;
+        for &c in leaves {
+            let (lo, hi) = (
+                self.leaf_off[c as usize] as usize,
+                self.leaf_off[c as usize + 1] as usize,
+            );
+            n += self.leaf_pos[lo..hi]
+                .iter()
+                .filter(|p| p.distance_sq(q) <= cutoff_sq)
+                .count() as u32;
+        }
+        n
+    }
+
     /// Evaluates every PU of the leaf cells `leaves` for the receiver at
     /// `q` as the exact fold evaluates it: within `cutoff_sq` it is pushed
     /// with its gain onto `near` (if given), else its gain is added to the
@@ -1140,10 +1066,12 @@ impl PuGrid {
             for (&k, p) in self.leaf_id[lo..hi].iter().zip(&self.leaf_pos[lo..hi]) {
                 let d2 = p.distance_sq(q);
                 let g = law.gain_sq(d2);
-                if d2 > cutoff_sq {
+                if d2 <= cutoff_sq {
+                    if let Some(near) = near.as_deref_mut() {
+                        near.push((k, g));
+                    }
+                } else {
                     sum += g;
-                } else if let Some(near) = near.as_deref_mut() {
-                    near.push((k, g));
                 }
             }
         }
@@ -1261,22 +1189,29 @@ fn rounding_margin(num_pus: usize) -> f64 {
 /// only sound option here.
 fn build_pu_structure(
     topology: &Topology,
-    alpha: f64,
+    law: &PathLoss,
     cutoff: &[f64],
-    threshold: &[f64],
+    threshold: impl Fn(usize) -> f64,
     key: StructureKey,
 ) -> Result<PuStructure, WorldError> {
     let m = topology.num_receiver_slots();
     let sus = topology.su_positions();
     let pus = topology.pu_positions();
     let receivers = topology.receivers();
-    let law = PathLoss::new(alpha);
     let grid = PuGrid::new(pus);
-    let groups = GroupWalks::new(topology, &grid, cutoff, &law)?;
+    let groups = GroupWalks::new(topology, &grid, cutoff, law)?;
     let margin = rounding_margin(pus.len());
+    // The base rows are the largest table here: count them first, so they
+    // are written in place into blocks sized once, with no doubling
+    // reallocation holding an old and a new block at the same time.
     let mut base_off = vec![0u32; m + 1];
-    let mut base_id = Vec::new();
-    let mut base_gain = Vec::new();
+    for s in 0..m {
+        let q = sus[receivers[s] as usize];
+        base_off[s + 1] = grid.count_near(groups.of(s).0, q, cutoff[s] * cutoff[s]);
+    }
+    let entries = prefix_offsets("PU near-field", &mut base_off)?;
+    let mut base_id = vec![0u32; entries];
+    let mut base_gain = vec![0.0f64; entries];
     let mut bound = Vec::with_capacity(m);
     let mut ext_off = vec![0u32; m + 1];
     let mut ext_id = Vec::new();
@@ -1289,21 +1224,28 @@ fn build_pu_structure(
     for s in 0..m {
         let q = sus[receivers[s] as usize];
         let cutoff_sq = cutoff[s] * cutoff[s];
+        let threshold = threshold(s);
         let (near_leaves, group_far) = groups.of(s);
         near.clear();
-        let exact = grid.evaluate(near_leaves, q, cutoff_sq, &law, Some(&mut near));
+        let exact = grid.evaluate(near_leaves, q, cutoff_sq, law, Some(&mut near));
         let b = margin * (exact + group_far);
         near.sort_unstable_by_key(|&(k, _)| k);
-        base_id.extend(near.iter().map(|&(k, _)| k));
-        base_gain.extend(near.iter().map(|&(_, g)| g));
-        base_off[s + 1] = offset("PU near-field", base_id.len())?;
+        let row = base_off[s] as usize..base_off[s + 1] as usize;
+        assert_eq!(near.len(), row.len(), "slot {s}: near PUs miscounted");
+        for ((id, gain), &(k, g)) in base_id[row.clone()]
+            .iter_mut()
+            .zip(&mut base_gain[row])
+            .zip(&near)
+        {
+            (*id, *gain) = (k, g);
+        }
         bound.push(b);
-        let refined = (b > threshold[s]).then(|| {
+        let refined = (b > threshold).then(|| {
             let r = REFINED_RADIUS_CUTOFFS * cutoff[s];
-            (margin * grid.point_bound(q, cutoff_sq, r, &law, &mut leaves, &mut stack)).min(b)
+            (margin * grid.point_bound(q, cutoff_sq, r, law, &mut leaves, &mut stack)).min(b)
         });
         level.extend(refined);
-        if refined.is_some_and(|v| v > threshold[s]) {
+        if refined.is_some_and(|v| v > threshold) {
             // `-0.0` and PU-id order make this the very left fold that
             // `Iterator::sum` performs, so the level keeps its bits (an
             // empty far field included).
@@ -1315,7 +1257,7 @@ fn build_pu_structure(
                 }
             }
             level.push(lvl0);
-            if lvl0 > threshold[s] {
+            if lvl0 > threshold {
                 // Distances are non-negative finite, so their bit patterns
                 // order identically to the values; `far` starts in id
                 // order, so the stable sort breaks distance ties toward
@@ -1327,7 +1269,7 @@ fn build_pu_structure(
                 }));
                 far.sort_by_key(|&(d2_bits, _, _)| d2_bits);
                 let mut pulled = 0usize;
-                while level.last().copied().expect("level 0 exists") > threshold[s]
+                while level.last().copied().expect("level 0 exists") > threshold
                     && pulled < far.len()
                 {
                     let (_, id, g) = far[pulled];
@@ -1447,7 +1389,10 @@ mod tests {
             assert_eq!(a.su_hears_su(su), b.su_hears_su(su));
             assert_eq!(a.sensed_pus(su), b.sensed_pus(su), "su {su}");
             for s in 0..m {
-                assert_eq!(a.su_gain(su, s).to_bits(), b.su_gain(su, s).to_bits());
+                assert_eq!(
+                    a.su_gain(topo, su, s).to_bits(),
+                    b.su_gain(topo, su, s).to_bits()
+                );
             }
         }
         for pu in 0..topo.num_pus() {
@@ -1462,12 +1407,6 @@ mod tests {
         }
         for s in 0..m {
             assert_eq!(a.near_pus(s), b.near_pus(s));
-        }
-        for su in 0..topo.num_sus() as u32 {
-            assert_eq!(a.who_hears_su(su), b.who_hears_su(su));
-        }
-        for pu in 0..topo.num_pus() {
-            assert_eq!(a.who_hears_pu(pu), b.who_hears_pu(pu));
         }
         match (a.truncation_stats(), b.truncation_stats()) {
             (Some((ca, ra)), Some((cb, rb))) => {
@@ -1502,7 +1441,6 @@ mod tests {
         };
         assert!(Arc::ptr_eq(&old.gmin, &new.gmin));
         assert!(Arc::ptr_eq(&old.cutoff, &new.cutoff), "cutoffs rebuilt");
-        assert!(Arc::ptr_eq(&old.su, &new.su), "SU CSR rebuilt");
         assert!(
             Arc::ptr_eq(&old.structure, &new.structure),
             "PU structure rebuilt on a looser budget"
@@ -1510,6 +1448,10 @@ mod tests {
         assert!(
             Arc::ptr_eq(&old.served, &new.served),
             "served PU lists rebuilt though no pull count moved"
+        );
+        assert!(
+            Arc::ptr_eq(&old.pu_residual, &new.pu_residual),
+            "residual rebuilt though P_p and every excluded gain held"
         );
         assert_eq!(radio.gain_table_bytes(), re.gain_table_bytes());
         // And the reused stages still produce exactly a fresh build.
@@ -1541,7 +1483,7 @@ mod tests {
     fn total_pulls(radio: &Radio) -> usize {
         let s = sparse(radio);
         (0..s.pu_residual.len())
-            .map(|i| s.served.lists.row(i).0.len() - s.structure.base.row(i).0.len())
+            .map(|i| s.served.row(i).0.len() - s.structure.base.row(i).0.len())
             .sum()
     }
 
@@ -1552,12 +1494,11 @@ mod tests {
         let radio = Radio::customize(&topo, &pulling).unwrap();
         assert!(total_pulls(&radio) > 0, "the tight budget must pull");
         assert!(!Arc::ptr_eq(
-            &sparse(&radio).served.lists,
+            &sparse(&radio).served,
             &sparse(&radio).structure.base
         ));
         // Scaling both powers keeps every threshold, hence every pull
-        // count: lists and reverse index are kept, only the residual
-        // moves.
+        // count: the lists are kept, only the residual moves.
         let same_counts = radio
             .recustomize(&topo, &powered(sparse_params(), 200.0, 2.0))
             .unwrap();
@@ -1581,7 +1522,7 @@ mod tests {
             prev = next;
         }
         assert!(
-            Arc::ptr_eq(&sparse(&prev).served.lists, &sparse(&prev).structure.base),
+            Arc::ptr_eq(&sparse(&prev).served, &sparse(&prev).structure.base),
             "with no pulls the served lists are the base lists"
         );
     }
@@ -1730,12 +1671,12 @@ mod tests {
     /// levels do.
     fn tiers(radio: &Radio, params: &RadioParams) -> Vec<u8> {
         let s = sparse(radio);
-        let threshold = pu_thresholds(&params.phy, 0.1, &s.gmin.g_min);
-        (0..threshold.len())
+        (0..s.gmin.g_min.len())
             .map(|i| {
-                if s.structure.bound[i] <= threshold[i] {
+                let threshold = pu_threshold(&params.phy, 0.1, s.gmin.g_min[i]);
+                if s.structure.bound[i] <= threshold {
                     0
-                } else if s.structure.levels(i)[0] <= threshold[i] {
+                } else if s.structure.levels(i)[0] <= threshold {
                     1
                 } else {
                     2
@@ -1759,7 +1700,11 @@ mod tests {
         for ((name, topo), (pu_power, su_power)) in certification_worlds().into_iter().zip(ratios) {
             let params = powered(sparse_params(), pu_power, su_power);
             let radio = Radio::customize(&topo, &params).unwrap();
-            let threshold = pu_thresholds(&params.phy, 0.1, &sparse(&radio).gmin.g_min);
+            let g_min = &sparse(&radio).gmin.g_min;
+            let threshold: Vec<f64> = g_min
+                .iter()
+                .map(|&g| pu_threshold(&params.phy, 0.1, g))
+                .collect();
             let structure = &sparse(&radio).structure;
             let (_, residual) = radio.truncation_stats().unwrap();
             let tiers = tiers(&radio, &params);
@@ -1858,16 +1803,14 @@ mod tests {
             let radio =
                 Radio::customize(&topo, &powered(sparse_params(), pu_power, su_power)).unwrap();
             let s = sparse(&radio);
-            let shared = Arc::ptr_eq(&s.served.lists, &s.structure.base);
+            let shared = Arc::ptr_eq(&s.served, &s.structure.base);
             assert_eq!(shared, total_pulls(&radio) == 0);
-            let served_lists = if shared { 0 } else { s.served.lists.bytes() };
+            let served_lists = if shared { 0 } else { s.served.bytes() };
             assert_eq!(
                 radio.gain_table_bytes(),
                 (s.cutoff.cutoff.len() + s.pu_residual.len()) * 8
-                    + s.su.bytes()
                     + s.structure.bytes()
                     + served_lists
-                    + s.served.rev.bytes()
             );
         }
     }
@@ -1996,44 +1939,33 @@ mod tests {
     }
 
     #[test]
-    fn reverse_index_mirrors_forward_tables_exactly() {
-        let topo = grid();
-        let radio = Radio::customize(&topo, &sparse_params()).unwrap();
-        assert!(radio.has_reverse_index());
-        let m = topo.num_receiver_slots() as u32;
-        // Every reverse-row entry carries the forward gain bit-for-bit,
-        // rows are slot-ascending, and nothing is missing: the nonzero
-        // counts agree in both orientations.
-        let mut su_nnz = 0usize;
-        for su in 0..topo.num_sus() as u32 {
-            let (slots, gains) = radio.who_hears_su(su).unwrap();
-            assert_eq!(slots.len(), gains.len());
-            assert!(slots.windows(2).all(|w| w[0] < w[1]), "su {su} unsorted");
-            for (&s, &g) in slots.iter().zip(gains) {
-                assert_eq!(radio.su_gain(su, s).to_bits(), g.to_bits());
-                assert!(g > 0.0);
+    fn su_gains_follow_the_cutoff_disk_query_bit_for_bit() {
+        // The gain rule recomputes every SU gain from positions. A brute
+        // force over every (SU, slot) pair: the gain is `gain_sq(d²)`
+        // exactly where the cutoff's disk query visits the SU, `0.0`
+        // elsewhere.
+        for (name, topo) in certification_worlds() {
+            let radio = Radio::customize(&topo, &sparse_params()).unwrap();
+            let cutoff = radio.truncation_stats().unwrap().0;
+            let law = PathLoss::new(radio.params().phy.alpha());
+            let sus = topo.su_positions();
+            let mut heard = vec![false; sus.len()];
+            for s in 0..topo.num_receiver_slots() {
+                let q = sus[topo.receivers()[s] as usize];
+                heard.fill(false);
+                topo.su_index()
+                    .for_each_within(q, cutoff[s], |j| heard[j as usize] = true);
+                for (su, &p) in sus.iter().enumerate() {
+                    let want = if heard[su] {
+                        law.gain_sq(p.distance_sq(q))
+                    } else {
+                        0.0
+                    };
+                    let got = radio.su_gain(&topo, su as u32, s as u32);
+                    assert_eq!(got.to_bits(), want.to_bits(), "{name}: su {su} at slot {s}");
+                }
             }
-            su_nnz += slots.len();
         }
-        let forward_su_nnz: usize = (0..m)
-            .map(|s| {
-                (0..topo.num_sus() as u32)
-                    .filter(|&su| radio.su_gain(su, s) != 0.0)
-                    .count()
-            })
-            .sum();
-        assert_eq!(su_nnz, forward_su_nnz);
-        let mut pu_nnz = 0usize;
-        for pu in 0..topo.num_pus() {
-            let (slots, gains) = radio.who_hears_pu(pu).unwrap();
-            assert!(slots.windows(2).all(|w| w[0] < w[1]), "pu {pu} unsorted");
-            for (&s, &g) in slots.iter().zip(gains) {
-                assert_eq!(radio.pu_gain(pu, s).to_bits(), g.to_bits());
-            }
-            pu_nnz += slots.len();
-        }
-        let forward_pu_nnz: usize = (0..m).map(|s| radio.near_pus(s).unwrap().0.len()).sum();
-        assert_eq!(pu_nnz, forward_pu_nnz);
     }
 
     #[test]
@@ -2062,15 +1994,6 @@ mod tests {
             assert!(fanout > 0, "the grid's PUs must be heard");
             assert_eq!(entries, fanout);
         }
-    }
-
-    #[test]
-    fn dense_mode_has_no_reverse_index() {
-        let topo = grid();
-        let radio = Radio::customize(&topo, &RadioParams::new(phy()).sense_range(24.0)).unwrap();
-        assert!(!radio.has_reverse_index());
-        assert!(radio.who_hears_su(0).is_none());
-        assert!(radio.who_hears_pu(0).is_none());
     }
 
     #[test]

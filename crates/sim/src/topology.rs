@@ -213,13 +213,9 @@ impl TopologyBuilder {
 ///
 /// The scatter walks the input rows in ascending order and the counting
 /// sort is stable, so each output row lists its entries in ascending
-/// input-row order. This is how the radio layer turns the
-/// receiver-major near-field lists (slot → transmitters) into the
-/// transmitter-major reverse index (`who_hears`) the delta engine walks
-/// per event, with every gain carried along so the event loop never
-/// re-derives one; with fanout positions as the values, it also turns
-/// each PU's sensing fanout into the SU-major lists the engine's
-/// listener bookkeeping reads.
+/// input-row order. With fanout positions as the values, this is how the
+/// radio layer turns each PU's sensing fanout into the SU-major lists the
+/// engine's listener bookkeeping reads.
 pub(crate) fn transpose_csr<T: Copy + Default>(
     num_cols: usize,
     off: &[u32],

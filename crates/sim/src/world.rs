@@ -416,8 +416,9 @@ impl SimWorld {
         self.radio.pu_gain(pu, slot)
     }
 
+    #[inline]
     pub(crate) fn su_gain(&self, su: u32, slot: u32) -> f64 {
-        self.radio.su_gain(su, slot)
+        self.radio.su_gain(&self.topology, su, slot)
     }
 
     /// The near-field PU list of a receiver slot — `(pu ids, gains)`,
@@ -425,24 +426,6 @@ impl SimWorld {
     /// must sum over every PU.
     pub(crate) fn near_pus(&self, slot: u32) -> Option<(&[u32], &[f64])> {
         self.radio.near_pus(slot)
-    }
-
-    /// Whether the radio carries the transmitter-indexed reverse rows
-    /// the engine's delta path walks (`Truncated` mode only).
-    pub(crate) fn has_reverse_index(&self) -> bool {
-        self.radio.has_reverse_index()
-    }
-
-    /// The receiver slots that hear `su`, with precomputed gains (slots
-    /// ascending) — `None` in dense (exact) mode.
-    pub(crate) fn who_hears_su(&self, su: u32) -> Option<(&[u32], &[f64])> {
-        self.radio.who_hears_su(su)
-    }
-
-    /// The receiver slots whose near lists keep PU `pu`, with
-    /// precomputed gains (slots ascending) — `None` in dense mode.
-    pub(crate) fn who_hears_pu(&self, pu: usize) -> Option<(&[u32], &[f64])> {
-        self.radio.who_hears_pu(pu)
     }
 
     /// The interference model this world was customized with.

@@ -427,6 +427,87 @@ fn fuzz_lane_is_oracle_clean() {
     }
 }
 
+/// A 20×20 grid at spacing 4 with chain-to-corner parents, plus one leaf
+/// hung 9.9 from an inner node, and scattered PUs — deterministic in
+/// `seed`. The long link's slot gets a cutoff several times the others',
+/// and the delta path's cells are as wide as the largest cutoff.
+fn long_link_world(seed: u64) -> Arc<SimWorld> {
+    let (cols, spacing) = (20usize, 4.0);
+    let side = cols as f64 * spacing + 10.0;
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut sus = Vec::new();
+    let mut parents = Vec::new();
+    for i in 0..cols * cols {
+        let (row, col) = (i / cols, i % cols);
+        sus.push(Point::new(
+            col as f64 * spacing + 5.0,
+            row as f64 * spacing + 5.0,
+        ));
+        parents.push(if i == 0 {
+            None
+        } else if col > 0 {
+            Some((i - 1) as u32)
+        } else {
+            Some((i - cols) as u32)
+        });
+    }
+    let hub = cols * (cols / 2) + cols / 2;
+    sus.push(Point::new(sus[hub].x + 9.9 * 0.6, sus[hub].y + 9.9 * 0.8));
+    parents.push(Some(hub as u32));
+    let pus: Vec<Point> = (0..30)
+        .map(|_| Point::new(rng.gen_range(0.0..side), rng.gen_range(0.0..side)))
+        .collect();
+    Arc::new(
+        SimWorld::builder(Region::square(side))
+            .su_positions(sus)
+            .pu_positions(pus)
+            .parents(parents)
+            .phy(PhyParams::paper_simulation_defaults())
+            .sense_range(25.0)
+            .interference(InterferenceModel::Truncated { epsilon: 0.1 })
+            .build()
+            .expect("long-link world is valid"),
+    )
+}
+
+/// The delta path's cells are as wide as the largest cutoff, so one long
+/// tree link widens every cell; delta must still match the scan
+/// reference, report and event stream alike.
+#[test]
+fn delta_matches_scan_when_one_long_link_widens_the_cells() {
+    for seed in [3, 11] {
+        let world = long_link_world(seed);
+        let (cutoff, _) = world.truncation_stats().expect("a truncated world");
+        let lo = cutoff.iter().copied().fold(f64::INFINITY, f64::min);
+        let hi = cutoff.iter().copied().fold(0.0, f64::max);
+        assert!(hi >= 4.0 * lo, "cutoffs span only {lo}..{hi}");
+        for p_t in [0.1, 0.4] {
+            let run = |full_scan: bool| {
+                Simulator::builder(world.clone())
+                    .mac(MacConfig {
+                        max_sim_time: 0.2,
+                        ..MacConfig::default()
+                    })
+                    .activity(PuActivity::bernoulli(p_t).expect("valid p_t"))
+                    .seed(seed)
+                    .full_scan(full_scan)
+                    .probe(TraceLog::unbounded())
+                    .build()
+                    .expect("case builds")
+                    .run_with_probe()
+            };
+            let ((delta, delta_log), (scan, scan_log)) = (run(false), run(true));
+            assert!(delta.attempts > 0, "seed {seed}: nothing transmitted");
+            assert_eq!(
+                format!("{delta:?}"),
+                format!("{scan:?}"),
+                "seed {seed}, p_t {p_t}: delta diverged from scan"
+            );
+            assert_eq!(trace_digest(&delta_log), trace_digest(&scan_log));
+        }
+    }
+}
+
 /// Every corpus case must reproduce the pre-change engine bit-for-bit.
 #[test]
 fn reports_match_pinned_digests() {

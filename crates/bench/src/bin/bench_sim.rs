@@ -10,14 +10,23 @@
 //! tables are skipped above `n = 5000`, where they would need
 //! gigabytes), and records the bytes its gain tables hold plus a
 //! peak-RSS proxy (`VmHWM` from `/proc/self/status`). The top-level
-//! `cores` field records the host's available parallelism; every figure
-//! here is single-threaded.
+//! `cores` field records the host's available parallelism: a sparse
+//! build certifies its PU field on up to that many threads, while every
+//! throughput figure is single-threaded.
 //!
 //! It also times the headline of the split API: a radio-only
 //! re-customization (an SU transmit-power bump) against a full
 //! from-scratch rebuild at the new parameters, three of each with their
 //! median, min and max, asserting along the way that both worlds produce
 //! bit-identical reports.
+//!
+//! Every world also prints a `digest`: FNV-1a over the bits of every
+//! truncation table ([`crn_sim::SimWorld::tables_digest`]: cutoffs, PU
+//! near-field rows, bounds, pulled lists, levels, served lists and
+//! residuals; none for `Exact`), continued over its capped run's report.
+//! Those are the same on any number of cores, so CI compares the digests
+//! of a run pinned to one core (`taskset -c 0`, serial radio builds) with
+//! an unpinned one (builds split across the cores).
 //!
 //! Each size is measured in a **spawned child process** (`--one-size`),
 //! because `VmHWM` is a monotone per-process high-water mark: reading it
@@ -28,8 +37,8 @@
 //! Flags: `--smoke` (tiny sizes, for CI PR runs), `--out FILE` (default
 //! `results/BENCH_sim.json`), `--check-invariants` (run each measured
 //! world below 1,000,000 SUs briefly under the fault-aware oracle and
-//! fail on any violation), `--one-size N` (internal: measure one size and
-//! print its JSON object to stdout).
+//! fail on any violation), `--one-size N` (measure one size and print its
+//! JSON object to stdout; the parent runs one such child per size).
 //!
 //! Run with `cargo run -p crn-bench --release --bin bench_sim`.
 
@@ -56,6 +65,8 @@ const BIG_SIZE: usize = 50_000;
 /// SIR over every active SU and every PU at each interference addition;
 /// its 0.05 s window at n = 100,000 alone ran over seven minutes.
 const HUGE_SIZE: usize = 1_000_000;
+/// FNV-1a 64-bit offset basis, where an exact world's digest starts.
+const FNV_START: u64 = 0xcbf2_9ce4_8422_2325;
 
 fn cores() -> usize {
     std::thread::available_parallelism()
@@ -88,6 +99,7 @@ struct ModelStats {
     gain_table_bytes: usize,
     events: u64,
     events_per_sec: [f64; 3],
+    digest: u64,
 }
 
 /// Deterministic reruns behind each throughput figure.
@@ -236,6 +248,8 @@ fn measure(
     }
     let report = report.expect("the reruns happened");
     assert!(report.attempts > 0, "capped run must make progress");
+    let digest = world.tables_digest().unwrap_or(FNV_START);
+    let digest = crn_core::fnv1a_64(digest, format!("{report:?}").as_bytes());
     ModelStats {
         construct_ms: (topology_build_s + customize_s[0]) * 1e3,
         customize_s,
@@ -245,6 +259,7 @@ fn measure(
         gain_table_bytes,
         events,
         events_per_sec: spread(eps),
+        digest,
     }
 }
 
@@ -267,7 +282,7 @@ fn spread_json(name: &str, [median, min, max]: [f64; 3], decimals: usize) -> Str
 fn model_json(stats: &ModelStats) -> String {
     format!(
         "{{\"construct_ms\": {:.3}, {}, {}, {}, \"recustomize_speedup\": {:.1}, \
-         \"gain_table_bytes\": {}, \"events\": {}, {}}}",
+         \"gain_table_bytes\": {}, \"events\": {}, {}, \"digest\": \"{:016x}\"}}",
         stats.construct_ms,
         spread_json("customize_s", stats.customize_s, 6),
         spread_json("recustomize_s", stats.recustomize_s, 6),
@@ -276,6 +291,7 @@ fn model_json(stats: &ModelStats) -> String {
         stats.gain_table_bytes,
         stats.events,
         spread_json("events_per_sec", stats.events_per_sec, 0),
+        stats.digest,
     )
 }
 

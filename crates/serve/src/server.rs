@@ -27,7 +27,9 @@
 //!    thread blocks on the job (with the request's `timeout_ms` deadline,
 //!    if any). A deadline miss responds `408 timed_out` carrying a CLI
 //!    repro string; the job still completes and fills the cache, so a
-//!    retry is a hit.
+//!    retry is a hit. A miss means no result was published when the
+//!    waiter looked: one that is published is served even to a waiter
+//!    that looks after its deadline.
 //! 5. Executors run the simulation through the shared [`Executor`] under
 //!    `catch_unwind`: a poisoned scenario fails that one request
 //!    (`500 worker_panicked`), never the process.
@@ -264,6 +266,13 @@ impl Job {
     }
 
     /// Blocks until the job's result is published or `deadline` passes.
+    ///
+    /// The deadline bounds how long a waiter blocks, not when it answers:
+    /// a result already published when the waiter looks is returned even
+    /// if the waiter looks after its deadline (woken or scheduled late). By
+    /// then the result is committed, cached and counted, so a `408` would
+    /// only send the client back for an answer that is already there;
+    /// `None` means no result existed when the waiter gave up.
     fn wait(&self, deadline: Option<Instant>) -> Option<JobOutcome> {
         let mut slot = self.lock();
         loop {
@@ -1253,6 +1262,31 @@ pub fn outcome_record_json(x_name: &str, x: f64, outcome: &CollectionOutcome) ->
 mod tests {
     use super::*;
     use std::io::Cursor;
+
+    /// A waiter that looks after its deadline still gets a result
+    /// published before it looked; only a missing result times out.
+    #[test]
+    fn a_published_result_is_served_past_the_deadline() {
+        let Ok(Request::Run { spec, .. }) =
+            parse_request(r#"{"v":1,"cmd":"run","params":{"seed":1}}"#)
+        else {
+            panic!("a run line parses as a run");
+        };
+        let job = Job {
+            key: spec.cache_key(),
+            spec,
+            slot: Mutex::default(),
+            done: Condvar::new(),
+        };
+        let passed = Instant::now();
+        assert!(job.wait(Some(passed)).is_none());
+        job.lock().outcome = Some(Err(ExecError {
+            kind: ErrorKind::WorkerPanicked,
+            message: "published".into(),
+        }));
+        let late = job.wait(Some(passed));
+        assert!(matches!(late, Some(Err(e)) if e.message == "published"));
+    }
 
     #[test]
     fn bounded_line_reader_accepts_and_discards() {

@@ -308,19 +308,83 @@ fn a_waiter_that_sees_the_result_sees_its_bookkeeping() {
     stop(service);
 }
 
+/// The job is held, so its deadline always passes first: the response is
+/// a `timed_out` carrying a CLI repro line, and the late commit still
+/// fills the cache for an untimed retry.
 #[test]
 fn a_deadline_miss_counts_and_the_late_commit_fills_the_cache() {
     let service = start(8);
     let addr = service.local_addr();
-    let missed = request(addr, &run_line(1, r#","timeout_ms":20"#));
+    let missed = request(addr, &run_line(1, r#","timeout_ms":1"#));
     assert_eq!(error_kind(&missed), Some("timed_out"), "{missed}");
+    let message = missed
+        .get("error")
+        .and_then(|e| e.get("message"))
+        .and_then(Json::as_str)
+        .expect("an error message");
+    assert!(
+        message.contains("crn run") && message.contains("--seed 1"),
+        "timeout must carry a repro line: {message}"
+    );
     let job = service.front().backend.await_jobs(1)[0].clone();
     assert_eq!(service.front().snapshot().counters.timed_out, 1);
     assert!(service.front().commit(&job, Ok(outcome()), || {}));
     let retry = request(addr, &run_line(1, ""));
+    assert_eq!(retry.get("ok").and_then(Json::as_bool), Some(true));
     assert_eq!(retry.get("cached").and_then(Json::as_bool), Some(true));
     let counters = service.front().snapshot().counters;
     assert_eq!((counters.computed, counters.cache_hits), (1, 1));
+    assert_eq!(counters.timed_out, 1);
+    stop(service);
+}
+
+/// Four workers and a queue of 8 under a burst of 32 distinct requests
+/// from concurrent connections: every response is `ok` or a clean `429
+/// overloaded`, never a hang or a malformed line, and both occur. The
+/// first four jobs are started as four idle workers would start them;
+/// the other 28 requests arrive at once, and nothing commits until all 32
+/// are decided, so exactly 4 + 8 are admitted.
+#[test]
+fn burst_of_32_yields_only_ok_or_overloaded() {
+    let service = start(8);
+    let addr = service.local_addr();
+    let mut waiters: Vec<_> = (0..4)
+        .map(|s| spawn_request(addr, run_line(s, "")))
+        .collect();
+    for job in &service.front().backend.await_jobs(4) {
+        service.front().start_job(job);
+    }
+    waiters.extend((4..32).map(|s| spawn_request(addr, run_line(s, ""))));
+    while service.front().snapshot().counters.received < 32 {
+        std::thread::yield_now();
+    }
+    for job in &service.front().backend.await_jobs(12) {
+        assert!(service.front().commit(job, Ok(outcome()), || {}));
+    }
+    let (mut ok_count, mut overloaded) = (0, 0);
+    for waiter in waiters {
+        let r = waiter.join().expect("a response line");
+        if r.get("ok").and_then(Json::as_bool) == Some(true) {
+            ok_count += 1;
+        } else {
+            assert_eq!(
+                error_kind(&r),
+                Some("overloaded"),
+                "unexpected failure mode: {r}"
+            );
+            assert_eq!(
+                r.get("error")
+                    .and_then(|e| e.get("code"))
+                    .and_then(Json::as_u64),
+                Some(429)
+            );
+            overloaded += 1;
+        }
+    }
+    assert_eq!((ok_count, overloaded), (12, 20));
+    assert_eq!(service.front().backend.held.lock().unwrap().len(), 12);
+    // Admission-control rejections show up in the counters.
+    assert_eq!(counter(&stats(addr), "rejected"), overloaded);
     stop(service);
 }
 

@@ -747,9 +747,10 @@ impl<P: Probe> Simulator<P> {
         let initial = self
             .activity
             .initial_states(self.world.num_pus(), &mut self.rng);
+        let world = Arc::clone(&self.world);
         for (k, on) in initial.into_iter().enumerate() {
             if on {
-                self.set_pu_on(k);
+                self.set_pu_on(&world, k);
             }
         }
         if self.world.num_pus() > 0 {
@@ -1612,13 +1613,14 @@ impl<P: Probe> Simulator<P> {
         if self.path == SirPath::Delta {
             self.gather_pu_terms();
         }
+        let world = Arc::clone(&self.world);
         for k in 0..self.pu_scratch.len() {
             let new = self.pu_scratch[k];
             if new != self.pu_on[k] {
                 if new {
-                    self.set_pu_on(k);
+                    self.set_pu_on(&world, k);
                 } else {
-                    self.set_pu_off(k);
+                    self.set_pu_off(&world, k);
                 }
             }
         }
@@ -1675,7 +1677,9 @@ impl<P: Probe> Simulator<P> {
         }
     }
 
-    fn set_pu_on(&mut self, k: usize) {
+    /// Turns PU `k` on. `world` is this simulator's own world, cloned
+    /// once by the caller rather than once per toggle.
+    fn set_pu_on(&mut self, world: &SimWorld, k: usize) {
         debug_assert!(!self.pu_on[k]);
         self.emit(TraceEventKind::PuOn { pu: k as u32 });
         self.pu_on[k] = true;
@@ -1683,8 +1687,7 @@ impl<P: Probe> Simulator<P> {
         self.on_pus.push(k as u32);
 
         // New interference for every ongoing reception.
-        let p_p = self.world.phy().pu_power();
-        let world = Arc::clone(&self.world);
+        let p_p = world.phy().pu_power();
         match self.path {
             SirPath::Scan => {
                 for pos in 0..self.active.len() {
@@ -1713,7 +1716,8 @@ impl<P: Probe> Simulator<P> {
         }
     }
 
-    fn set_pu_off(&mut self, k: usize) {
+    /// Turns PU `k` off; `world` as for `set_pu_on`.
+    fn set_pu_off(&mut self, world: &SimWorld, k: usize) {
         debug_assert!(self.pu_on[k]);
         self.emit(TraceEventKind::PuOff { pu: k as u32 });
         self.pu_on[k] = false;
@@ -1725,8 +1729,7 @@ impl<P: Probe> Simulator<P> {
         self.on_pos[k] = usize::MAX;
 
         // Same snap-to-zero rule as `finish_tx`; no re-checks on decrease.
-        let p_p = self.world.phy().pu_power();
-        let world = Arc::clone(&self.world);
+        let p_p = world.phy().pu_power();
         match self.path {
             SirPath::Scan => {
                 for pos in 0..self.active.len() {

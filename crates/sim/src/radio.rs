@@ -19,6 +19,7 @@ use crate::world::WorldError;
 use crn_geometry::Point;
 use crn_interference::cutoff::{CutoffTable, FarFieldBound};
 use crn_interference::{PathLoss, PhyParams};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// The radio-layer inputs of [`Radio::customize`]: everything about a
@@ -158,6 +159,81 @@ fn prefix_offsets(table: &'static str, off: &mut [u32]) -> Result<usize, WorldEr
         *o = end;
     }
     Ok(end as usize)
+}
+
+/// Fewest receiver slots one range of the PU certification is given. Its
+/// count and row passes cost 3.1 µs a slot on the 2,000-SU synthetic grid
+/// and 6.7 µs at 20,000 (one core, default budget), so a range holds at
+/// least about 1.6 ms of work against the 30 µs a scoped thread takes to
+/// start and join.
+const MIN_RANGE_SLOTS: usize = 512;
+
+/// How many contiguous slot ranges a build over `slots` receiver slots
+/// runs in: one per core this process may run on, none under
+/// [`MIN_RANGE_SLOTS`] slots, and at least one. Asking for the cores
+/// reads the affinity mask and the cgroup quota (about 30 µs), so a
+/// world too small for two ranges never asks.
+fn range_count(slots: usize) -> usize {
+    match slots / MIN_RANGE_SLOTS {
+        0 | 1 => 1,
+        most => std::thread::available_parallelism().map_or(1, |c| c.get().min(most)),
+    }
+}
+
+/// `0..len` cut into `ranges` contiguous ranges, in order, whose lengths
+/// differ by at most one.
+fn split(len: usize, ranges: usize) -> Vec<Range<usize>> {
+    (0..ranges)
+        .map(|i| len * i / ranges..len * (i + 1) / ranges)
+        .collect()
+}
+
+/// `table` cut at the ascending `ends`, the last of which is its length,
+/// into consecutive pieces: one per range, for its rows to go in place.
+fn cut<T>(mut table: &mut [T], ends: impl IntoIterator<Item = usize>) -> Vec<&mut [T]> {
+    let mut at = 0;
+    ends.into_iter()
+        .map(|end| {
+            let (piece, rest) = std::mem::take(&mut table).split_at_mut(end - at);
+            (table, at) = (rest, end);
+            piece
+        })
+        .collect()
+}
+
+/// Runs `work` on every part and returns the results in part order: the
+/// first part on this thread, every other on a scoped thread of its own.
+/// A lone part runs inline, with no thread. A panic in any part is
+/// resumed here once every part has ended.
+fn fan_out<P: Send, T: Send>(parts: Vec<P>, work: impl Fn(P) -> T + Sync) -> Vec<T> {
+    if parts.len() <= 1 {
+        return parts.into_iter().map(work).collect();
+    }
+    let work = &work;
+    std::thread::scope(|scope| {
+        let mut parts = parts.into_iter();
+        let first = parts.next().expect("two or more parts");
+        let rest: Vec<_> = parts.map(|p| scope.spawn(move || work(p))).collect();
+        let mut out = vec![work(first)];
+        for handle in rest {
+            out.push(
+                handle
+                    .join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic)),
+            );
+        }
+        out
+    })
+}
+
+/// Appends `part` to `table`, taking it whole when `table` is empty, so a
+/// lone range's tables are never copied.
+fn append<T>(table: &mut Vec<T>, part: Vec<T>) {
+    if table.is_empty() {
+        *table = part;
+    } else {
+        table.extend(part);
+    }
 }
 
 /// Carrier-sensing neighbor lists; inputs: both sensing ranges.
@@ -371,6 +447,28 @@ enum RadioGains {
     Sparse(SparseRadio),
 }
 
+/// 64-bit FNV-1a, fed one table at a time: its length, then each entry
+/// widened to 64 bits, as little-endian bytes.
+struct Fnv(u64);
+
+impl Fnv {
+    fn table(&mut self, words: impl ExactSizeIterator<Item = u64>) {
+        for word in std::iter::once(words.len() as u64).chain(words) {
+            for byte in word.to_le_bytes() {
+                self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x100_0000_01b3);
+            }
+        }
+    }
+
+    fn f64s(&mut self, table: &[f64]) {
+        self.table(table.iter().map(|x| x.to_bits()));
+    }
+
+    fn u32s(&mut self, table: &[u32]) {
+        self.table(table.iter().map(|&x| u64::from(x)));
+    }
+}
+
 /// The radio-dependent tables of a [`crate::SimWorld`], derived from an
 /// immutable [`Topology`] by [`Radio::customize`] and cheaply re-derived
 /// by [`Radio::recustomize`] when only some inputs change.
@@ -410,7 +508,7 @@ impl Radio {
     /// radius, or a table with more entries than its `u32` offsets
     /// address.
     pub fn customize(topology: &Topology, params: &RadioParams) -> Result<Self, WorldError> {
-        Self::customize_from(topology, params, None)
+        Self::customize_from(topology, params, None, None)
     }
 
     /// Like [`Radio::customize`], but reuses (by `Arc` clone) every stage
@@ -426,13 +524,18 @@ impl Radio {
         topology: &Topology,
         params: &RadioParams,
     ) -> Result<Self, WorldError> {
-        Self::customize_from(topology, params, Some(self))
+        Self::customize_from(topology, params, Some(self), None)
     }
 
+    /// The build behind [`Radio::customize`] and [`Radio::recustomize`].
+    /// A truncated radio's PU certification splits into `ranges`
+    /// contiguous slot ranges whatever their size, or by [`range_count`]
+    /// when `None`. Every table is bit-identical for every count.
     fn customize_from(
         topology: &Topology,
         params: &RadioParams,
         prev: Option<&Radio>,
+        ranges: Option<usize>,
     ) -> Result<Self, WorldError> {
         let phy = &params.phy;
         let r = phy.su_radius();
@@ -540,6 +643,10 @@ impl Radio {
                                 &cutoff.cutoff,
                                 threshold,
                                 skey,
+                                // Asked only here: a build that reuses its
+                                // predecessor's structure never asks for
+                                // the cores.
+                                ranges.unwrap_or_else(|| range_count(g_min.len())),
                             )?;
                             let counts = structure
                                 .pull_counts(threshold)
@@ -639,6 +746,31 @@ impl Radio {
             RadioGains::Dense(_) => None,
             RadioGains::Sparse(s) => Some((&s.cutoff.cutoff, &s.pu_residual)),
         }
+    }
+
+    /// FNV-1a (64-bit) over every sparse table, in bit patterns: cutoffs,
+    /// bounds, pulled lists, levels, base rows, served lists and
+    /// residuals, each with its offsets. `None` in exact mode.
+    pub(crate) fn tables_digest(&self) -> Option<u64> {
+        let RadioGains::Sparse(s) = &self.gains else {
+            return None;
+        };
+        let st = &s.structure;
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        h.f64s(&s.cutoff.cutoff);
+        h.f64s(&st.bound);
+        h.u32s(&st.ext_off);
+        h.u32s(&st.ext_id);
+        h.f64s(&st.ext_gain);
+        h.u32s(&st.lvl_off);
+        h.f64s(&st.level);
+        for lists in [&st.base, &s.served] {
+            h.u32s(&lists.off);
+            h.u32s(&lists.id);
+            h.f64s(&lists.gain);
+        }
+        h.f64s(&s.pu_residual);
+        Some(h.0)
     }
 
     /// Bytes this radio holds in gain tables. A table shared between
@@ -1187,101 +1319,149 @@ fn rounding_margin(num_pus: usize) -> f64 {
 /// triggered their computation. PUs obey no packing bound, so
 /// certification from the actual positions (not an analytic tail) is the
 /// only sound option here.
+///
+/// A slot's rows, bound and levels read that slot alone, so the count and
+/// row passes run on `ranges` contiguous slot ranges at once
+/// ([`fan_out`]): base rows go in place, into disjoint pieces of tables
+/// sized once; each range appends its bounds, levels and pulled PUs to
+/// tables of its own, joined in slot order. Every table and every error
+/// is the same for every range count.
 fn build_pu_structure(
     topology: &Topology,
     law: &PathLoss,
     cutoff: &[f64],
-    threshold: impl Fn(usize) -> f64,
+    threshold: impl Fn(usize) -> f64 + Sync,
     key: StructureKey,
+    ranges: usize,
 ) -> Result<PuStructure, WorldError> {
     let m = topology.num_receiver_slots();
     let sus = topology.su_positions();
     let pus = topology.pu_positions();
     let receivers = topology.receivers();
+    let rx = |s: usize| sus[receivers[s] as usize];
     let grid = PuGrid::new(pus);
     let groups = GroupWalks::new(topology, &grid, cutoff, law)?;
     let margin = rounding_margin(pus.len());
+    let slots = split(m, ranges);
     // The base rows are the largest table here: count them first, so they
     // are written in place into blocks sized once, with no doubling
     // reallocation holding an old and a new block at the same time.
     let mut base_off = vec![0u32; m + 1];
-    for s in 0..m {
-        let q = sus[receivers[s] as usize];
-        base_off[s + 1] = grid.count_near(groups.of(s).0, q, cutoff[s] * cutoff[s]);
-    }
+    let counts = cut(&mut base_off[1..], slots.iter().map(|r| r.end));
+    fan_out(
+        slots.iter().cloned().zip(counts).collect(),
+        |(range, lens)| {
+            for (s, len) in range.zip(lens) {
+                *len = grid.count_near(groups.of(s).0, rx(s), cutoff[s] * cutoff[s]);
+            }
+        },
+    );
     let entries = prefix_offsets("PU near-field", &mut base_off)?;
     let mut base_id = vec![0u32; entries];
     let mut base_gain = vec![0.0f64; entries];
-    let mut bound = Vec::with_capacity(m);
-    let mut ext_off = vec![0u32; m + 1];
-    let mut ext_id = Vec::new();
-    let mut ext_gain = Vec::new();
-    let mut lvl_off = vec![0u32; m + 1];
-    let mut level = Vec::new();
-    let mut near: Vec<(u32, f64)> = Vec::new();
-    let (mut leaves, mut stack) = (Vec::new(), Vec::new());
-    let mut far: Vec<(u64, u32, f64)> = Vec::new();
-    for s in 0..m {
-        let q = sus[receivers[s] as usize];
-        let cutoff_sq = cutoff[s] * cutoff[s];
-        let threshold = threshold(s);
-        let (near_leaves, group_far) = groups.of(s);
-        near.clear();
-        let exact = grid.evaluate(near_leaves, q, cutoff_sq, law, Some(&mut near));
-        let b = margin * (exact + group_far);
-        near.sort_unstable_by_key(|&(k, _)| k);
-        let row = base_off[s] as usize..base_off[s + 1] as usize;
-        assert_eq!(near.len(), row.len(), "slot {s}: near PUs miscounted");
-        for ((id, gain), &(k, g)) in base_id[row.clone()]
-            .iter_mut()
-            .zip(&mut base_gain[row])
-            .zip(&near)
-        {
-            (*id, *gain) = (k, g);
-        }
-        bound.push(b);
-        let refined = (b > threshold).then(|| {
-            let r = REFINED_RADIUS_CUTOFFS * cutoff[s];
-            (margin * grid.point_bound(q, cutoff_sq, r, law, &mut leaves, &mut stack)).min(b)
-        });
-        level.extend(refined);
-        if refined.is_some_and(|v| v > threshold) {
-            // `-0.0` and PU-id order make this the very left fold that
-            // `Iterator::sum` performs, so the level keeps its bits (an
-            // empty far field included).
-            let mut lvl0 = -0.0f64;
-            for &pu in pus {
-                let d2 = pu.distance_sq(q);
-                if d2 > cutoff_sq {
-                    lvl0 += law.gain_sq(d2);
-                }
-            }
-            level.push(lvl0);
-            if lvl0 > threshold {
-                // Distances are non-negative finite, so their bit patterns
-                // order identically to the values; `far` starts in id
-                // order, so the stable sort breaks distance ties toward
-                // the lower PU id.
-                far.clear();
-                far.extend(pus.iter().enumerate().filter_map(|(k, &pu)| {
-                    let d2 = pu.distance_sq(q);
-                    (d2 > cutoff_sq).then(|| (d2.to_bits(), k as u32, law.gain_sq(d2)))
-                }));
-                far.sort_by_key(|&(d2_bits, _, _)| d2_bits);
-                let mut pulled = 0usize;
-                while level.last().copied().expect("level 0 exists") > threshold
-                    && pulled < far.len()
+    let row_ends = || slots.iter().map(|r| base_off[r.end] as usize);
+    let rows = cut(&mut base_id, row_ends())
+        .into_iter()
+        .zip(cut(&mut base_gain, row_ends()));
+    let certified = fan_out(
+        slots.iter().cloned().zip(rows).collect(),
+        |(range, (ids, gains))| {
+            let first = base_off[range.start] as usize;
+            let mut out = Certified {
+                bound: Vec::with_capacity(range.len()),
+                ext_end: Vec::with_capacity(range.len()),
+                lvl_end: Vec::with_capacity(range.len()),
+                ..Certified::default()
+            };
+            let mut near: Vec<(u32, f64)> = Vec::new();
+            let (mut leaves, mut stack) = (Vec::new(), Vec::new());
+            let mut far: Vec<(u64, u32, f64)> = Vec::new();
+            for s in range {
+                let q = rx(s);
+                let cutoff_sq = cutoff[s] * cutoff[s];
+                let threshold = threshold(s);
+                let (near_leaves, group_far) = groups.of(s);
+                near.clear();
+                let exact = grid.evaluate(near_leaves, q, cutoff_sq, law, Some(&mut near));
+                let b = margin * (exact + group_far);
+                near.sort_unstable_by_key(|&(k, _)| k);
+                let row = base_off[s] as usize - first..base_off[s + 1] as usize - first;
+                assert_eq!(near.len(), row.len(), "slot {s}: near PUs miscounted");
+                for ((id, gain), &(k, g)) in
+                    ids[row.clone()].iter_mut().zip(&mut gains[row]).zip(&near)
                 {
-                    let (_, id, g) = far[pulled];
-                    ext_id.push(id);
-                    ext_gain.push(g);
-                    pulled += 1;
-                    level.push(far[pulled..].iter().map(|&(_, _, g)| g).sum());
+                    (*id, *gain) = (k, g);
+                }
+                out.bound.push(b);
+                let refined = (b > threshold).then(|| {
+                    let r = REFINED_RADIUS_CUTOFFS * cutoff[s];
+                    (margin * grid.point_bound(q, cutoff_sq, r, law, &mut leaves, &mut stack))
+                        .min(b)
+                });
+                out.level.extend(refined);
+                if refined.is_some_and(|v| v > threshold) {
+                    // `-0.0` and PU-id order make this the very left fold that
+                    // `Iterator::sum` performs, so the level keeps its bits (an
+                    // empty far field included).
+                    let mut lvl0 = -0.0f64;
+                    for &pu in pus {
+                        let d2 = pu.distance_sq(q);
+                        if d2 > cutoff_sq {
+                            lvl0 += law.gain_sq(d2);
+                        }
+                    }
+                    out.level.push(lvl0);
+                    if lvl0 > threshold {
+                        // Distances are non-negative finite, so their bit patterns
+                        // order identically to the values; `far` starts in id
+                        // order, so the stable sort breaks distance ties toward
+                        // the lower PU id.
+                        far.clear();
+                        far.extend(pus.iter().enumerate().filter_map(|(k, &pu)| {
+                            let d2 = pu.distance_sq(q);
+                            (d2 > cutoff_sq).then(|| (d2.to_bits(), k as u32, law.gain_sq(d2)))
+                        }));
+                        far.sort_by_key(|&(d2_bits, _, _)| d2_bits);
+                        let mut pulled = 0usize;
+                        while out.level.last().copied().expect("level 0 exists") > threshold
+                            && pulled < far.len()
+                        {
+                            let (_, id, g) = far[pulled];
+                            out.ext_id.push(id);
+                            out.ext_gain.push(g);
+                            pulled += 1;
+                            out.level
+                                .push(far[pulled..].iter().map(|&(_, _, g)| g).sum());
+                        }
+                    }
+                }
+                out.ext_end.push(out.ext_id.len());
+                out.lvl_end.push(out.level.len());
+                // Past `u32::MAX` the join below refuses at this slot or
+                // before, so the rest of the range is never read.
+                if out.ext_id.len().max(out.level.len()) > u32::MAX as usize {
+                    break;
                 }
             }
+            out
+        },
+    );
+    // Slot by slot in order, as a serial append checks them, so an
+    // oversized table is refused at the same slot with the same count.
+    let (mut ext_off, mut lvl_off) = (Vec::with_capacity(m + 1), Vec::with_capacity(m + 1));
+    ext_off.push(0u32);
+    lvl_off.push(0u32);
+    let (mut bound, mut ext_id, mut ext_gain, mut level) =
+        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    for part in certified {
+        for (&e, &l) in part.ext_end.iter().zip(&part.lvl_end) {
+            ext_off.push(offset("pulled PU", ext_id.len() + e)?);
+            lvl_off.push(offset("PU exclusion level", level.len() + l)?);
         }
-        ext_off[s + 1] = offset("pulled PU", ext_id.len())?;
-        lvl_off[s + 1] = offset("PU exclusion level", level.len())?;
+        append(&mut bound, part.bound);
+        append(&mut ext_id, part.ext_id);
+        append(&mut ext_gain, part.ext_gain);
+        append(&mut level, part.level);
     }
     Ok(PuStructure {
         key,
@@ -1297,6 +1477,19 @@ fn build_pu_structure(
         lvl_off,
         level,
     })
+}
+
+/// What one range of [`build_pu_structure`]'s row pass appends, slot by
+/// slot: bounds, pulled PUs and levels, with each slot's ends in those
+/// tables counted from the range's start.
+#[derive(Default)]
+struct Certified {
+    bound: Vec<f64>,
+    ext_end: Vec<usize>,
+    lvl_end: Vec<usize>,
+    ext_id: Vec<u32>,
+    ext_gain: Vec<f64>,
+    level: Vec<f64>,
 }
 
 /// The served lists of a structure under pull counts of which some are
@@ -1793,6 +1986,150 @@ mod tests {
         assert!(
             to_bound_reused > 0,
             "no fallback slot returned to a bound on a reused structure"
+        );
+    }
+
+    /// Every sparse table of `a` and `b`, bit for bit: cutoffs, base rows,
+    /// bounds, pulled lists, levels, served lists and residuals.
+    fn assert_same_sparse_bits(a: &Radio, b: &Radio, what: &str) {
+        let (a_digest, b_digest) = (a.tables_digest(), b.tables_digest());
+        let (a, b) = (sparse(a), sparse(b));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            bits(&a.cutoff.cutoff),
+            bits(&b.cutoff.cutoff),
+            "{what}: cutoffs"
+        );
+        let (sa, sb) = (&a.structure, &b.structure);
+        for (la, lb, table) in [
+            (&sa.base, &sb.base, "base rows"),
+            (&a.served, &b.served, "served lists"),
+        ] {
+            assert_eq!(la.off, lb.off, "{what}: {table}");
+            assert_eq!(la.id, lb.id, "{what}: {table}");
+            assert_eq!(bits(&la.gain), bits(&lb.gain), "{what}: {table}");
+        }
+        assert_eq!(bits(&sa.bound), bits(&sb.bound), "{what}: bounds");
+        assert_eq!(sa.ext_off, sb.ext_off, "{what}: pulled lists");
+        assert_eq!(sa.ext_id, sb.ext_id, "{what}: pulled lists");
+        assert_eq!(bits(&sa.ext_gain), bits(&sb.ext_gain), "{what}: pulled");
+        assert_eq!(sa.lvl_off, sb.lvl_off, "{what}: levels");
+        assert_eq!(bits(&sa.level), bits(&sb.level), "{what}: levels");
+        assert_eq!(
+            bits(&a.pu_residual),
+            bits(&b.pu_residual),
+            "{what}: residuals"
+        );
+        assert_eq!(a_digest, b_digest, "{what}: tables digest");
+    }
+
+    #[test]
+    fn three_ranges_build_the_serial_tables_bit_for_bit() {
+        let default = sparse_params();
+        let pulling = powered(sparse_params(), 100.0, 1.0);
+        // Tightens past the stored chain (a rebuild), pulls, then loosens
+        // onto the reused structure.
+        let chain = [(15.0, 10.0), (100.0, 1.0), (12.0, 10.0)];
+        let mut pulled = 0;
+        for (name, topo) in certification_worlds() {
+            let build = |params: &RadioParams, prev: Option<&Radio>, ranges| {
+                Radio::customize_from(&topo, params, prev, Some(ranges)).unwrap()
+            };
+            for (budget, params) in [("default", &default), ("pulling", &pulling)] {
+                let serial = build(params, None, 1);
+                assert_same_sparse_bits(
+                    &serial,
+                    &build(params, None, 3),
+                    &format!("{name} {budget}"),
+                );
+                pulled += total_pulls(&serial);
+            }
+            let (mut serial, mut ranged) = (build(&default, None, 1), build(&default, None, 3));
+            for (pu_power, su_power) in chain {
+                let params = powered(sparse_params(), pu_power, su_power);
+                serial = build(&params, Some(&serial), 1);
+                ranged = build(&params, Some(&ranged), 3);
+                let step = format!("{name} chain at P_p {pu_power}, P_s {su_power}");
+                assert_same_sparse_bits(&serial, &ranged, &step);
+            }
+        }
+        assert!(pulled > 0, "the pulling budget must pull");
+    }
+
+    #[test]
+    fn tables_digest_reads_every_sparse_table() {
+        let pulling = powered(sparse_params(), 100.0, 1.0);
+        let mut radio = certification_worlds()
+            .into_iter()
+            .map(|(_, topo)| Radio::customize(&topo, &pulling).unwrap())
+            .max_by_key(total_pulls)
+            .unwrap();
+        assert!(total_pulls(&radio) > 0, "every table must hold an entry");
+        let before = radio.tables_digest();
+        // Each flips the lowest bit of a table's first entry: twice is
+        // none. Every `Arc` here is this radio's own.
+        fn f(x: &mut f64) {
+            *x = f64::from_bits(x.to_bits() ^ 1);
+        }
+        fn own<T: ?Sized>(shared: &mut Arc<T>) -> &mut T {
+            Arc::get_mut(shared).unwrap()
+        }
+        type Flip = fn(&mut SparseRadio);
+        let flips: [(&str, Flip); 14] = [
+            ("cutoffs", |s| f(&mut own(&mut s.cutoff).cutoff[0])),
+            ("bounds", |s| f(&mut own(&mut s.structure).bound[0])),
+            ("pulled offsets", |s| own(&mut s.structure).ext_off[0] ^= 1),
+            ("pulled ids", |s| own(&mut s.structure).ext_id[0] ^= 1),
+            (
+                "pulled gains",
+                |s| f(&mut own(&mut s.structure).ext_gain[0]),
+            ),
+            ("level offsets", |s| own(&mut s.structure).lvl_off[0] ^= 1),
+            ("levels", |s| f(&mut own(&mut s.structure).level[0])),
+            ("base offsets", |s| {
+                own(&mut own(&mut s.structure).base).off[0] ^= 1
+            }),
+            ("base ids", |s| {
+                own(&mut own(&mut s.structure).base).id[0] ^= 1
+            }),
+            ("base gains", |s| {
+                f(&mut own(&mut own(&mut s.structure).base).gain[0])
+            }),
+            ("served offsets", |s| own(&mut s.served).off[0] ^= 1),
+            ("served ids", |s| own(&mut s.served).id[0] ^= 1),
+            ("served gains", |s| f(&mut own(&mut s.served).gain[0])),
+            ("residuals", |s| f(&mut own(&mut s.pu_residual)[0])),
+        ];
+        for (table, flip) in flips {
+            for flipped in [true, false] {
+                let RadioGains::Sparse(s) = &mut radio.gains else {
+                    unreachable!("a truncated radio")
+                };
+                flip(s);
+                assert_eq!(radio.tables_digest() != before, flipped, "{table}");
+            }
+        }
+        let exact = RadioParams::new(phy()).sense_range(24.0);
+        let exact = Radio::customize(&grid(), &exact).unwrap();
+        assert_eq!(exact.tables_digest(), None);
+    }
+
+    #[test]
+    fn split_cuts_every_slot_into_exactly_one_range() {
+        for (len, ranges) in [(0, 1), (5, 3), (1_560, 3), (7, 7), (2, 4)] {
+            let split = split(len, ranges);
+            assert_eq!(split.len(), ranges);
+            assert_eq!(split.first().map(|r| r.start), Some(0));
+            assert_eq!(split.last().map(|r| r.end), Some(len));
+            assert!(split.windows(2).all(|w| w[0].end == w[1].start));
+            let (short, long) = (len / ranges, len.div_ceil(ranges));
+            assert!(split.iter().all(|r| (short..=long).contains(&r.len())));
+        }
+        let mut table = [0u8; 6];
+        let pieces = cut(&mut table, [2, 2, 6]);
+        assert_eq!(
+            pieces.iter().map(|p| p.len()).collect::<Vec<_>>(),
+            [2, 0, 4]
         );
     }
 

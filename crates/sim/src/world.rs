@@ -454,6 +454,15 @@ impl SimWorld {
         self.radio.truncation_stats()
     }
 
+    /// One 64-bit FNV-1a digest of every truncation table, bit for bit:
+    /// cutoffs, the PU near-field rows, bounds, pulled lists, levels,
+    /// served lists and residuals, offsets included. Builds that agree on
+    /// every table agree on it. `None` in exact mode.
+    #[must_use]
+    pub fn tables_digest(&self) -> Option<u64> {
+        self.radio.tables_digest()
+    }
+
     /// Receiver SUs in slot order (the slot of `receivers()[s]` is `s`).
     #[must_use]
     pub fn receivers(&self) -> &[u32] {

@@ -22,8 +22,10 @@
 //!
 //! Every world also prints a `digest`: FNV-1a over the bits of every
 //! truncation table ([`crn_sim::SimWorld::tables_digest`]: cutoffs, PU
-//! near-field rows, bounds, pulled lists, levels, served lists and
-//! residuals; none for `Exact`), continued over its capped run's report.
+//! near-field id rows, bounds, pulled id lists, levels, served id rows
+//! and residuals, offsets included; a truncated world stores no gain, so
+//! none is digested, and an `Exact` world has no such table), continued
+//! over its capped run's report.
 //! Those are the same on any number of cores, so CI compares the digests
 //! of a run pinned to one core (`taskset -c 0`, serial radio builds) with
 //! an unpinned one (builds split across the cores).

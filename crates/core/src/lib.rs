@@ -49,4 +49,6 @@ pub use cache_key::{
 };
 pub use coolest::{coolest_tree, coolest_tree_with, CoolestStrategy};
 pub use params::{ScenarioParams, ScenarioParamsBuilder};
-pub use scenario::{CollectionAlgorithm, CollectionOutcome, Scenario, ScenarioError};
+pub use scenario::{
+    su_sense_range, CollectionAlgorithm, CollectionOutcome, Scenario, ScenarioError,
+};

@@ -557,12 +557,14 @@ impl Scenario {
     }
 }
 
-/// The SU-coordination carrier-sensing range `algorithm` runs with. PU
-/// protection (sensing the primary network over the PCR) is mandatory for
-/// every algorithm; the SU range is the PCR only for algorithms that have
-/// it — the Coolest baselines use a conventional CSMA range
-/// `max(factor·r, r)` (see [`ScenarioParams::baseline_su_sense_factor`]).
-fn su_sense_range(algorithm: CollectionAlgorithm, params: &ScenarioParams, pcr: f64) -> f64 {
+/// The SU-coordination carrier-sensing range `algorithm` runs with, where
+/// `pcr` is `params.pcr()`. PU protection (sensing the primary network
+/// over the PCR) is mandatory for every algorithm; the SU range is the PCR
+/// only for algorithms that have it — the Coolest baselines use a
+/// conventional CSMA range `max(factor·r, r)` (see
+/// [`ScenarioParams::baseline_su_sense_factor`]).
+#[must_use]
+pub fn su_sense_range(algorithm: CollectionAlgorithm, params: &ScenarioParams, pcr: f64) -> f64 {
     match algorithm {
         CollectionAlgorithm::Addc | CollectionAlgorithm::BfsTree => pcr,
         CollectionAlgorithm::Coolest | CollectionAlgorithm::CoolestOracle => {

@@ -24,6 +24,8 @@
 
 use crate::ErrorKind;
 use crn_core::{CollectionAlgorithm, CollectionOutcome, ScenarioParams};
+use crn_interference::cutoff::FarFieldBound;
+use crn_interference::PathLoss;
 use crn_sim::{FaultsConfig, InterferenceModel};
 use crn_workloads::faults_wire;
 use crn_workloads::json::Json;
@@ -76,6 +78,16 @@ pub(crate) const MAX_SIDE: f64 = 10_000.0;
 /// 6.3·10⁷: 444 MB, 1.8·10⁸: 1.1 GB), so this cap keeps one admitted
 /// world's radio state near 300 MB.
 pub(crate) const MAX_SENSE_ENTRIES: f64 = 5e7;
+
+/// Upper bound on the near-field PU entries a truncated world is expected
+/// to hold (see [`near_pu_entries`]), checked where [`MAX_SENSE_ENTRIES`]
+/// is. The cutoffs grow as `epsilon^(-1/2)` at `alpha = 4`: on the
+/// 5,000-SU grid the largest reads 64.6 at ε 0.1 and 203 at 10⁻², and
+/// from 10⁻³ on every PU is in every row. The largest sparse world the
+/// benchmarks build (250,000 SUs, 50,000 PUs, side 2,800, ε 0.1) expects
+/// 8.5·10⁷ entries; the same world at ε 10⁻³ expects 8.6·10⁹. At 4 B per
+/// stored id the cap holds one admitted world's rows to 400 MB.
+pub(crate) const MAX_NEAR_PU_ENTRIES: f64 = 1e8;
 
 /// How many deployments every run draws before it reports the world
 /// disconnected. Fixed here, not taken from a request, so no client sets
@@ -277,7 +289,7 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
             let spec = admit(parse_spec(&v)?)?;
             let axis = parse_axis(&v)?;
             if let Some(axis) = &axis {
-                check_axis_world(axis, &spec.params)?;
+                check_axis_world(axis, &spec.params, spec.algorithm)?;
             }
             let seeds = parse_seeds(&v, axis.as_ref().map(|_| spec.params.seed))?;
             let points = seeds
@@ -394,7 +406,7 @@ fn admit(spec: RunSpec) -> Result<RunSpec, ProtoError> {
         )));
     }
     check_world(p.num_sus, p.num_pus, p.interference)?;
-    check_density(p)?;
+    check_density(p, spec.algorithm)?;
     Ok(spec)
 }
 
@@ -411,16 +423,59 @@ fn sense_entries(params: &ScenarioParams) -> Option<f64> {
     Some(n * n * share.min(1.0))
 }
 
-/// Rejects a world packed denser than [`MAX_SENSE_ENTRIES`] allows.
-fn check_density(params: &ScenarioParams) -> Result<(), ProtoError> {
-    let Some(entries) = sense_entries(params) else {
-        return Ok(());
+/// The near-field PU entries a truncated `params` run by `algorithm` is
+/// expected to build: every receiver slot (at most `sus + 1`) times the
+/// PUs inside a disk of radius R̄ at the world's PU density,
+/// `(sus + 1) · pus · min(1, π·R̄² / side²)`. R̄ is the cutoff the build's
+/// own far-field bound gives a slot whose weakest link is as long as a
+/// tree allows (the SU radius), the widest any slot gets. `None` under
+/// exact interference and where the PCR is undefined (see
+/// [`sense_entries`]).
+fn near_pu_entries(params: &ScenarioParams, algorithm: CollectionAlgorithm) -> Option<f64> {
+    let InterferenceModel::Truncated { epsilon } = params.interference else {
+        return None;
     };
-    if entries.is_nan() || entries > MAX_SENSE_ENTRIES {
+    let phy = &params.phy;
+    crn_interference::pcr::checked_c2(phy.alpha(), params.pcr_constants)?;
+    let sense = crn_core::su_sense_range(algorithm, params, params.pcr());
+    let bound = FarFieldBound::normalized(phy.alpha(), sense);
+    let weakest = PathLoss::new(phy.alpha()).gain(phy.su_radius());
+    let budget = 0.5 * epsilon * weakest / phy.su_sir_threshold();
+    // A disk of radius side/√π covers the whole area. Only a cutoff inside
+    // it is searched for, so the search stays short however small epsilon
+    // is (and never meets a budget that underflowed to zero).
+    let side = params.area_side;
+    let share = if bound.tail(side / std::f64::consts::PI.sqrt()) > budget {
+        1.0
+    } else {
+        let r = bound.cutoff_radius(budget);
+        (std::f64::consts::PI * r * r / (side * side)).min(1.0)
+    };
+    Some((params.num_sus + 1) as f64 * params.num_pus as f64 * share)
+}
+
+/// Rejects a world packed denser than [`MAX_SENSE_ENTRIES`] allows, and a
+/// truncated one whose near-PU rows would pass [`MAX_NEAR_PU_ENTRIES`].
+fn check_density(
+    params: &ScenarioParams,
+    algorithm: CollectionAlgorithm,
+) -> Result<(), ProtoError> {
+    let over = |entries: f64, cap: f64| entries.is_nan() || entries > cap;
+    if let Some(entries) = sense_entries(params).filter(|&e| over(e, MAX_SENSE_ENTRIES)) {
         return Err(ProtoError::bad(format!(
             "{} sus in a side of {} expect {entries:.2e} carrier-sensing entries, over the \
              cap of {MAX_SENSE_ENTRIES:.0e}; widen params.side",
             params.num_sus, params.area_side
+        )));
+    }
+    if let Some(entries) =
+        near_pu_entries(params, algorithm).filter(|&e| over(e, MAX_NEAR_PU_ENTRIES))
+    {
+        return Err(ProtoError::bad(format!(
+            "{} sus and {} pus in a side of {} under {} interference expect {entries:.2e} \
+             near-field PU entries, over the cap of {MAX_NEAR_PU_ENTRIES:.0e}; raise the \
+             truncation epsilon or widen params.side",
+            params.num_sus, params.num_pus, params.area_side, params.interference
         )));
     }
     Ok(())
@@ -444,9 +499,13 @@ fn check_world(sus: usize, pus: usize, model: InterferenceModel) -> Result<(), P
 }
 
 /// [`check_world`] and [`check_density`] for every point of an axis that
-/// moves the node counts or, through the PHY, the PCR; each point is
-/// checked with its own parameters.
-fn check_axis_world(axis: &Axis, params: &ScenarioParams) -> Result<(), ProtoError> {
+/// moves the node counts or, through the PHY, the PCR or the truncation
+/// cutoffs; each point is checked with its own parameters.
+fn check_axis_world(
+    axis: &Axis,
+    params: &ScenarioParams,
+    algorithm: CollectionAlgorithm,
+) -> Result<(), ProtoError> {
     if matches!(axis.kind, AxisKind::Pt | AxisKind::ChurnRate) {
         return Ok(());
     }
@@ -456,7 +515,7 @@ fn check_axis_world(axis: &Axis, params: &ScenarioParams) -> Result<(), ProtoErr
             continue;
         };
         check_world(point.num_sus, point.num_pus, point.interference)?;
-        check_density(&point)?;
+        check_density(&point, algorithm)?;
     }
     Ok(())
 }
@@ -1059,6 +1118,58 @@ mod tests {
             "{}",
             e.message
         );
+    }
+
+    #[test]
+    fn near_pu_rows_are_capped_at_admission() {
+        let run = |params: &str| {
+            parse_request(&format!(r#"{{"v":1,"cmd":"run","params":{{{params}}}}}"#))
+        };
+        let near_pus = |e: ProtoError| {
+            assert_eq!(e.kind, ErrorKind::BadRequest);
+            assert!(e.message.contains("near-field PU entries"), "{}", e.message);
+        };
+        let world = r#""sus":250000,"pus":50000,"side":2800"#;
+        // Expected entries scale as 1/ε at alpha 4: 8.5·10⁷ at ε 0.1, so
+        // ε 0.09 sits under the cap and ε 0.08 over it.
+        for eps in ["0.1", "0.09"] {
+            let ok = run(&format!(r#"{world},"interference":"truncated:{eps}""#));
+            assert!(ok.is_ok(), "ε {eps}: {ok:?}");
+        }
+        for eps in ["0.08", "0.001", "1e-300"] {
+            near_pus(run(&format!(r#"{world},"interference":"truncated:{eps}""#)).unwrap_err());
+        }
+        // The Coolest baseline senses SUs over r, not the PCR: its looser
+        // far-field bound widens every cutoff, so the same world is refused.
+        let coolest = format!(
+            r#"{{"v":1,"cmd":"run","params":{{{world},"interference":"truncated:0.1"}},
+                "algo":"coolest"}}"#
+        );
+        near_pus(parse_request(&coolest).unwrap_err());
+        // Exact worlds hold no near-PU rows.
+        assert!(run(r#""sus":5000,"pus":1000,"side":2800"#).is_ok());
+        let sweep = |params: &str, axis: &str| {
+            parse_request(&format!(
+                r#"{{"v":1,"cmd":"sweep","params":{{{params}}},"axis":{axis}}}"#
+            ))
+        };
+        // Every point of an axis that moves the counts or alpha is checked.
+        let truncated = format!(r#"{world},"interference":"truncated:0.1""#);
+        assert!(sweep(&truncated, r#"{"kind":"pus","values":[1000,50000]}"#).is_ok());
+        let e = sweep(&truncated, r#"{"kind":"alpha","values":[4,3]}"#).unwrap_err();
+        near_pus(e);
+        let sparse = r#""sus":250000,"pus":5000,"side":2800,"interference":"truncated:0.01""#;
+        assert!(sweep(sparse, r#"{"kind":"pus","values":[5000]}"#).is_ok());
+        near_pus(sweep(sparse, r#"{"kind":"pus","values":[5000,50000]}"#).unwrap_err());
+        // The axes move one power at a time, so even an extreme one leaves
+        // the PCR, the bound's separation, finite.
+        for axis in [
+            r#"{"kind":"pu_power","values":[1e300]}"#,
+            r#"{"kind":"su_power","values":[1e-300,1e300]}"#,
+        ] {
+            let got = sweep(r#""interference":"truncated:0.1""#, axis);
+            assert!(got.is_ok(), "{axis}: {got:?}");
+        }
     }
 
     #[test]

@@ -1039,10 +1039,10 @@ impl<P: Probe> Simulator<P> {
                 // In truncated mode only the receiver's near-field PU list
                 // is scanned; exact mode sums every active PU as before.
                 match world.near_pus(rx_slot) {
-                    Some((ids, gains)) => {
-                        for (&k, &g) in ids.iter().zip(gains) {
+                    Some(ids) => {
+                        for &k in ids {
                             if self.pu_on[k as usize] {
-                                interference += p_p * g;
+                                interference += p_p * world.near_pu_gain(k, rx_slot);
                                 contributors += 1;
                             }
                         }
@@ -1645,10 +1645,10 @@ impl<P: Probe> Simulator<P> {
             if self.slot[s as usize].head != self.active.su[pos] {
                 continue;
             }
-            let (ids, gains) = world.near_pus(s).expect("delta runs on sparse radios");
-            for (&k, &g) in ids.iter().zip(gains) {
+            let ids = world.near_pus(s).expect("delta runs on sparse radios");
+            for &k in ids {
                 if self.pu_scratch[k as usize] != self.pu_on[k as usize] {
-                    self.pu_terms.push((k, s, g));
+                    self.pu_terms.push((k, s, world.near_pu_gain(k, s)));
                 }
             }
         }
@@ -1873,10 +1873,10 @@ impl<P: Probe> Simulator<P> {
                 acc.add(p_s * g);
             }
         }
-        let (ids, gains) = self.world.near_pus(s).expect("delta runs on sparse radios");
-        for (&k, &g) in ids.iter().zip(gains) {
+        let ids = self.world.near_pus(s).expect("delta runs on sparse radios");
+        for &k in ids {
             if self.pu_on[k as usize] {
-                acc.add(p_p * g);
+                acc.add(p_p * self.world.near_pu_gain(k, s));
             }
         }
         acc

@@ -132,6 +132,10 @@ impl IdRows {
     fn row(&self, i: usize) -> &[u32] {
         &self.ids[self.off[i] as usize..self.off[i + 1] as usize]
     }
+
+    fn bytes(&self) -> usize {
+        (self.off.len() + self.ids.len()) * 4
+    }
 }
 
 /// `len` entries as a `u32` CSR offset, or the error naming `table` once
@@ -298,27 +302,6 @@ struct CutoffStage {
     cutoff: Vec<f64>,
 }
 
-/// Receiver-major near-field PU lists: row `s` holds the PUs slot `s`
-/// keeps, ids ascending, with their precomputed gains.
-#[derive(Debug)]
-struct PuLists {
-    off: Vec<u32>,
-    id: Vec<u32>,
-    gain: Vec<f64>,
-}
-
-impl PuLists {
-    fn row(&self, s: usize) -> (&[u32], &[f64]) {
-        let lo = self.off[s] as usize;
-        let hi = self.off[s + 1] as usize;
-        (&self.id[lo..hi], &self.gain[lo..hi])
-    }
-
-    fn bytes(&self) -> usize {
-        (self.off.len() + self.id.len()) * 4 + self.gain.len() * 8
-    }
-}
-
 /// The budget-independent part of the near-field PU lists, plus a pulled
 /// far-field prefix deep enough for the budgets it was built under.
 ///
@@ -328,23 +311,24 @@ impl PuLists {
 /// chain of non-increasing values in `level`: a refined bound, then —
 /// where that did not fit either — the *exclusion levels*, the exact
 /// summed far-field gain left outside after pulling `k` PUs, with the
-/// nearest far-field PUs pulled to meet the PU-side budget (`ext_*`, in
+/// nearest far-field PUs pulled to meet the PU-side budget (`ext`, in
 /// pull order). A slot whose bound fits a budget pulls nothing under it;
 /// any other slot re-derives its pull count by a pure `partition_point`
 /// over its chain, bit-identical to a fresh build. A budget that needs
 /// more of a chain than a slot stores rebuilds the structure.
+///
+/// Rows hold PU ids only: [`SparseRadio::near_pu_gain`] recomputes a
+/// gain from positions with the expression the build evaluated.
 #[derive(Debug)]
 struct PuStructure {
     key: StructureKey,
-    /// `Arc`-shared: when no slot pulls, [`ServedPu`] serves these very
-    /// lists instead of a copy.
-    base: Arc<PuLists>,
+    /// `Arc`-shared: when no slot pulls, the radio serves these very
+    /// rows instead of a copy.
+    base: Arc<IdRows>,
     /// Per slot, an upper bound on level 0, certified in floating point
     /// (see [`build_pu_structure`]).
     bound: Vec<f64>,
-    ext_off: Vec<u32>,
-    ext_id: Vec<u32>,
-    ext_gain: Vec<f64>,
+    ext: IdRows,
     /// Row offsets into `level`. Row `s` is empty where `bound[s]` fit the
     /// build's threshold; else it holds the refined bound and, where that
     /// did not fit, level 0 and one level per pulled PU.
@@ -355,12 +339,6 @@ struct PuStructure {
 impl PuStructure {
     fn levels(&self, s: usize) -> &[f64] {
         &self.level[self.lvl_off[s] as usize..self.lvl_off[s + 1] as usize]
-    }
-
-    fn ext(&self, s: usize) -> (&[u32], &[f64]) {
-        let lo = self.ext_off[s] as usize;
-        let hi = self.ext_off[s + 1] as usize;
-        (&self.ext_id[lo..hi], &self.ext_gain[lo..hi])
     }
 
     /// Slot `s`'s pull count under threshold `t`, with the far-field gain
@@ -398,17 +376,18 @@ impl PuStructure {
 
     fn bytes(&self) -> usize {
         self.base.bytes()
-            + (self.ext_off.len() + self.ext_id.len() + self.lvl_off.len()) * 4
-            + (self.bound.len() + self.ext_gain.len() + self.level.len()) * 8
+            + self.ext.bytes()
+            + self.lvl_off.len() * 4
+            + (self.bound.len() + self.level.len()) * 8
     }
 }
 
-/// The served near-field PU lists for one vector of pull counts: slot `s`
+/// The served near-field PU rows for one vector of pull counts: slot `s`
 /// serves its base row plus the first `pulls[s]` pulled PUs, ids
 /// ascending. They are a pure function of the [`PuStructure`] and the
 /// counts, so radios that agree on every count share one copy, and when
 /// no slot pulls they are the structure's `base`.
-fn served_lists(structure: &PuStructure, pulls: &[u32]) -> Result<Arc<PuLists>, WorldError> {
+fn served_lists(structure: &PuStructure, pulls: &[u32]) -> Result<Arc<IdRows>, WorldError> {
     if pulls.iter().all(|&k| k == 0) {
         Ok(structure.base.clone())
     } else {
@@ -419,22 +398,24 @@ fn served_lists(structure: &PuStructure, pulls: &[u32]) -> Result<Arc<PuLists>, 
 /// Whether `lists` serve exactly `pulls` over `structure`, the structure
 /// they were built from. A served row is its base row plus its pulled
 /// PUs, which the cutoff keeps disjoint.
-fn serves(lists: &PuLists, structure: &PuStructure, pulls: &[u32]) -> bool {
+fn serves(lists: &IdRows, structure: &PuStructure, pulls: &[u32]) -> bool {
     pulls
         .iter()
         .enumerate()
-        .all(|(s, &k)| lists.row(s).0.len() == structure.base.row(s).0.len() + k as usize)
+        .all(|(s, &k)| lists.row(s).len() == structure.base.row(s).len() + k as usize)
 }
 
-/// Sparse gain stages (`Truncated` model). SU gains are not stored:
-/// [`SparseRadio::su_gain`] recomputes each from positions.
+/// Sparse gain stages (`Truncated` model). No gain is stored:
+/// [`SparseRadio::su_gain`] and [`SparseRadio::near_pu_gain`] recompute
+/// each from positions.
 #[derive(Clone, Debug)]
 struct SparseRadio {
     law: PathLoss,
     gmin: Arc<GminStage>,
     cutoff: Arc<CutoffStage>,
     structure: Arc<PuStructure>,
-    served: Arc<PuLists>,
+    /// Per slot, the PUs it sums, ids ascending.
+    served: Arc<IdRows>,
     /// Per-slot certified upper bound on the power received if every
     /// excluded PU transmitted at once (the PU-side truncation error):
     /// the far-field bound where it fits the budget, else exact.
@@ -495,6 +476,18 @@ impl SparseRadio {
         } else {
             0.0
         }
+    }
+
+    /// The gain from PU `pu` at `slot`, from the positions of `topology`:
+    /// `gain_sq` of the PU's squared distance to the slot's receiver, the
+    /// expression [`build_pu_structure`] evaluated for the PU, so a served
+    /// gain has the bits a stored one had. It does not look `pu` up in the
+    /// slot's served row.
+    #[inline]
+    fn near_pu_gain(&self, topology: &Topology, pu: u32, slot: u32) -> f64 {
+        let q = topology.su_positions()[topology.receivers()[slot as usize] as usize];
+        self.law
+            .gain_sq(topology.pu_positions()[pu as usize].distance_sq(q))
     }
 }
 
@@ -709,16 +702,30 @@ impl Radio {
         (&sensed.ids[lo..hi], &self.sense.sensed_pos[lo..hi])
     }
 
-    pub(crate) fn pu_gain(&self, pu: usize, slot: u32) -> f64 {
+    /// The gain from `pu` at `slot`: the dense table entry, or on a
+    /// truncated radio [`SparseRadio::near_pu_gain`] over `topology` where
+    /// the slot's served row holds `pu`, and `0.0` elsewhere.
+    pub(crate) fn pu_gain(&self, topology: &Topology, pu: usize, slot: u32) -> f64 {
         match &self.gains {
             RadioGains::Dense(d) => d.pu_gain[pu * d.slots + slot as usize],
             RadioGains::Sparse(s) => {
-                let (ids, gains) = s.served.row(slot as usize);
-                match ids.binary_search(&(pu as u32)) {
-                    Ok(idx) => gains[idx],
-                    Err(_) => 0.0,
+                let pu = pu as u32;
+                if s.served.row(slot as usize).binary_search(&pu).is_ok() {
+                    s.near_pu_gain(topology, pu, slot)
+                } else {
+                    0.0
                 }
             }
+        }
+    }
+
+    /// The gain from `pu` at `slot`, for a `pu` in the slot's
+    /// [`Radio::near_pus`] row: [`Radio::pu_gain`] without the row search.
+    #[inline]
+    pub(crate) fn near_pu_gain(&self, topology: &Topology, pu: u32, slot: u32) -> f64 {
+        match &self.gains {
+            RadioGains::Dense(d) => d.pu_gain[pu as usize * d.slots + slot as usize],
+            RadioGains::Sparse(s) => s.near_pu_gain(topology, pu, slot),
         }
     }
 
@@ -734,7 +741,7 @@ impl Radio {
         }
     }
 
-    pub(crate) fn near_pus(&self, slot: u32) -> Option<(&[u32], &[f64])> {
+    pub(crate) fn near_pus(&self, slot: u32) -> Option<&[u32]> {
         match &self.gains {
             RadioGains::Dense(_) => None,
             RadioGains::Sparse(s) => Some(s.served.row(slot as usize)),
@@ -749,7 +756,7 @@ impl Radio {
     }
 
     /// FNV-1a (64-bit) over every sparse table, in bit patterns: cutoffs,
-    /// bounds, pulled lists, levels, base rows, served lists and
+    /// bounds, pulled id rows, levels, base id rows, served id rows and
     /// residuals, each with its offsets. `None` in exact mode.
     pub(crate) fn tables_digest(&self) -> Option<u64> {
         let RadioGains::Sparse(s) = &self.gains else {
@@ -759,15 +766,13 @@ impl Radio {
         let mut h = Fnv(0xcbf2_9ce4_8422_2325);
         h.f64s(&s.cutoff.cutoff);
         h.f64s(&st.bound);
-        h.u32s(&st.ext_off);
-        h.u32s(&st.ext_id);
-        h.f64s(&st.ext_gain);
+        h.u32s(&st.ext.off);
+        h.u32s(&st.ext.ids);
         h.u32s(&st.lvl_off);
         h.f64s(&st.level);
-        for lists in [&st.base, &s.served] {
-            h.u32s(&lists.off);
-            h.u32s(&lists.id);
-            h.f64s(&lists.gain);
+        for rows in [&st.base, &s.served] {
+            h.u32s(&rows.off);
+            h.u32s(&rows.ids);
         }
         h.f64s(&s.pu_residual);
         Some(h.0)
@@ -1178,8 +1183,8 @@ impl PuGrid {
     }
 
     /// Evaluates every PU of the leaf cells `leaves` for the receiver at
-    /// `q` as the exact fold evaluates it: within `cutoff_sq` it is pushed
-    /// with its gain onto `near` (if given), else its gain is added to the
+    /// `q` as the exact fold evaluates it: within `cutoff_sq` its id is
+    /// pushed onto `near` (if given), else its gain is added to the
     /// returned sum, which starts from `-0.0`.
     fn evaluate(
         &self,
@@ -1187,7 +1192,7 @@ impl PuGrid {
         q: Point,
         cutoff_sq: f64,
         law: &PathLoss,
-        mut near: Option<&mut Vec<(u32, f64)>>,
+        mut near: Option<&mut Vec<u32>>,
     ) -> f64 {
         let mut sum = -0.0f64;
         for &c in leaves {
@@ -1197,13 +1202,12 @@ impl PuGrid {
             );
             for (&k, p) in self.leaf_id[lo..hi].iter().zip(&self.leaf_pos[lo..hi]) {
                 let d2 = p.distance_sq(q);
-                let g = law.gain_sq(d2);
                 if d2 <= cutoff_sq {
                     if let Some(near) = near.as_deref_mut() {
-                        near.push((k, g));
+                        near.push(k);
                     }
                 } else {
-                    sum += g;
+                    sum += law.gain_sq(d2);
                 }
             }
         }
@@ -1358,101 +1362,87 @@ fn build_pu_structure(
     );
     let entries = prefix_offsets("PU near-field", &mut base_off)?;
     let mut base_id = vec![0u32; entries];
-    let mut base_gain = vec![0.0f64; entries];
-    let row_ends = || slots.iter().map(|r| base_off[r.end] as usize);
-    let rows = cut(&mut base_id, row_ends())
-        .into_iter()
-        .zip(cut(&mut base_gain, row_ends()));
-    let certified = fan_out(
-        slots.iter().cloned().zip(rows).collect(),
-        |(range, (ids, gains))| {
-            let first = base_off[range.start] as usize;
-            let mut out = Certified {
-                bound: Vec::with_capacity(range.len()),
-                ext_end: Vec::with_capacity(range.len()),
-                lvl_end: Vec::with_capacity(range.len()),
-                ..Certified::default()
-            };
-            let mut near: Vec<(u32, f64)> = Vec::new();
-            let (mut leaves, mut stack) = (Vec::new(), Vec::new());
-            let mut far: Vec<(u64, u32, f64)> = Vec::new();
-            for s in range {
-                let q = rx(s);
-                let cutoff_sq = cutoff[s] * cutoff[s];
-                let threshold = threshold(s);
-                let (near_leaves, group_far) = groups.of(s);
-                near.clear();
-                let exact = grid.evaluate(near_leaves, q, cutoff_sq, law, Some(&mut near));
-                let b = margin * (exact + group_far);
-                near.sort_unstable_by_key(|&(k, _)| k);
-                let row = base_off[s] as usize - first..base_off[s + 1] as usize - first;
-                assert_eq!(near.len(), row.len(), "slot {s}: near PUs miscounted");
-                for ((id, gain), &(k, g)) in
-                    ids[row.clone()].iter_mut().zip(&mut gains[row]).zip(&near)
-                {
-                    (*id, *gain) = (k, g);
+    let rows = cut(&mut base_id, slots.iter().map(|r| base_off[r.end] as usize));
+    let certified = fan_out(slots.iter().cloned().zip(rows).collect(), |(range, ids)| {
+        let first = base_off[range.start] as usize;
+        let mut out = Certified {
+            bound: Vec::with_capacity(range.len()),
+            ext_end: Vec::with_capacity(range.len()),
+            lvl_end: Vec::with_capacity(range.len()),
+            ..Certified::default()
+        };
+        let mut near: Vec<u32> = Vec::new();
+        let (mut leaves, mut stack) = (Vec::new(), Vec::new());
+        let mut far: Vec<(u64, u32, f64)> = Vec::new();
+        for s in range {
+            let q = rx(s);
+            let cutoff_sq = cutoff[s] * cutoff[s];
+            let threshold = threshold(s);
+            let (near_leaves, group_far) = groups.of(s);
+            near.clear();
+            let exact = grid.evaluate(near_leaves, q, cutoff_sq, law, Some(&mut near));
+            let b = margin * (exact + group_far);
+            near.sort_unstable();
+            let row = base_off[s] as usize - first..base_off[s + 1] as usize - first;
+            assert_eq!(near.len(), row.len(), "slot {s}: near PUs miscounted");
+            ids[row].copy_from_slice(&near);
+            out.bound.push(b);
+            let refined = (b > threshold).then(|| {
+                let r = REFINED_RADIUS_CUTOFFS * cutoff[s];
+                (margin * grid.point_bound(q, cutoff_sq, r, law, &mut leaves, &mut stack)).min(b)
+            });
+            out.level.extend(refined);
+            if refined.is_some_and(|v| v > threshold) {
+                // `-0.0` and PU-id order make this the very left fold that
+                // `Iterator::sum` performs, so the level keeps its bits (an
+                // empty far field included).
+                let mut lvl0 = -0.0f64;
+                for &pu in pus {
+                    let d2 = pu.distance_sq(q);
+                    if d2 > cutoff_sq {
+                        lvl0 += law.gain_sq(d2);
+                    }
                 }
-                out.bound.push(b);
-                let refined = (b > threshold).then(|| {
-                    let r = REFINED_RADIUS_CUTOFFS * cutoff[s];
-                    (margin * grid.point_bound(q, cutoff_sq, r, law, &mut leaves, &mut stack))
-                        .min(b)
-                });
-                out.level.extend(refined);
-                if refined.is_some_and(|v| v > threshold) {
-                    // `-0.0` and PU-id order make this the very left fold that
-                    // `Iterator::sum` performs, so the level keeps its bits (an
-                    // empty far field included).
-                    let mut lvl0 = -0.0f64;
-                    for &pu in pus {
+                out.level.push(lvl0);
+                if lvl0 > threshold {
+                    // Distances are non-negative finite, so their bit patterns
+                    // order identically to the values; `far` starts in id
+                    // order, so the stable sort breaks distance ties toward
+                    // the lower PU id. Its gains only fold the levels: a
+                    // pulled PU's served gain is recomputed on read.
+                    far.clear();
+                    far.extend(pus.iter().enumerate().filter_map(|(k, &pu)| {
                         let d2 = pu.distance_sq(q);
-                        if d2 > cutoff_sq {
-                            lvl0 += law.gain_sq(d2);
-                        }
+                        (d2 > cutoff_sq).then(|| (d2.to_bits(), k as u32, law.gain_sq(d2)))
+                    }));
+                    far.sort_by_key(|&(d2_bits, _, _)| d2_bits);
+                    let mut pulled = 0usize;
+                    while out.level.last().copied().expect("level 0 exists") > threshold
+                        && pulled < far.len()
+                    {
+                        out.ext_id.push(far[pulled].1);
+                        pulled += 1;
+                        out.level
+                            .push(far[pulled..].iter().map(|&(_, _, g)| g).sum());
                     }
-                    out.level.push(lvl0);
-                    if lvl0 > threshold {
-                        // Distances are non-negative finite, so their bit patterns
-                        // order identically to the values; `far` starts in id
-                        // order, so the stable sort breaks distance ties toward
-                        // the lower PU id.
-                        far.clear();
-                        far.extend(pus.iter().enumerate().filter_map(|(k, &pu)| {
-                            let d2 = pu.distance_sq(q);
-                            (d2 > cutoff_sq).then(|| (d2.to_bits(), k as u32, law.gain_sq(d2)))
-                        }));
-                        far.sort_by_key(|&(d2_bits, _, _)| d2_bits);
-                        let mut pulled = 0usize;
-                        while out.level.last().copied().expect("level 0 exists") > threshold
-                            && pulled < far.len()
-                        {
-                            let (_, id, g) = far[pulled];
-                            out.ext_id.push(id);
-                            out.ext_gain.push(g);
-                            pulled += 1;
-                            out.level
-                                .push(far[pulled..].iter().map(|&(_, _, g)| g).sum());
-                        }
-                    }
-                }
-                out.ext_end.push(out.ext_id.len());
-                out.lvl_end.push(out.level.len());
-                // Past `u32::MAX` the join below refuses at this slot or
-                // before, so the rest of the range is never read.
-                if out.ext_id.len().max(out.level.len()) > u32::MAX as usize {
-                    break;
                 }
             }
-            out
-        },
-    );
+            out.ext_end.push(out.ext_id.len());
+            out.lvl_end.push(out.level.len());
+            // Past `u32::MAX` the join below refuses at this slot or
+            // before, so the rest of the range is never read.
+            if out.ext_id.len().max(out.level.len()) > u32::MAX as usize {
+                break;
+            }
+        }
+        out
+    });
     // Slot by slot in order, as a serial append checks them, so an
     // oversized table is refused at the same slot with the same count.
     let (mut ext_off, mut lvl_off) = (Vec::with_capacity(m + 1), Vec::with_capacity(m + 1));
     ext_off.push(0u32);
     lvl_off.push(0u32);
-    let (mut bound, mut ext_id, mut ext_gain, mut level) =
-        (Vec::new(), Vec::new(), Vec::new(), Vec::new());
+    let (mut bound, mut ext_id, mut level) = (Vec::new(), Vec::new(), Vec::new());
     for part in certified {
         for (&e, &l) in part.ext_end.iter().zip(&part.lvl_end) {
             ext_off.push(offset("pulled PU", ext_id.len() + e)?);
@@ -1460,20 +1450,19 @@ fn build_pu_structure(
         }
         append(&mut bound, part.bound);
         append(&mut ext_id, part.ext_id);
-        append(&mut ext_gain, part.ext_gain);
         append(&mut level, part.level);
     }
     Ok(PuStructure {
         key,
-        base: Arc::new(PuLists {
+        base: Arc::new(IdRows {
             off: base_off,
-            id: base_id,
-            gain: base_gain,
+            ids: base_id,
         }),
         bound,
-        ext_off,
-        ext_id,
-        ext_gain,
+        ext: IdRows {
+            off: ext_off,
+            ids: ext_id,
+        },
         lvl_off,
         level,
     })
@@ -1488,39 +1477,26 @@ struct Certified {
     ext_end: Vec<usize>,
     lvl_end: Vec<usize>,
     ext_id: Vec<u32>,
-    ext_gain: Vec<f64>,
     level: Vec<f64>,
 }
 
-/// The served lists of a structure under pull counts of which some are
+/// The served rows of a structure under pull counts of which some are
 /// non-zero: each slot's base row merged with its first `pulls[s]`
 /// pulled PUs, ids ascending, written into tables sized exactly once.
-fn merge_pulled(structure: &PuStructure, pulls: &[u32]) -> Result<PuLists, WorldError> {
-    let entries = structure.base.id.len() + pulls.iter().map(|&k| k as usize).sum::<usize>();
+fn merge_pulled(structure: &PuStructure, pulls: &[u32]) -> Result<IdRows, WorldError> {
+    let entries = structure.base.ids.len() + pulls.iter().map(|&k| k as usize).sum::<usize>();
     // Every row offset is at most `entries`, so one check covers them all.
     offset("served PU", entries)?;
     let mut off = vec![0u32; pulls.len() + 1];
-    let mut id = Vec::with_capacity(entries);
-    let mut gain = Vec::with_capacity(entries);
-    let mut near: Vec<(u32, f64)> = Vec::new();
+    let mut ids = Vec::with_capacity(entries);
     for (s, &k) in pulls.iter().enumerate() {
-        let (base_ids, base_gains) = structure.base.row(s);
-        let (ext_ids, ext_gains) = structure.ext(s);
-        let k = k as usize;
-        near.clear();
-        near.extend(base_ids.iter().copied().zip(base_gains.iter().copied()));
-        near.extend(
-            ext_ids[..k]
-                .iter()
-                .copied()
-                .zip(ext_gains[..k].iter().copied()),
-        );
-        near.sort_unstable_by_key(|&(id, _)| id);
-        id.extend(near.iter().map(|&(i, _)| i));
-        gain.extend(near.iter().map(|&(_, g)| g));
-        off[s + 1] = id.len() as u32;
+        let start = ids.len();
+        ids.extend_from_slice(structure.base.row(s));
+        ids.extend_from_slice(&structure.ext.row(s)[..k as usize]);
+        ids[start..].sort_unstable();
+        off[s + 1] = ids.len() as u32;
     }
-    Ok(PuLists { off, id, gain })
+    Ok(IdRows { off, ids })
 }
 
 #[cfg(test)]
@@ -1592,8 +1568,8 @@ mod tests {
             assert_eq!(a.pu_fanout(pu), b.pu_fanout(pu));
             for s in 0..m {
                 assert_eq!(
-                    a.pu_gain(pu, s).to_bits(),
-                    b.pu_gain(pu, s).to_bits(),
+                    a.pu_gain(topo, pu, s).to_bits(),
+                    b.pu_gain(topo, pu, s).to_bits(),
                     "pu {pu} slot {s}"
                 );
             }
@@ -1676,7 +1652,7 @@ mod tests {
     fn total_pulls(radio: &Radio) -> usize {
         let s = sparse(radio);
         (0..s.pu_residual.len())
-            .map(|i| s.served.row(i).0.len() - s.structure.base.row(i).0.len())
+            .map(|i| s.served.row(i).len() - s.structure.base.row(i).len())
             .sum()
     }
 
@@ -1814,18 +1790,12 @@ mod tests {
             let mut approximated = 0;
             for s in 0..topo.num_receiver_slots() {
                 let (cutoff_sq, pus) = scan(&topo, &radio, s);
-                let (ids, gains) = structure.base.row(s);
-                let want: Vec<(u32, u64)> = pus
+                let want: Vec<u32> = pus
                     .iter()
                     .filter(|&&(_, d2, _)| d2 <= cutoff_sq)
-                    .map(|&(k, _, g)| (k, g.to_bits()))
+                    .map(|&(k, _, _)| k)
                     .collect();
-                let got: Vec<(u32, u64)> = ids
-                    .iter()
-                    .zip(gains)
-                    .map(|(&k, g)| (k, g.to_bits()))
-                    .collect();
-                assert_eq!(got, want, "{name}: slot {s} base row");
+                assert_eq!(structure.base.row(s), want, "{name}: slot {s} base row");
                 let exact: f64 = pus
                     .iter()
                     .filter(|&&(_, d2, _)| d2 > cutoff_sq)
@@ -1912,24 +1882,19 @@ mod tests {
                     .collect();
                 let mut excluded: f64 = far.iter().map(|&(_, _, g)| g).sum();
                 far.sort_by(|a, b| a.1.total_cmp(&b.1));
-                let mut kept: Vec<(u32, u64)> = pus
+                let mut kept: Vec<u32> = pus
                     .iter()
                     .filter(|&&(_, d2, _)| d2 <= cutoff_sq)
-                    .map(|&(k, _, g)| (k, g.to_bits()))
+                    .map(|&(k, _, _)| k)
                     .collect();
                 let mut pulled = 0;
                 while excluded > threshold[s] && pulled < far.len() {
-                    kept.push((far[pulled].0, far[pulled].2.to_bits()));
+                    kept.push(far[pulled].0);
                     pulled += 1;
                     excluded = far[pulled..].iter().map(|&(_, _, g)| g).sum();
                 }
                 kept.sort_unstable();
-                let (ids, gains) = radio.near_pus(s as u32).unwrap();
-                let got: Vec<(u32, u64)> = ids
-                    .iter()
-                    .zip(gains)
-                    .map(|(&k, g)| (k, g.to_bits()))
-                    .collect();
+                let got = radio.near_pus(s as u32).unwrap();
                 assert_eq!(got, kept, "{name}: slot {s} served list");
                 let level = match tiers[s] {
                     0 => structure.bound[s],
@@ -1990,7 +1955,7 @@ mod tests {
     }
 
     /// Every sparse table of `a` and `b`, bit for bit: cutoffs, base rows,
-    /// bounds, pulled lists, levels, served lists and residuals.
+    /// bounds, pulled lists, levels, served rows and residuals.
     fn assert_same_sparse_bits(a: &Radio, b: &Radio, what: &str) {
         let (a_digest, b_digest) = (a.tables_digest(), b.tables_digest());
         let (a, b) = (sparse(a), sparse(b));
@@ -2002,17 +1967,14 @@ mod tests {
         );
         let (sa, sb) = (&a.structure, &b.structure);
         for (la, lb, table) in [
-            (&sa.base, &sb.base, "base rows"),
-            (&a.served, &b.served, "served lists"),
+            (&*sa.base, &*sb.base, "base rows"),
+            (&*a.served, &*b.served, "served lists"),
+            (&sa.ext, &sb.ext, "pulled lists"),
         ] {
             assert_eq!(la.off, lb.off, "{what}: {table}");
-            assert_eq!(la.id, lb.id, "{what}: {table}");
-            assert_eq!(bits(&la.gain), bits(&lb.gain), "{what}: {table}");
+            assert_eq!(la.ids, lb.ids, "{what}: {table}");
         }
         assert_eq!(bits(&sa.bound), bits(&sb.bound), "{what}: bounds");
-        assert_eq!(sa.ext_off, sb.ext_off, "{what}: pulled lists");
-        assert_eq!(sa.ext_id, sb.ext_id, "{what}: pulled lists");
-        assert_eq!(bits(&sa.ext_gain), bits(&sb.ext_gain), "{what}: pulled");
         assert_eq!(sa.lvl_off, sb.lvl_off, "{what}: levels");
         assert_eq!(bits(&sa.level), bits(&sb.level), "{what}: levels");
         assert_eq!(
@@ -2075,29 +2037,21 @@ mod tests {
             Arc::get_mut(shared).unwrap()
         }
         type Flip = fn(&mut SparseRadio);
-        let flips: [(&str, Flip); 14] = [
+        let flips: [(&str, Flip); 11] = [
             ("cutoffs", |s| f(&mut own(&mut s.cutoff).cutoff[0])),
             ("bounds", |s| f(&mut own(&mut s.structure).bound[0])),
-            ("pulled offsets", |s| own(&mut s.structure).ext_off[0] ^= 1),
-            ("pulled ids", |s| own(&mut s.structure).ext_id[0] ^= 1),
-            (
-                "pulled gains",
-                |s| f(&mut own(&mut s.structure).ext_gain[0]),
-            ),
+            ("pulled offsets", |s| own(&mut s.structure).ext.off[0] ^= 1),
+            ("pulled ids", |s| own(&mut s.structure).ext.ids[0] ^= 1),
             ("level offsets", |s| own(&mut s.structure).lvl_off[0] ^= 1),
             ("levels", |s| f(&mut own(&mut s.structure).level[0])),
             ("base offsets", |s| {
                 own(&mut own(&mut s.structure).base).off[0] ^= 1
             }),
             ("base ids", |s| {
-                own(&mut own(&mut s.structure).base).id[0] ^= 1
-            }),
-            ("base gains", |s| {
-                f(&mut own(&mut own(&mut s.structure).base).gain[0])
+                own(&mut own(&mut s.structure).base).ids[0] ^= 1
             }),
             ("served offsets", |s| own(&mut s.served).off[0] ^= 1),
-            ("served ids", |s| own(&mut s.served).id[0] ^= 1),
-            ("served gains", |s| f(&mut own(&mut s.served).gain[0])),
+            ("served ids", |s| own(&mut s.served).ids[0] ^= 1),
             ("residuals", |s| f(&mut own(&mut s.pu_residual)[0])),
         ];
         for (table, flip) in flips {
@@ -2303,6 +2257,44 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn pu_gains_follow_the_cutoff_bit_for_bit() {
+        // The gain rule recomputes every served PU gain from positions. A
+        // brute force over every (PU, slot) pair: the gain is `gain_sq(d²)`
+        // exactly where the slot's served row (its PUs within the cutoff
+        // and its first `pulls[s]` pulled PUs) holds the PU, `0.0`
+        // elsewhere.
+        let pulling = powered(sparse_params(), 100.0, 1.0);
+        let mut pulled = 0;
+        for (name, topo) in certification_worlds() {
+            for (budget, params) in [("default", &sparse_params()), ("pulling", &pulling)] {
+                let radio = Radio::customize(&topo, params).unwrap();
+                let structure = &sparse(&radio).structure;
+                for (s, &g_min) in sparse(&radio).gmin.g_min.iter().enumerate() {
+                    let (cutoff_sq, pus) = scan(&topo, &radio, s);
+                    let threshold = pu_threshold(&params.phy, 0.1, g_min);
+                    let k = structure.pull(s, threshold).unwrap().0 as usize;
+                    pulled += k;
+                    let first = &structure.ext.row(s)[..k];
+                    for (pu, d2, g) in pus {
+                        let want = if d2 <= cutoff_sq || first.contains(&pu) {
+                            g
+                        } else {
+                            0.0
+                        };
+                        let got = radio.pu_gain(&topo, pu as usize, s as u32);
+                        assert_eq!(
+                            got.to_bits(),
+                            want.to_bits(),
+                            "{name} {budget}: pu {pu} at slot {s}"
+                        );
+                    }
+                }
+            }
+        }
+        assert!(pulled > 0, "the pulling budget must pull");
     }
 
     #[test]

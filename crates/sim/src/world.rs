@@ -413,7 +413,7 @@ impl SimWorld {
     }
 
     pub(crate) fn pu_gain(&self, pu: usize, slot: u32) -> f64 {
-        self.radio.pu_gain(pu, slot)
+        self.radio.pu_gain(&self.topology, pu, slot)
     }
 
     #[inline]
@@ -421,11 +421,18 @@ impl SimWorld {
         self.radio.su_gain(&self.topology, su, slot)
     }
 
-    /// The near-field PU list of a receiver slot — `(pu ids, gains)`,
-    /// ascending by id — or `None` in dense (exact) mode, where callers
-    /// must sum over every PU.
-    pub(crate) fn near_pus(&self, slot: u32) -> Option<(&[u32], &[f64])> {
+    /// The near-field PU row of a receiver slot, ids ascending, each PU's
+    /// gain given by [`SimWorld::near_pu_gain`]; `None` in dense (exact)
+    /// mode, where callers must sum over every PU.
+    pub(crate) fn near_pus(&self, slot: u32) -> Option<&[u32]> {
         self.radio.near_pus(slot)
+    }
+
+    /// The gain from `pu`, a PU of `slot`'s near row, recomputed from
+    /// positions: [`SimWorld::pu_gain`] without looking `pu` up.
+    #[inline]
+    pub(crate) fn near_pu_gain(&self, pu: u32, slot: u32) -> f64 {
+        self.radio.near_pu_gain(&self.topology, pu, slot)
     }
 
     /// The interference model this world was customized with.
@@ -434,9 +441,9 @@ impl SimWorld {
         self.radio.params().interference
     }
 
-    /// Bytes held by the path-gain storage (dense tables or sparse
-    /// near-field lists) — the memory the truncated model exists to
-    /// shrink. A table two of this world's stages share counts once; one
+    /// Bytes held by the path-gain storage (dense tables, or the sparse
+    /// cutoffs, near-field PU id rows, bounds, levels and residuals) —
+    /// the memory the truncated model exists to shrink. A table two of this world's stages share counts once; one
     /// shared with another world (after [`SimWorld::recustomize`]) counts
     /// in full for each.
     #[must_use]
@@ -455,9 +462,9 @@ impl SimWorld {
     }
 
     /// One 64-bit FNV-1a digest of every truncation table, bit for bit:
-    /// cutoffs, the PU near-field rows, bounds, pulled lists, levels,
-    /// served lists and residuals, offsets included. Builds that agree on
-    /// every table agree on it. `None` in exact mode.
+    /// cutoffs, the PU near-field id rows, bounds, pulled id lists,
+    /// levels, served id rows and residuals, offsets included. Builds that
+    /// agree on every table agree on it. `None` in exact mode.
     #[must_use]
     pub fn tables_digest(&self) -> Option<u64> {
         self.radio.tables_digest()
@@ -931,12 +938,10 @@ mod tests {
     fn sparse_near_pu_lists_are_sorted_and_consistent() {
         let w = grid_world(InterferenceModel::Truncated { epsilon: 0.1 });
         for s in 0..w.num_receiver_slots() as u32 {
-            let (ids, gains) = w.near_pus(s).unwrap();
-            assert_eq!(ids.len(), gains.len());
+            let ids = w.near_pus(s).unwrap();
             assert!(ids.windows(2).all(|w| w[0] < w[1]), "slot {s} ids unsorted");
-            let (ids, gains) = (ids.to_vec(), gains.to_vec());
-            for (&k, &g) in ids.iter().zip(&gains) {
-                assert_eq!(w.pu_gain(k as usize, s), g);
+            for &k in ids {
+                assert_eq!(w.pu_gain(k as usize, s), w.near_pu_gain(k, s));
             }
         }
     }

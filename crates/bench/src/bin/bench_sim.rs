@@ -18,14 +18,17 @@
 //! re-customization (an SU transmit-power bump) against a full
 //! from-scratch rebuild at the new parameters, three of each with their
 //! median, min and max, asserting along the way that both worlds produce
-//! bit-identical reports.
+//! bit-identical reports from a capped run with the PUs transmitting
+//! (`p_t` 0.3, as perfbench's `scale-sparse`), so that run reads the
+//! served near-PU gains. The timed throughput runs and the
+//! `--check-invariants` window keep a silent primary network.
 //!
 //! Every world also prints a `digest`: FNV-1a over the bits of every
 //! truncation table ([`crn_sim::SimWorld::tables_digest`]: cutoffs, PU
 //! near-field id rows, bounds, pulled id lists, levels, served id rows
 //! and residuals, offsets included; a truncated world stores no gain, so
 //! none is digested, and an `Exact` world has no such table), continued
-//! over its capped run's report.
+//! over its capped run's report and then over the equivalence run's.
 //! Those are the same on any number of cores, so CI compares the digests
 //! of a run pinned to one core (`taskset -c 0`, serial radio builds) with
 //! an unpinned one (builds split across the cores).
@@ -49,6 +52,7 @@ use crn_bench::take_flag;
 use crn_sim::{
     InterferenceModel, InvariantChecker, MacConfig, SimWorld, Simulator, Topology, TraceLog,
 };
+use crn_spectrum::PuActivity;
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::Instant;
@@ -69,6 +73,8 @@ const BIG_SIZE: usize = 50_000;
 const HUGE_SIZE: usize = 1_000_000;
 /// FNV-1a 64-bit offset basis, where an exact world's digest starts.
 const FNV_START: u64 = 0xcbf2_9ce4_8422_2325;
+/// PU activity of the recustomize-vs-rebuild equivalence runs.
+const EQUIV_P_T: f64 = 0.3;
 
 fn cores() -> usize {
     std::thread::available_parallelism()
@@ -129,13 +135,18 @@ struct SizeStats {
     vm_hwm_kb: Option<u64>,
 }
 
-fn capped_run(world: impl Into<Arc<SimWorld>>, sim_seconds: f64) -> (crn_sim::SimReport, u64) {
+fn capped_run(
+    world: impl Into<Arc<SimWorld>>,
+    sim_seconds: f64,
+    p_t: f64,
+) -> (crn_sim::SimReport, u64) {
     let mac = MacConfig {
         max_sim_time: sim_seconds,
         ..MacConfig::default()
     };
     let (report, trace) = Simulator::builder(world)
         .mac(mac)
+        .activity(PuActivity::bernoulli(p_t).expect("p_t is a probability"))
         .seed(42)
         .probe(TraceLog::bounded(64))
         .build()
@@ -217,8 +228,8 @@ fn measure(
 
     // Both paths must agree bit-for-bit before either timing counts.
     let equiv_seconds = sim_seconds.min(0.05);
-    let (from_recustomize, _) = capped_run(recustomized, equiv_seconds);
-    let (from_rebuild, _) = capped_run(rebuilt, equiv_seconds);
+    let (from_recustomize, _) = capped_run(recustomized, equiv_seconds, EQUIV_P_T);
+    let (from_rebuild, _) = capped_run(rebuilt, equiv_seconds, EQUIV_P_T);
     assert_eq!(
         from_recustomize, from_rebuild,
         "recustomized world diverged from a fresh build at n = {n}"
@@ -239,7 +250,7 @@ fn measure(
     let mut eps = Vec::with_capacity(RERUNS);
     for _ in 0..RERUNS {
         let started = Instant::now();
-        let (r, ev) = capped_run(world.clone(), sim_seconds);
+        let (r, ev) = capped_run(world.clone(), sim_seconds, 0.0);
         let wall = started.elapsed().as_secs_f64();
         eps.push(ev as f64 / wall.max(1e-9));
         match &report {
@@ -252,6 +263,7 @@ fn measure(
     assert!(report.attempts > 0, "capped run must make progress");
     let digest = world.tables_digest().unwrap_or(FNV_START);
     let digest = crn_core::fnv1a_64(digest, format!("{report:?}").as_bytes());
+    let digest = crn_core::fnv1a_64(digest, format!("{from_recustomize:?}").as_bytes());
     ModelStats {
         construct_ms: (topology_build_s + customize_s[0]) * 1e3,
         customize_s,

@@ -1,26 +1,23 @@
-//! Shared helpers for the figure-regeneration binaries and Criterion
-//! benches of the ADDC reproduction.
+//! Shared helpers for the figure-regeneration and benchmark binaries of
+//! the ADDC reproduction.
 //!
-//! The binaries regenerate the paper's evaluation artifacts:
+//! The binaries regenerate the paper's evaluation artifacts (Fig. 6 is
+//! `crn sweep`'s):
 //!
 //! | target | regenerates |
 //! |--------|-------------|
 //! | `fig4` | Fig. 4 (PCR closed forms, both constant variants) |
-//! | `fig6` | Fig. 6 panels (a)–(f), ADDC vs Coolest |
 //! | `validate-bounds` | Theorem 1 / Theorem 2 numeric validation |
 //! | `ablations` | PCR-constants, fairness, routing, PU-model ablations |
 //! | `bench_sim` | `results/BENCH_sim.json` — dense-vs-sparse interference scaling |
 //!
-//! Run e.g. `cargo run -p crn-bench --release --bin fig6 -- all --preset
-//! scaled`.
+//! Run e.g. `cargo run -p crn-bench --release --bin validate-bounds --
+//! --preset tiny`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod synthetic;
-
-use std::io::Write as _;
-use std::time::Instant;
 
 /// Extracts `--flag value` from an argument list, returning the remaining
 /// positional arguments and the flag's value (if present).
@@ -37,42 +34,6 @@ pub fn take_flag(args: &mut Vec<String>, flag: &str) -> Option<String> {
         Some(value)
     } else {
         None
-    }
-}
-
-/// A stderr progress printer for long sweeps: `label: done/total (rate)`.
-#[derive(Debug)]
-pub struct Progress {
-    label: String,
-    started: Instant,
-}
-
-impl Progress {
-    /// Starts a progress tracker.
-    #[must_use]
-    pub fn new(label: impl Into<String>) -> Self {
-        Self {
-            label: label.into(),
-            started: Instant::now(),
-        }
-    }
-
-    /// Reports `done` of `total` complete.
-    pub fn report(&self, done: usize, total: usize) {
-        let elapsed = self.started.elapsed().as_secs_f64();
-        let rate = if elapsed > 0.0 {
-            done as f64 / elapsed
-        } else {
-            0.0
-        };
-        eprint!(
-            "\r{}: {done}/{total} ({rate:.2} runs/s, {elapsed:.0}s elapsed)   ",
-            self.label
-        );
-        let _ = std::io::stderr().flush();
-        if done == total {
-            eprintln!();
-        }
     }
 }
 

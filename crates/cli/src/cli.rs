@@ -14,8 +14,10 @@ use crn_serve::store::StoreConfig;
 use crn_sim::{InvariantChecker, TraceLog, Traffic};
 use crn_workloads::export::{trace_to_string, TraceFormat};
 use crn_workloads::json::Json;
-use crn_workloads::table::markdown_figure;
-use crn_workloads::{aggregate, presets, run_sweep, Fig6Panel, PresetKind, SweepOptions};
+use crn_workloads::table::{csv_records, markdown_figure};
+use crn_workloads::{
+    aggregate, presets, run_sweep, AggregatePoint, Fig6Panel, PresetKind, SweepOptions,
+};
 use std::fmt::Write as _;
 
 /// Top-level usage text.
@@ -24,6 +26,7 @@ usage:
   crn run    [run flags] [--algo ALGO] [--check-invariants] [--map]
   crn trace  [run flags] [--algo ALGO] [--format jsonl|csv] [--out FILE]
   crn sweep  <a|b|c|d|e|f|all|churn> [--preset paper|scaled|tiny] [--reps R] [--threads T]
+             [--csv FILE]
   crn pcr    [--alpha A] [--eta-db E] [--pp P] [--ps P] [--big-r R] [--r r]
   crn bounds [run flags]
   crn serve  [--addr H:P] [--workers N] [--queue-cap Q] [--cache-cap C] [--topo-cache-cap T]
@@ -378,6 +381,7 @@ fn cmd_sweep(mut args: Vec<String>) -> Result<String, CliError> {
     let preset: PresetKind = take(&mut args, "--preset", "tiny".to_owned())?.parse()?;
     let reps: u32 = take(&mut args, "--reps", 0)?;
     let threads: usize = take(&mut args, "--threads", 1)?;
+    let csv_path = take_opt(&mut args, "--csv")?;
     let churn = presence(&mut args, "churn");
     let mut specs: Vec<crn_workloads::SweepSpec> = if args.iter().any(|a| a == "all") {
         args.clear();
@@ -403,16 +407,52 @@ fn cmd_sweep(mut args: Vec<String>) -> Result<String, CliError> {
         ));
     }
     let mut out = String::new();
+    let mut all_records = Vec::new();
     for mut spec in specs {
         if reps > 0 {
             spec.reps = reps;
         }
         let records =
             run_sweep(&spec, SweepOptions::with_threads(threads)).map_err(CliError::runtime)?;
+        let points = aggregate(&records);
         let _ = writeln!(out, "## {} [{preset}, {} reps]\n", spec.figure, spec.reps);
-        let _ = writeln!(out, "{}", markdown_figure(&aggregate(&records)));
+        let _ = writeln!(out, "{}", markdown_figure(&points));
+        if let Some(line) = ratio_line(&points) {
+            let _ = writeln!(out, "{line}\n");
+        }
+        all_records.extend(records);
+    }
+    if let Some(path) = csv_path {
+        std::fs::write(&path, csv_records(&all_records))
+            .map_err(|e| CliError::runtime(format!("cannot write {path}: {e}")))?;
+        let _ = writeln!(out, "wrote {} records to {path}", all_records.len());
     }
     Ok(out)
+}
+
+/// The paper-style summary of one figure: the Coolest/ADDC delay ratio
+/// averaged over the axis points where both ran, as "ADDC induces X%
+/// less delay".
+fn ratio_line(points: &[AggregatePoint]) -> Option<String> {
+    use crn_core::CollectionAlgorithm::{Addc, Coolest};
+    let ratios: Vec<f64> = points
+        .iter()
+        .filter(|a| a.algorithm == Addc && a.mean_delay_slots > 0.0)
+        .filter_map(|a| {
+            let c = points
+                .iter()
+                .find(|c| c.algorithm == Coolest && c.x.to_bits() == a.x.to_bits())?;
+            Some(c.mean_delay_slots / a.mean_delay_slots)
+        })
+        .collect();
+    if ratios.is_empty() {
+        return None;
+    }
+    let mean = ratios.iter().sum::<f64>() / ratios.len() as f64;
+    Some(format!(
+        "On average Coolest takes {mean:.2}x the ADDC delay, i.e. ADDC induces {:.0}% less delay.",
+        (mean - 1.0) * 100.0
+    ))
 }
 
 fn cmd_pcr(mut args: Vec<String>) -> Result<String, CliError> {
@@ -1018,6 +1058,20 @@ mod tests {
         let out = run(&["sweep", "c", "--reps", "1"]).unwrap();
         assert!(out.contains("fig6c"), "{out}");
         assert!(out.contains("ADDC delay"), "{out}");
+        assert!(out.contains("On average Coolest takes"), "{out}");
+    }
+
+    #[test]
+    fn sweep_writes_its_raw_records_as_csv() {
+        let path = std::env::temp_dir().join(format!("crn_cli_sweep_{}.csv", std::process::id()));
+        let file = path.to_str().unwrap();
+        let out = run(&["sweep", "churn", "--reps", "1", "--csv", file]).unwrap();
+        let csv = std::fs::read_to_string(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        // Three churn rates, two algorithms, one repetition.
+        assert!(out.contains(&format!("wrote 6 records to {file}")), "{out}");
+        assert_eq!(csv.lines().count(), 7, "{csv}");
+        assert!(csv.starts_with("figure,x_name,x,algorithm,rep,"), "{csv}");
     }
 
     #[test]

@@ -119,14 +119,10 @@ pub fn canonical_radio_string(p: &ScenarioParams) -> String {
         bits(&mut s, v);
         s.push(',');
     }
-    // The trailing 1 stands where a collision-backoff switch once wrote
-    // its flag (backoff is always on), so every existing key holds.
-    let _ = write!(
-        s,
-        "{}{}1",
-        u8::from(p.mac.check_sir),
-        u8::from(p.mac.fairness_wait),
-    );
+    // The 1s stand where an SIR-check switch (receivers always check)
+    // and a collision-backoff switch (backoff is always on) once wrote
+    // their flags, so every existing key holds.
+    let _ = write!(s, "1{}1", u8::from(p.mac.fairness_wait));
     s.push_str(";intf=");
     match p.interference {
         InterferenceModel::Exact => s.push_str("exact"),

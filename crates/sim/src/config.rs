@@ -87,10 +87,6 @@ pub struct MacConfig {
     /// Hard wall on simulated time, in seconds. A run that exceeds it
     /// reports `finished = false`.
     pub max_sim_time: f64,
-    /// Whether receivers enforce the cumulative SIR threshold. Disabling
-    /// turns the run into a pure protocol/collision simulation (used by
-    /// ablations).
-    pub check_sir: bool,
     /// Whether the fairness wait of Algorithm 1 line 12 (`τ_c − t_i`) is
     /// applied after each transmission (the `ablation_fairness` bench
     /// turns it off).
@@ -265,7 +261,6 @@ impl Default for MacConfig {
             contention_window: 0.5e-3,
             airtime: 0.5e-3,
             max_sim_time: 1e-3 * 1_000_000.0,
-            check_sir: true,
             fairness_wait: true,
         }
     }
@@ -335,7 +330,6 @@ mod tests {
         assert_eq!(c.slot, 1e-3);
         assert_eq!(c.contention_window, 0.5e-3);
         assert_eq!(c.airtime, 0.5e-3);
-        assert!(c.check_sir);
         assert!(c.fairness_wait);
         c.validate();
     }

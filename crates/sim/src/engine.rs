@@ -59,33 +59,11 @@ struct Packet {
     origin: u32,
 }
 
-/// The cold per-SU state — fields only the SU's own round logic touches
-/// (its MAC phase, generation counter, and carrier-sense counters live in
-/// the dense [`SuHot`] array instead).
+/// Per-SU state: the packet queue, the current backoff round, and the
+/// carrier-sense counters.
 #[derive(Clone, Debug)]
 struct SuState {
     queue: VecDeque<Packet>,
-    /// Backoff drawn for the current round (`t_i`).
-    t_i: f64,
-    /// Contention window of the current round (`τ_c · 2^cw_exp`).
-    cw: f64,
-    /// Collision-backoff exponent, at most
-    /// [`MAX_BACKOFF_EXP`](crate::config::MAX_BACKOFF_EXP).
-    cw_exp: u32,
-    /// When the current head-of-queue packet started being served.
-    head_since: f64,
-}
-
-/// The per-SU state the hot paths touch at random — carrier-sense
-/// counters, the MAC phase, and the timer generation — packed into one
-/// 24-byte row of a dense parallel array. Every SU tx start/end bumps the
-/// SU counter of each neighbor in sensing range, every PU toggle the PU
-/// counter of each *listening* neighbor, and either often freezes or
-/// resumes that neighbor's backoff; at scale those random touches into
-/// the wide [`SuState`] rows were cache misses, so the fields they need
-/// live together here, one cache line per ~2.7 SUs.
-#[derive(Clone, Copy, Debug)]
-struct SuHot {
     phase: Phase,
     /// Generation counter: every (re)scheduling of a timer event for this
     /// SU bumps it; events carrying an older generation are stale.
@@ -97,17 +75,19 @@ struct SuHot {
     pu_busy: u32,
     /// Transmitting SUs within this SU's PCR.
     su_busy: u32,
+    /// Backoff drawn for the current round (`t_i`).
+    t_i: f64,
+    /// Contention window of the current round (`τ_c · 2^cw_exp`).
+    cw: f64,
+    /// Collision-backoff exponent, at most
+    /// [`MAX_BACKOFF_EXP`](crate::config::MAX_BACKOFF_EXP).
+    cw_exp: u32,
+    /// When the current head-of-queue packet started being served.
+    head_since: f64,
 }
 
-impl SuHot {
-    const IDLE: SuHot = SuHot {
-        phase: Phase::Idle,
-        gen: 0,
-        pu_busy: 0,
-        su_busy: 0,
-    };
-
-    fn free(self) -> bool {
+impl SuState {
+    fn free(&self) -> bool {
         self.pu_busy == 0 && self.su_busy == 0
     }
 }
@@ -127,88 +107,75 @@ enum SirPath {
     Delta,
 }
 
-/// Struct-of-arrays layout for the in-flight receptions, positioned by
-/// `active_pos`. Splitting the columns keeps the full-scan loops
-/// cache-dense and lets each path touch only the fields it maintains.
-#[derive(Debug, Default)]
-struct ActiveSet {
-    su: Vec<u32>,
-    rx: Vec<u32>,
-    rx_slot: Vec<u32>,
-    /// Received signal power at the intended receiver (includes any
-    /// fault-injected link degradation).
-    signal: Vec<f64>,
-    /// Undegraded own contribution `p_s · g(su, rx_slot)` at the
-    /// receiver — what the delta path subtracts from the slot
-    /// accumulator to evaluate this reception's interference
-    /// (degradation affects the intended link only, never the field).
-    own: Vec<f64>,
-    /// Scan path: cumulative interference power at the receiver
-    /// (maintained incrementally as transmitters and PUs come and go).
-    interference: Vec<f64>,
-    /// Scan path: live contributors to `interference` with a nonzero
-    /// gain. The sum snaps to exactly 0.0 when this returns to zero —
-    /// subtract-then-clamp alone leaves cancellation residue behind.
-    contributors: Vec<u32>,
-    failed_sir: Vec<bool>,
-    failed_capture: Vec<bool>,
+/// A cumulative interference sum at one receiver and its count of live
+/// contributors (callers add nonzero-gain terms only).
+#[derive(Clone, Copy, Debug)]
+struct Interference {
+    sum: f64,
+    cnt: u32,
 }
 
-/// What `finish_tx` needs from the reception it just retired.
+impl Interference {
+    const ZERO: Interference = Interference { sum: 0.0, cnt: 0 };
+
+    fn add(&mut self, term: f64) {
+        self.sum += term;
+        self.cnt += 1;
+    }
+
+    /// Withdraws `term`. The sum snaps to exactly 0.0 as its last
+    /// contributor leaves: subtract-then-clamp alone leaves cancellation
+    /// residue behind, which a persistent sum would feed to every later
+    /// SIR verdict at that receiver.
+    fn withdraw(&mut self, term: f64) {
+        debug_assert!(self.cnt > 0, "contributor underflow");
+        self.cnt -= 1;
+        self.sum = if self.cnt == 0 {
+            0.0
+        } else {
+            (self.sum - term).max(0.0)
+        };
+    }
+
+    /// The sum without the receiver's own term `own`, itself one of the
+    /// contributors: exactly 0.0 when it is the only one.
+    fn without(self, own: f64) -> f64 {
+        if self.cnt <= 1 {
+            0.0
+        } else {
+            (self.sum - own).max(0.0)
+        }
+    }
+}
+
+/// One in-flight transmission, from `begin_tx` to `finish_tx`.
 #[derive(Clone, Copy, Debug)]
-struct FinishedTx {
+struct Reception {
+    su: u32,
     rx: u32,
     rx_slot: u32,
+    /// Received signal power at the intended receiver (includes any
+    /// fault-injected link degradation).
+    signal: f64,
+    /// Undegraded own contribution `p_s · g(su, rx_slot)` at the
+    /// receiver — what the delta path takes out of the slot sum to
+    /// evaluate this reception's interference (degradation affects the
+    /// intended link only, never the field).
+    own: f64,
+    /// Scan path: the cumulative interference at the receiver,
+    /// maintained as transmitters and PUs come and go (the delta path
+    /// keeps it in the receiver's [`SlotAcc`] instead).
+    intf: Interference,
     failed_sir: bool,
     failed_capture: bool,
 }
 
-impl ActiveSet {
-    fn len(&self) -> usize {
-        self.su.len()
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn push(
-        &mut self,
-        su: u32,
-        rx: u32,
-        rx_slot: u32,
-        signal: f64,
-        own: f64,
-        interference: f64,
-        contributors: u32,
-        failed_sir: bool,
-        failed_capture: bool,
-    ) {
-        self.su.push(su);
-        self.rx.push(rx);
-        self.rx_slot.push(rx_slot);
-        self.signal.push(signal);
-        self.own.push(own);
-        self.interference.push(interference);
-        self.contributors.push(contributors);
-        self.failed_sir.push(failed_sir);
-        self.failed_capture.push(failed_capture);
-    }
-
-    fn swap_remove(&mut self, pos: usize) -> FinishedTx {
-        let out = FinishedTx {
-            rx: self.rx[pos],
-            rx_slot: self.rx_slot[pos],
-            failed_sir: self.failed_sir[pos],
-            failed_capture: self.failed_capture[pos],
-        };
-        self.su.swap_remove(pos);
-        self.rx.swap_remove(pos);
-        self.rx_slot.swap_remove(pos);
-        self.signal.swap_remove(pos);
-        self.own.swap_remove(pos);
-        self.interference.swap_remove(pos);
-        self.contributors.swap_remove(pos);
-        self.failed_sir.swap_remove(pos);
-        self.failed_capture.swap_remove(pos);
-        out
+impl Reception {
+    /// Section III's SIR rule, latched: the reception fails once its
+    /// signal falls below `η` times a nonzero `interference`. Only
+    /// additions call it — a shrinking sum cannot newly violate it.
+    fn verdict(&mut self, interference: f64, eta: f64) {
+        self.failed_sir |= interference > 0.0 && self.signal < eta * interference;
     }
 }
 
@@ -231,16 +198,10 @@ fn listen_bit(listen_off: &[u32], pu: u32, pos: u32) -> (usize, u64) {
 /// last.
 #[derive(Clone, Copy, Debug)]
 struct SlotAcc {
-    /// Total live interference-relevant power summed at this receiver
-    /// slot — every active SU's contribution within its cutoff (including
-    /// its own intended signal, undegraded) plus every on-PU's
-    /// contribution from its near row. A reception's interference is
-    /// `intf - own`.
-    intf: f64,
-    /// Live contributors to `intf` (nonzero-gain terms only). When it
-    /// returns to zero the sum snaps to exactly 0.0, discarding
-    /// floating-point cancellation residue.
-    cnt: u32,
+    /// Every active SU's contribution within the slot's cutoff (including
+    /// each reception's own intended signal, undegraded) plus every
+    /// on-PU's contribution from its near row.
+    intf: Interference,
     /// Head of the intrusive chain of transmitters whose *receiver* is
     /// this slot ([`NO_SU`] when empty) — the set a slot re-check walks.
     head: u32,
@@ -256,28 +217,10 @@ struct SlotAcc {
 
 impl SlotAcc {
     const EMPTY: SlotAcc = SlotAcc {
-        intf: 0.0,
-        cnt: 0,
+        intf: Interference::ZERO,
         head: NO_SU,
         self_term: 0.0,
     };
-
-    fn add(&mut self, term: f64) {
-        self.intf += term;
-        self.cnt += 1;
-    }
-
-    /// Withdraws `term`; the sum snaps to exactly 0.0 as its last
-    /// contributor leaves, whatever rounding residue subtraction leaves.
-    fn withdraw(&mut self, term: f64) {
-        debug_assert!(self.cnt > 0, "slot contributor underflow");
-        self.cnt -= 1;
-        self.intf = if self.cnt == 0 {
-            0.0
-        } else {
-            (self.intf - term).max(0.0)
-        };
-    }
 }
 
 /// Delta path: the live transmitters and the receiving slots (those with
@@ -355,8 +298,6 @@ pub struct Simulator<P: Probe = NoopProbe> {
     queue: EventQueue,
     now: f64,
     su: Vec<SuState>,
-    /// Hot per-SU state, parallel to `su` (see [`SuHot`]).
-    hot: Vec<SuHot>,
 
     // Fault-injection state. All of it stays at its fault-free fixpoint
     // (everything up, factors 1, `cur_parent` = the world's tree) when the
@@ -388,13 +329,14 @@ pub struct Simulator<P: Probe = NoopProbe> {
     on_pos: Vec<usize>,
     /// Per-PU listener bitsets over `pu_fanout` positions: bit `pos` of
     /// PU `k`'s set is on exactly while SU `pu_fanout(k)[pos]` listens
-    /// (see [`SuHot::pu_busy`]). A toggle walks only the set bits, in
+    /// (see `SuState::pu_busy`). A toggle walks only the set bits, in
     /// ascending position — the fanout's own (SU id) order.
     listeners: Vec<u64>,
     /// Word offsets of each PU's set in `listeners` (length `num_pus + 1`).
     listen_off: Vec<u32>,
 
-    active: ActiveSet,
+    /// The in-flight transmissions, in no particular order.
+    active: Vec<Reception>,
     /// Position of each SU's transmission in `active` (`usize::MAX` when
     /// not transmitting).
     active_pos: Vec<usize>,
@@ -638,6 +580,10 @@ impl<P: Probe> Simulator<P> {
             su: vec![
                 SuState {
                     queue: VecDeque::new(),
+                    phase: Phase::Idle,
+                    gen: 0,
+                    pu_busy: 0,
+                    su_busy: 0,
                     t_i: 0.0,
                     cw: mac.contention_window,
                     cw_exp: 0,
@@ -645,14 +591,13 @@ impl<P: Probe> Simulator<P> {
                 };
                 n
             ],
-            hot: vec![SuHot::IDLE; n],
             pu_on: vec![false; num_pus],
             pu_scratch: vec![false; num_pus],
             on_pus: Vec::with_capacity(num_pus),
             on_pos: vec![usize::MAX; num_pus],
             listeners: vec![0; listen_off[num_pus] as usize],
             listen_off,
-            active: ActiveSet::default(),
+            active: Vec::new(),
             active_pos: vec![usize::MAX; n],
             rx_lock: vec![None; slots],
             path,
@@ -807,7 +752,7 @@ impl<P: Probe> Simulator<P> {
                 su,
                 depth: qlen as u32,
             });
-            if self.hot[su as usize].phase == Phase::Idle {
+            if self.su[su as usize].phase == Phase::Idle {
                 self.start_round(su);
             }
         }
@@ -832,10 +777,6 @@ impl<P: Probe> Simulator<P> {
     // ------------------------------------------------------------------
     // Channel sensing bookkeeping.
 
-    fn channel_free(&self, su: u32) -> bool {
-        self.hot[su as usize].free()
-    }
-
     /// Makes `su` a listener: sets its bit in the listener set of every PU
     /// it senses and recounts its `pu_busy` from `pu_on`. PU toggles keep
     /// the count exact from here until [`Self::unlisten`].
@@ -847,7 +788,7 @@ impl<P: Probe> Simulator<P> {
             self.listeners[w] |= mask;
             busy += u32::from(self.pu_on[k as usize]);
         }
-        self.hot[su as usize].pu_busy = busy;
+        self.su[su as usize].pu_busy = busy;
     }
 
     /// Stops `su` listening: clears its listener bits, after which PU
@@ -880,8 +821,8 @@ impl<P: Probe> Simulator<P> {
     /// on-PUs it senses.
     #[cfg(debug_assertions)]
     fn check_listeners(&self) {
-        for su in 0..self.hot.len() as u32 {
-            let h = self.hot[su as usize];
+        for su in 0..self.su.len() as u32 {
+            let h = &self.su[su as usize];
             let listening = h.phase.listens();
             let (pus, pos) = self.world.sensed_pus(su);
             let mut busy = 0;
@@ -904,15 +845,15 @@ impl<P: Probe> Simulator<P> {
     fn busy_changed(&mut self, su: u32, became_busy: bool) {
         if became_busy {
             // 0 -> 1 transition: freeze a running countdown.
-            if let Phase::CountingDown { expiry } = self.hot[su as usize].phase {
+            if let Phase::CountingDown { expiry } = self.su[su as usize].phase {
                 let remaining = (expiry - self.now).max(0.0);
-                self.hot[su as usize].gen += 1;
-                self.hot[su as usize].phase = Phase::Frozen { remaining };
+                self.su[su as usize].gen += 1;
+                self.su[su as usize].phase = Phase::Frozen { remaining };
                 self.emit(TraceEventKind::BackoffFreeze { su, remaining });
             }
-        } else if let Phase::Frozen { remaining } = self.hot[su as usize].phase {
+        } else if let Phase::Frozen { remaining } = self.su[su as usize].phase {
             // Channel cleared: resume the countdown.
-            let h = &mut self.hot[su as usize];
+            let h = &mut self.su[su as usize];
             h.gen += 1;
             let expiry = self.now + remaining;
             h.phase = Phase::CountingDown { expiry };
@@ -924,7 +865,7 @@ impl<P: Probe> Simulator<P> {
     }
 
     fn pu_busy_inc(&mut self, su: u32) {
-        let b = &mut self.hot[su as usize];
+        let b = &mut self.su[su as usize];
         let was_free = b.free();
         b.pu_busy += 1;
         if was_free {
@@ -933,7 +874,7 @@ impl<P: Probe> Simulator<P> {
     }
 
     fn pu_busy_dec(&mut self, su: u32) {
-        let b = &mut self.hot[su as usize];
+        let b = &mut self.su[su as usize];
         debug_assert!(b.pu_busy > 0, "pu_busy underflow at {su}");
         b.pu_busy -= 1;
         if b.free() {
@@ -942,7 +883,7 @@ impl<P: Probe> Simulator<P> {
     }
 
     fn su_busy_inc(&mut self, su: u32) {
-        let b = &mut self.hot[su as usize];
+        let b = &mut self.su[su as usize];
         let was_free = b.free();
         b.su_busy += 1;
         if was_free {
@@ -951,7 +892,7 @@ impl<P: Probe> Simulator<P> {
     }
 
     fn su_busy_dec(&mut self, su: u32) {
-        let b = &mut self.hot[su as usize];
+        let b = &mut self.su[su as usize];
         debug_assert!(b.su_busy > 0, "su_busy underflow at {su}");
         b.su_busy -= 1;
         if b.free() {
@@ -973,31 +914,29 @@ impl<P: Probe> Simulator<P> {
         let s = &mut self.su[su as usize];
         s.t_i = t_i;
         s.cw = cw;
-        self.hot[su as usize].gen += 1;
+        s.gen += 1;
         self.emit(TraceEventKind::BackoffStart { su, t_i, cw });
         self.listen(su);
-        if self.channel_free(su) {
+        if self.su[su as usize].free() {
             let expiry = self.now + t_i;
-            let h = &mut self.hot[su as usize];
+            let h = &mut self.su[su as usize];
             h.phase = Phase::CountingDown { expiry };
             let gen = h.gen;
             self.queue
                 .push(expiry, EventKind::BackoffExpire { su, gen });
         } else {
-            self.hot[su as usize].phase = Phase::Frozen { remaining: t_i };
+            self.su[su as usize].phase = Phase::Frozen { remaining: t_i };
             self.emit(TraceEventKind::BackoffFreeze { su, remaining: t_i });
         }
     }
 
     fn on_backoff_expire(&mut self, su: u32, gen: u32) {
-        if self.hot[su as usize].gen != gen {
+        let s = &self.su[su as usize];
+        if s.gen != gen {
             return; // stale (frozen/cancelled since scheduling)
         }
-        debug_assert!(matches!(
-            self.hot[su as usize].phase,
-            Phase::CountingDown { .. }
-        ));
-        debug_assert!(self.channel_free(su), "expiry while channel busy at {su}");
+        debug_assert!(matches!(s.phase, Phase::CountingDown { .. }));
+        debug_assert!(s.free(), "expiry while channel busy at {su}");
         self.begin_tx(su);
     }
 
@@ -1019,51 +958,46 @@ impl<P: Probe> Simulator<P> {
         // hear it, and the affected ongoing receptions are re-verdicted.
         // `own` is the (undegraded) contribution at our own receiver.
         let own = p_s * world.su_gain(su, rx_slot);
-        let mut interference = 0.0;
-        let mut contributors = 0u32;
-        match self.path {
+        debug_assert!(own > 0.0, "transmitter inaudible at its own receiver");
+        let mut intf = Interference::ZERO;
+        let interference = match self.path {
             SirPath::Scan => {
-                for pos in 0..self.active.len() {
-                    let g = world.su_gain(su, self.active.rx_slot[pos]);
+                for r in &mut self.active {
                     // Gate on `g != 0.0` so the contributor count is
                     // meaningful; adding 0.0 is an exact no-op, so the sums
                     // keep their previous bits.
+                    let g = world.su_gain(su, r.rx_slot);
                     if g != 0.0 {
-                        self.active.interference[pos] += p_s * g;
-                        self.active.contributors[pos] += 1;
+                        r.intf.add(p_s * g);
                     }
                 }
                 self.check_all_sir();
 
                 // Cumulative interference the new reception starts with.
                 // In truncated mode only the receiver's near-field PU list
-                // is scanned; exact mode sums every active PU as before.
+                // is scanned; exact mode sums every active PU.
                 match world.near_pus(rx_slot) {
                     Some(ids) => {
-                        for &k in ids {
-                            if self.pu_on[k as usize] {
-                                interference += p_p * world.near_pu_gain(k, rx_slot);
-                                contributors += 1;
-                            }
+                        for &k in ids.iter().filter(|&&k| self.pu_on[k as usize]) {
+                            intf.add(p_p * world.near_pu_gain(k, rx_slot));
                         }
                     }
                     None => {
                         for &k in &self.on_pus {
                             let g = world.pu_gain(k as usize, rx_slot);
-                            interference += p_p * g;
                             if g != 0.0 {
-                                contributors += 1;
+                                intf.add(p_p * g);
                             }
                         }
                     }
                 }
-                for pos in 0..self.active.len() {
-                    let g = world.su_gain(self.active.su[pos], rx_slot);
-                    interference += p_s * g;
+                for r in &self.active {
+                    let g = world.su_gain(r.su, rx_slot);
                     if g != 0.0 {
-                        contributors += 1;
+                        intf.add(p_s * g);
                     }
                 }
+                intf.sum
             }
             SirPath::Delta => {
                 self.move_su_term(su, true);
@@ -1075,62 +1009,43 @@ impl<P: Probe> Simulator<P> {
                 // so the re-check above never sees us); interference is
                 // everything there except it, plus the receiver's
                 // self-jamming term if it is mid-transmission.
-                let acc = &self.slot[rx_slot as usize];
-                let cnt = acc.cnt;
-                debug_assert!(cnt >= 1, "own contribution missing from slot");
-                contributors = cnt - 1;
-                let rest = if cnt <= 1 {
-                    0.0
-                } else {
-                    (acc.intf - own).max(0.0)
-                };
-                interference = rest + acc.self_term;
+                let acc = self.slot[rx_slot as usize];
+                debug_assert!(acc.intf.cnt >= 1, "own contribution missing from slot");
+                acc.intf.without(own) + acc.self_term
             }
-        }
-        debug_assert!(own > 0.0, "transmitter inaudible at its own receiver");
+        };
 
         // Intended-link signal through the overlay parent, scaled by any
         // injected degradation (`× 1.0` is exact, so fault-free runs are
         // bit-identical to `SimWorld::link_signal`).
-        let signal = own * self.link_factor[su as usize];
-        let mut failed_capture = false;
-        let mut failed_sir = false;
+        let mut rec = Reception {
+            su,
+            rx,
+            rx_slot,
+            signal: own * self.link_factor[su as usize],
+            own,
+            intf,
+            failed_sir: false,
+            failed_capture: false,
+        };
 
         // RS-mode capture at the receiver.
         match self.rx_lock[rx_slot as usize] {
             None => self.rx_lock[rx_slot as usize] = Some(su),
             Some(holder) => {
-                let holder_pos = self.active_pos[holder as usize];
-                debug_assert_ne!(holder_pos, usize::MAX);
-                if signal > self.active.signal[holder_pos] {
+                let held = &mut self.active[self.active_pos[holder as usize]];
+                if rec.signal > held.signal {
                     // Stronger signal: the receiver re-starts onto us.
-                    self.active.failed_capture[holder_pos] = true;
+                    held.failed_capture = true;
                     self.rx_lock[rx_slot as usize] = Some(su);
                 } else {
-                    failed_capture = true;
+                    rec.failed_capture = true;
                 }
             }
         }
-
-        if self.mac.check_sir
-            && interference > 0.0
-            && signal < self.world.phy().su_sir_threshold() * interference
-        {
-            failed_sir = true;
-        }
-
+        rec.verdict(interference, world.phy().su_sir_threshold());
         self.active_pos[su as usize] = self.active.len();
-        self.active.push(
-            su,
-            rx,
-            rx_slot,
-            signal,
-            own,
-            interference,
-            contributors,
-            failed_sir,
-            failed_capture,
-        );
+        self.active.push(rec);
         if self.path == SirPath::Delta {
             // Join the receiver slot's chain of in-flight receptions.
             let head = &mut self.slot[rx_slot as usize].head;
@@ -1146,7 +1061,7 @@ impl<P: Probe> Simulator<P> {
             self.su_busy_inc(v);
         }
 
-        let h = &mut self.hot[su as usize];
+        let h = &mut self.su[su as usize];
         h.phase = Phase::Transmitting;
         h.gen += 1;
         let gen = h.gen;
@@ -1155,14 +1070,14 @@ impl<P: Probe> Simulator<P> {
     }
 
     fn on_tx_end(&mut self, su: u32, gen: u32) {
-        if self.hot[su as usize].gen != gen {
+        if self.su[su as usize].gen != gen {
             return; // aborted earlier
         }
         // A reception whose receiver died mid-air (or whose base station
         // browned out) is voided by the fault, whatever else happened.
         let pos = self.active_pos[su as usize];
         debug_assert_ne!(pos, usize::MAX);
-        let rx = self.active.rx[pos];
+        let rx = self.active[pos].rx;
         let cause = if self.down[rx as usize] || (rx == 0 && self.brownout) {
             FinishCause::Fault
         } else {
@@ -1173,8 +1088,8 @@ impl<P: Probe> Simulator<P> {
 
     /// Aborts an in-flight transmission (spectrum handoff).
     fn abort_tx(&mut self, su: u32) {
-        debug_assert!(matches!(self.hot[su as usize].phase, Phase::Transmitting));
-        self.hot[su as usize].gen += 1; // cancels the pending TxEnd
+        debug_assert!(matches!(self.su[su as usize].phase, Phase::Transmitting));
+        self.su[su as usize].gen += 1; // cancels the pending TxEnd
         self.finish_tx(su, FinishCause::PuAbort);
     }
 
@@ -1183,31 +1098,22 @@ impl<P: Probe> Simulator<P> {
         let pos = self.active_pos[su as usize];
         debug_assert_ne!(pos, usize::MAX, "finish_tx without active tx");
         let tx = self.active.swap_remove(pos);
-        if pos < self.active.len() {
-            self.active_pos[self.active.su[pos] as usize] = pos;
+        if let Some(moved) = self.active.get(pos) {
+            self.active_pos[moved.su as usize] = pos;
         }
         self.active_pos[su as usize] = usize::MAX;
 
-        // Stop interfering with the remaining receptions. When the last
-        // nonzero contributor leaves, the sum snaps to exactly 0.0 —
-        // subtract-then-clamp alone can leave cancellation residue behind,
-        // which a persistent accumulator would feed to every later SIR
-        // verdict at that receiver. Decreases never need a re-check: a
-        // shrinking sum cannot newly violate the (sticky) SIR condition.
+        // Stop interfering with the remaining receptions. Decreases never
+        // need a re-check: a shrinking sum cannot newly violate the
+        // (sticky) SIR condition.
         let p_s = self.world.phy().su_power();
         let world = Arc::clone(&self.world);
         match self.path {
             SirPath::Scan => {
-                for p in 0..self.active.len() {
-                    let g = world.su_gain(su, self.active.rx_slot[p]);
+                for r in &mut self.active {
+                    let g = world.su_gain(su, r.rx_slot);
                     if g != 0.0 {
-                        debug_assert!(self.active.contributors[p] > 0, "contributor underflow");
-                        self.active.contributors[p] -= 1;
-                        self.active.interference[p] = if self.active.contributors[p] == 0 {
-                            0.0
-                        } else {
-                            (self.active.interference[p] - p_s * g).max(0.0)
-                        };
+                        r.intf.withdraw(p_s * g);
                     }
                 }
             }
@@ -1322,7 +1228,7 @@ impl<P: Probe> Simulator<P> {
                 if was_empty {
                     self.su[tx.rx as usize].head_since = self.now;
                 }
-                if self.hot[tx.rx as usize].phase == Phase::Idle {
+                if self.su[tx.rx as usize].phase == Phase::Idle {
                     self.start_round(tx.rx);
                 }
             }
@@ -1332,7 +1238,7 @@ impl<P: Probe> Simulator<P> {
         // wait completes the round's contention window.
         if self.mac.fairness_wait {
             self.unlisten(su);
-            let h = &mut self.hot[su as usize];
+            let h = &mut self.su[su as usize];
             h.phase = Phase::Waiting;
             h.gen += 1;
             let gen = h.gen;
@@ -1343,19 +1249,19 @@ impl<P: Probe> Simulator<P> {
             self.emit(TraceEventKind::FairnessWait { su, wait });
         } else if self.su[su as usize].queue.is_empty() {
             self.unlisten(su);
-            self.hot[su as usize].phase = Phase::Idle;
+            self.su[su as usize].phase = Phase::Idle;
         } else {
             self.start_round(su);
         }
     }
 
     fn on_wait_end(&mut self, su: u32, gen: u32) {
-        if self.hot[su as usize].gen != gen {
+        if self.su[su as usize].gen != gen {
             return;
         }
-        debug_assert_eq!(self.hot[su as usize].phase, Phase::Waiting);
+        debug_assert_eq!(self.su[su as usize].phase, Phase::Waiting);
         if self.su[su as usize].queue.is_empty() {
-            self.hot[su as usize].phase = Phase::Idle;
+            self.su[su as usize].phase = Phase::Idle;
         } else {
             self.start_round(su);
         }
@@ -1434,12 +1340,12 @@ impl<P: Probe> Simulator<P> {
         self.crashed[i] = crash;
         // A transmission in flight dies with the node.
         if self.active_pos[i] != usize::MAX {
-            self.hot[i].gen += 1; // cancels the pending TxEnd
+            self.su[i].gen += 1; // cancels the pending TxEnd
             self.finish_tx(su, FinishCause::Fault);
         }
         // Cancel whatever timer finish_tx (or the prior phase) left armed.
-        self.hot[i].gen += 1;
-        self.hot[i].phase = Phase::Down;
+        self.su[i].gen += 1;
+        self.su[i].phase = Phase::Down;
         self.unlisten(su);
         if crash {
             self.emit(TraceEventKind::SuCrashed { su });
@@ -1459,8 +1365,8 @@ impl<P: Probe> Simulator<P> {
         }
         self.down[i] = false;
         self.crashed[i] = false;
-        self.hot[i].gen += 1;
-        self.hot[i].phase = Phase::Idle;
+        self.su[i].gen += 1;
+        self.su[i].phase = Phase::Idle;
         self.emit(if recover {
             TraceEventKind::SuRecovered { su }
         } else {
@@ -1547,7 +1453,7 @@ impl<P: Probe> Simulator<P> {
                 self.emit(TraceEventKind::Reparented { su, to, latency });
                 // Defensive: an idle node with data starts contending at
                 // its new parent (normally it never stopped).
-                if self.hot[i].phase == Phase::Idle && !self.su[i].queue.is_empty() {
+                if self.su[i].phase == Phase::Idle && !self.su[i].queue.is_empty() {
                     self.start_round(su);
                 }
             }
@@ -1639,10 +1545,10 @@ impl<P: Probe> Simulator<P> {
     /// slot opens during a PU slot, so these are all the terms it moves.
     fn gather_pu_terms(&mut self) {
         let world = Arc::clone(&self.world);
-        for pos in 0..self.active.len() {
-            let s = self.active.rx_slot[pos];
+        for r in &self.active {
+            let s = r.rx_slot;
             // A slot's chain head stands for it, so each is read once.
-            if self.slot[s as usize].head != self.active.su[pos] {
+            if self.slot[s as usize].head != r.su {
                 continue;
             }
             let ids = world.near_pus(s).expect("delta runs on sparse radios");
@@ -1669,10 +1575,10 @@ impl<P: Probe> Simulator<P> {
             if acc.head == NO_SU {
                 continue;
             } else if on {
-                acc.add(p_p * g);
+                acc.intf.add(p_p * g);
                 self.recheck_slot(s);
             } else {
-                acc.withdraw(p_p * g);
+                acc.intf.withdraw(p_p * g);
             }
         }
     }
@@ -1690,11 +1596,10 @@ impl<P: Probe> Simulator<P> {
         let p_p = world.phy().pu_power();
         match self.path {
             SirPath::Scan => {
-                for pos in 0..self.active.len() {
-                    let g = world.pu_gain(k, self.active.rx_slot[pos]);
+                for r in &mut self.active {
+                    let g = world.pu_gain(k, r.rx_slot);
                     if g != 0.0 {
-                        self.active.interference[pos] += p_p * g;
-                        self.active.contributors[pos] += 1;
+                        r.intf.add(p_p * g);
                     }
                 }
                 self.check_all_sir();
@@ -1728,20 +1633,14 @@ impl<P: Probe> Simulator<P> {
         }
         self.on_pos[k] = usize::MAX;
 
-        // Same snap-to-zero rule as `finish_tx`; no re-checks on decrease.
+        // No re-checks on decrease.
         let p_p = world.phy().pu_power();
         match self.path {
             SirPath::Scan => {
-                for pos in 0..self.active.len() {
-                    let g = world.pu_gain(k, self.active.rx_slot[pos]);
+                for r in &mut self.active {
+                    let g = world.pu_gain(k, r.rx_slot);
                     if g != 0.0 {
-                        debug_assert!(self.active.contributors[pos] > 0, "contributor underflow");
-                        self.active.contributors[pos] -= 1;
-                        self.active.interference[pos] = if self.active.contributors[pos] == 0 {
-                            0.0
-                        } else {
-                            (self.active.interference[pos] - p_p * g).max(0.0)
-                        };
+                        r.intf.withdraw(p_p * g);
                     }
                 }
             }
@@ -1751,56 +1650,30 @@ impl<P: Probe> Simulator<P> {
         self.for_each_listener(k, world.pu_fanout(k), Self::pu_busy_dec);
     }
 
-    /// Scan path: re-verdicts every unfailed reception after an
-    /// interference increase (the full O(actives) sweep).
+    /// Scan path: re-verdicts every reception after an interference
+    /// increase (the full O(actives) sweep).
     fn check_all_sir(&mut self) {
-        if !self.mac.check_sir {
-            return;
-        }
         let eta = self.world.phy().su_sir_threshold();
-        for pos in 0..self.active.len() {
-            if !self.active.failed_sir[pos]
-                && self.active.interference[pos] > 0.0
-                && self.active.signal[pos] < eta * self.active.interference[pos]
-            {
-                self.active.failed_sir[pos] = true;
-            }
+        for r in &mut self.active {
+            r.verdict(r.intf.sum, eta);
         }
     }
 
     /// Delta path: re-verdicts the receptions chained at `slot` after its
     /// accumulator increased — the only receptions whose interference
-    /// changed. A reception's interference is everything at its slot
-    /// except its own term; with no other contributor it is exactly 0.0.
-    /// Decreases never call this: a shrinking sum cannot newly violate
-    /// the (sticky) SIR condition. Callers pre-filter on a non-empty
-    /// chain (`SlotAcc::head`), keeping this out of the row-walk fast
-    /// path.
+    /// changed: everything at the slot except the reception's own term,
+    /// plus the owner's self term (`x + 0.0` keeps the bits of every
+    /// finite `x >= 0.0`, so an absent one is exact). Callers pre-filter
+    /// on a non-empty chain (`SlotAcc::head`), keeping this out of the
+    /// row-walk fast path.
     fn recheck_slot(&mut self, slot: u32) {
-        if !self.mac.check_sir {
-            return;
-        }
         let eta = self.world.phy().su_sir_threshold();
         let acc = self.slot[slot as usize];
-        let total = acc.intf;
-        let cnt = acc.cnt;
-        // `x + 0.0` preserves the bits of every finite `x >= 0.0`, so
-        // adding an absent self term is exact.
-        let self_term = acc.self_term;
         let mut cur = acc.head;
         while cur != NO_SU {
-            let pos = self.active_pos[cur as usize];
-            debug_assert_ne!(pos, usize::MAX, "chained tx not active");
-            if !self.active.failed_sir[pos] {
-                let rest = if cnt <= 1 {
-                    0.0
-                } else {
-                    (total - self.active.own[pos]).max(0.0)
-                };
-                let intf = rest + self_term;
-                if intf > 0.0 && self.active.signal[pos] < eta * intf {
-                    self.active.failed_sir[pos] = true;
-                }
+            let r = &mut self.active[self.active_pos[cur as usize]];
+            if !r.failed_sir {
+                r.verdict(acc.intf.without(r.own) + acc.self_term, eta);
             }
             cur = self.next_at_slot[cur as usize];
         }
@@ -1834,9 +1707,9 @@ impl<P: Probe> Simulator<P> {
                 } else if s == my_slot {
                     acc.self_term = if on { p_s * g } else { 0.0 };
                 } else if on {
-                    acc.add(p_s * g);
+                    acc.intf.add(p_s * g);
                 } else {
-                    acc.withdraw(p_s * g);
+                    acc.intf.withdraw(p_s * g);
                 }
                 if on {
                     self.recheck_slot(s);
@@ -1870,13 +1743,13 @@ impl<P: Probe> Simulator<P> {
             if g != 0.0 && t == owner {
                 acc.self_term = p_s * g;
             } else if g != 0.0 {
-                acc.add(p_s * g);
+                acc.intf.add(p_s * g);
             }
         }
         let ids = self.world.near_pus(s).expect("delta runs on sparse radios");
         for &k in ids {
             if self.pu_on[k as usize] {
-                acc.add(p_p * self.world.near_pu_gain(k, s));
+                acc.intf.add(p_p * self.world.near_pu_gain(k, s));
             }
         }
         acc
@@ -1927,8 +1800,8 @@ impl<P: Probe> Simulator<P> {
             let wrong_rx = self.live.rxs[c].iter().find(|&&s| self.slot_cell(s) != c);
             assert_eq!((wrong_tx, wrong_rx), (None, None), "listed in a wrong cell");
         }
-        let mut live = self.active.su.clone();
-        let mut receiving = self.active.rx_slot.clone();
+        let mut live: Vec<u32> = self.active.iter().map(|r| r.su).collect();
+        let mut receiving: Vec<u32> = self.active.iter().map(|r| r.rx_slot).collect();
         for v in [&mut txs, &mut rxs, &mut live, &mut receiving] {
             v.sort_unstable();
         }
@@ -1940,7 +1813,7 @@ impl<P: Probe> Simulator<P> {
         );
         for s in receiving {
             let (got, want) = (self.slot[s as usize], self.slot_sum(s, self.block_txs(s)));
-            assert_eq!(got.cnt, want.cnt, "slot {s}: contributors drifted");
+            assert_eq!(got.intf.cnt, want.intf.cnt, "slot {s}: count drifted");
             let bits = |a: SlotAcc| a.self_term.to_bits();
             assert_eq!(bits(got), bits(want), "slot {s}: stale self term");
         }
@@ -2228,23 +2101,6 @@ mod tests {
         let r = run_chain(4, vec![], 0.0, 2);
         assert!(r.mean_service_time > 0.0);
         assert!(r.max_service_time >= r.mean_service_time);
-    }
-
-    #[test]
-    fn sir_check_can_be_disabled() {
-        let world = chain_world(4, vec![]);
-        let mac = MacConfig {
-            check_sir: false,
-            ..MacConfig::default()
-        };
-        let r = Simulator::builder(world)
-            .mac(mac)
-            .seed(1)
-            .build()
-            .unwrap()
-            .run();
-        assert!(r.finished);
-        assert_eq!(r.sir_failures, 0);
     }
 
     #[test]
@@ -2814,17 +2670,14 @@ mod tests {
         );
 
         // Counted rule: the last contributor's departure snaps the sum.
-        let mut sum = 0.0;
-        let mut cnt = 0u32;
+        let mut intf = Interference::ZERO;
         for c in [big, small] {
-            sum += c;
-            cnt += 1;
+            intf.add(c);
         }
         for c in [big, small] {
-            cnt -= 1;
-            sum = if cnt == 0 { 0.0 } else { (sum - c).max(0.0) };
+            intf.withdraw(c);
         }
-        assert_eq!(sum.to_bits(), 0.0f64.to_bits());
+        assert_eq!(intf.sum.to_bits(), 0.0f64.to_bits());
     }
 
     /// End-to-end drift regression: a monster PU contribution (on top of

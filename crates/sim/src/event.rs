@@ -1,4 +1,5 @@
 use std::cmp::Ordering;
+use std::collections::BinaryHeap;
 
 /// Kinds of simulator events.
 ///
@@ -61,32 +62,38 @@ struct Queued {
     kind: EventKind,
 }
 
-impl Queued {
-    /// Strict `(time, seq)` order. `seq` is unique, so this is a total
-    /// order with no ties — the pop sequence is therefore independent of
-    /// the heap's internal layout (and of its arity).
-    fn before(&self, other: &Self) -> bool {
-        match self.time.total_cmp(&other.time) {
-            Ordering::Less => true,
-            Ordering::Greater => false,
-            Ordering::Equal => self.seq < other.seq,
-        }
+/// Strict `(time, seq)` order, reversed so that std's max-heap pops the
+/// earliest event. `seq` is unique, so no two entries compare equal and
+/// the pop sequence does not depend on the heap's layout.
+impl Ord for Queued {
+    fn cmp(&self, other: &Self) -> Ordering {
+        other
+            .time
+            .total_cmp(&self.time)
+            .then(other.seq.cmp(&self.seq))
     }
 }
+
+impl PartialOrd for Queued {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Queued {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Queued {}
 
 /// A deterministic future-event list: events pop in `(time, seq)` order,
 /// where `seq` is assigned monotonically at push. Equal-time events
 /// therefore resolve in scheduling order, making whole runs reproducible.
-///
-/// Backed by a hand-rolled 4-ary min-heap: the simulator's hot loop is
-/// pop-dominated (every stale timer is popped before its generation check
-/// discards it), and a 4-ary layout halves the sift-down depth while its
-/// four children share a cache line, roughly doubling pop throughput over
-/// `std::collections::BinaryHeap`. Because the comparator is a strict
-/// total order, the change is observationally identical.
 #[derive(Debug, Default)]
 pub struct EventQueue {
-    heap: Vec<Queued>,
+    heap: BinaryHeap<Queued>,
     next_seq: u64,
 }
 
@@ -107,48 +114,12 @@ impl EventQueue {
         assert!(time.is_finite(), "event time must be finite, got {time}");
         let seq = self.next_seq;
         self.next_seq += 1;
-        let mut i = self.heap.len();
         self.heap.push(Queued { time, seq, kind });
-        // Sift up.
-        while i > 0 {
-            let parent = (i - 1) / 4;
-            if self.heap[i].before(&self.heap[parent]) {
-                self.heap.swap(i, parent);
-                i = parent;
-            } else {
-                break;
-            }
-        }
     }
 
     /// Pops the earliest event as `(time, kind)`.
     pub fn pop(&mut self) -> Option<(f64, EventKind)> {
-        if self.heap.is_empty() {
-            return None;
-        }
-        let top = self.heap.swap_remove(0);
-        // Sift the displaced tail element down.
-        let n = self.heap.len();
-        let mut i = 0;
-        loop {
-            let first = i * 4 + 1;
-            if first >= n {
-                break;
-            }
-            let mut min = first;
-            for c in (first + 1)..(first + 4).min(n) {
-                if self.heap[c].before(&self.heap[min]) {
-                    min = c;
-                }
-            }
-            if self.heap[min].before(&self.heap[i]) {
-                self.heap.swap(i, min);
-                i = min;
-            } else {
-                break;
-            }
-        }
-        Some((top.time, top.kind))
+        self.heap.pop().map(|q| (q.time, q.kind))
     }
 
     /// Number of pending events.
@@ -194,6 +165,35 @@ mod tests {
         })
         .collect();
         assert_eq!(sus, vec![0, 1, 2, 3, 4]);
+    }
+
+    /// Seeded pushes and pops over four time values, so most events tie:
+    /// every pop must be the reference's earliest, ties in push order.
+    #[test]
+    fn ties_pop_in_push_order_against_a_sorted_reference() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(25);
+        let mut q = EventQueue::new();
+        // Pending `(time, id)` pairs in pop order; `id` counts pushes.
+        let mut reference: Vec<(f64, u32)> = Vec::new();
+        let mut pushed = 0u32;
+        for _ in 0..20_000 {
+            if reference.is_empty() || rng.gen_bool(0.55) {
+                let time = f64::from(rng.gen_range(0..4u32)) * 0.5;
+                let at = reference.partition_point(|&(t, _)| t <= time);
+                reference.insert(at, (time, pushed));
+                q.push(time, EventKind::Heal { su: pushed });
+                pushed += 1;
+            } else {
+                let (time, su) = reference.remove(0);
+                assert_eq!(q.pop(), Some((time, EventKind::Heal { su })));
+            }
+        }
+        for (time, su) in reference {
+            assert_eq!(q.pop(), Some((time, EventKind::Heal { su })));
+        }
+        assert!(q.is_empty());
     }
 
     #[test]

@@ -18,8 +18,10 @@
 //! - **Spectrum handoff**: if a PU inside the transmitter's PCR activates
 //!   mid-transmission, the SU aborts immediately and retries later.
 //! - **Reception**: receivers track cumulative SIR from *all* concurrent
-//!   transmitters (PU + SU) incrementally; RS-mode capture locks a
-//!   receiver onto the strongest addressed signal.
+//!   transmitters (PU + SU) incrementally, each sum counting its
+//!   contributors so that it returns to exactly zero when the last one
+//!   leaves; one latched verdict rule judges every reception, and RS-mode
+//!   capture locks a receiver onto the strongest addressed signal.
 //! - **Determinism**: all randomness flows from one seeded RNG; ties in
 //!   event time break by sequence number, so a `(scenario, seed)` pair
 //!   reproduces exactly.

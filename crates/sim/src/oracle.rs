@@ -233,8 +233,8 @@ impl InvariantChecker {
     /// Creates a checker for runs over `world` under `mac`.
     ///
     /// `mac` must be the configuration the simulator actually runs —
-    /// the checker reads `contention_window`, `airtime`, `check_sir`,
-    /// and `fairness_wait` to know what the engine promised. (Passing a
+    /// the checker reads `contention_window`, `airtime` and
+    /// `fairness_wait` to know what the engine promised. (Passing a
     /// config with `fairness_wait: true` against an engine running
     /// without it is how the injected-bug tests prove the oracle bites.)
     #[must_use]
@@ -347,9 +347,6 @@ impl InvariantChecker {
     /// (neither re-verdicts on interference decrease, so auditing
     /// additions covers every latch site).
     fn recheck_exact_sir(&mut self) {
-        if !self.mac.check_sir {
-            return;
-        }
         let phy = self.world.phy();
         let alpha = phy.alpha();
         let eta = phy.su_sir_threshold();
@@ -647,25 +644,23 @@ impl InvariantChecker {
         }
         match sir {
             Some(st) => {
-                if self.mac.check_sir {
-                    if outcome == TxOutcome::Success && st.ever_bad_strict {
-                        self.record(
-                            InvariantKind::ConcurrentSet,
-                            format!(
-                                "SU {su} → {rx} succeeded though the exact cumulative model \
-                                 put its SIR below threshold mid-flight"
-                            ),
-                        );
-                    }
-                    if outcome == TxOutcome::SirLoss && !st.ever_bad_loose {
-                        self.record(
-                            InvariantKind::ConcurrentSet,
-                            format!(
-                                "SU {su} → {rx} was charged a SIR loss though the exact \
-                                 model never saw its SIR below threshold"
-                            ),
-                        );
-                    }
+                if outcome == TxOutcome::Success && st.ever_bad_strict {
+                    self.record(
+                        InvariantKind::ConcurrentSet,
+                        format!(
+                            "SU {su} → {rx} succeeded though the exact cumulative model \
+                             put its SIR below threshold mid-flight"
+                        ),
+                    );
+                }
+                if outcome == TxOutcome::SirLoss && !st.ever_bad_loose {
+                    self.record(
+                        InvariantKind::ConcurrentSet,
+                        format!(
+                            "SU {su} → {rx} was charged a SIR loss though the exact \
+                             model never saw its SIR below threshold"
+                        ),
+                    );
                 }
             }
             None => self.record(
@@ -1229,10 +1224,6 @@ mod tests {
             MacConfig::default(),
             MacConfig {
                 fairness_wait: false,
-                ..MacConfig::default()
-            },
-            MacConfig {
-                check_sir: false,
                 ..MacConfig::default()
             },
         ] {

@@ -5,13 +5,26 @@
 //! `cargo test --release -p crn-bench -- --ignored`.
 
 use crn_bench::synthetic::{grid_radio, grid_topology, grid_world};
-use crn_sim::{InterferenceModel, MacConfig, SimWorld, Simulator, TraceLog};
-use std::sync::Arc;
+use crn_interference::PhyParams;
+use crn_sim::{InterferenceModel, MacConfig, RadioParams, SimWorld, Simulator, TraceLog};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
+
+/// Tests in one binary run on parallel threads; each test here times
+/// something, and holds this lock so that no other test's work shares the
+/// cores with it.
+static TIME: Mutex<()> = Mutex::new(());
+
+/// Takes [`TIME`]. It guards no data, so a test that failed while holding
+/// it leaves nothing to repair.
+fn time_alone() -> MutexGuard<'static, ()> {
+    TIME.lock().unwrap_or_else(PoisonError::into_inner)
+}
 
 #[test]
 #[ignore = "release-mode scale smoke test (CI scale job)"]
 fn sparse_engine_handles_ten_thousand_sus() {
+    let _guard = time_alone();
     let started = Instant::now();
     let world = grid_world(10_000, InterferenceModel::Truncated { epsilon: 0.1 });
     let build = started.elapsed();
@@ -45,6 +58,7 @@ const REQUIRED_SPEEDUP: f64 = 5.0;
 #[test]
 #[ignore = "release-mode throughput regression gate (CI scale job)"]
 fn delta_engine_holds_five_x_floor_at_five_thousand_sus() {
+    let _guard = time_alone();
     let world = Arc::new(grid_world(
         5_000,
         InterferenceModel::Truncated { epsilon: 0.1 },
@@ -118,6 +132,7 @@ fn best_construction_seconds(
 #[test]
 #[ignore = "release-mode scale smoke test (CI scale job)"]
 fn sparse_beats_dense_at_five_thousand_sus() {
+    let _guard = time_alone();
     let (dense_build, dense) = best_construction_seconds(5_000, InterferenceModel::Exact, 3);
     let (sparse_build, sparse) =
         best_construction_seconds(5_000, InterferenceModel::Truncated { epsilon: 0.1 }, 3);
@@ -140,50 +155,113 @@ fn sparse_beats_dense_at_five_thousand_sus() {
     );
 }
 
-/// How much grid-world customization may cost per SU at 4n against n
-/// (ROADMAP item 4): a linear-time build keeps the ratio near 1, while a
-/// per-(slot, PU) pass grows it with n.
-const MAX_PER_SU_GROWTH: f64 = 1.5;
+/// How much grid-world customization may cost per unit of work at 4n
+/// against n (ROADMAP item 4): a linear-time build keeps the ratio near
+/// 1, while a per-(slot, PU) pass grows it with n.
+const MAX_COST_GROWTH: f64 = 1.5;
 
-#[test]
-#[ignore = "release-mode scale gate (CI scale job)"]
-fn sparse_customization_cost_per_su_grows_at_most_half_from_n_to_4n() {
-    let model = InterferenceModel::Truncated { epsilon: 0.1 };
+/// The grid world's customization under `radio` at n = 10,000 and at
+/// 40,000: per size, µs per SU (a median of 3 samples) and gain-table
+/// bytes per SU.
+fn customization_cost(radio: RadioParams) -> [(f64, f64); 2] {
     let sizes = [10_000usize, 40_000];
     let topologies = sizes.map(|n| Arc::new(grid_topology(n)));
     // A sample builds a size's world until it has built 40,000 SUs (the
     // small world four times), so samples of both sizes do the same work
     // and last about as long: a single 0.1 s build on a shared host
     // wanders by a third. The sizes alternate round by round, so load
-    // from a neighbouring test or tenant falls on both alike; each figure
-    // is a median of 3 samples.
-    let mut us_per_su = [Vec::new(), Vec::new()];
+    // from a tenant falls on both alike; each figure is a median of 3
+    // samples.
+    let mut seconds = [Vec::new(), Vec::new()];
+    let mut bytes = [0usize; 2];
     for _ in 0..3 {
         for (i, topology) in topologies.iter().enumerate() {
-            let builds = sizes[1] / sizes[i];
             let started = Instant::now();
-            for _ in 0..builds {
-                let world = SimWorld::new(topology.clone(), grid_radio(model)).expect("valid grid");
+            for _ in 0..sizes[1] / sizes[i] {
+                let world = SimWorld::new(topology.clone(), radio).expect("valid grid");
+                bytes[i] = world.gain_table_bytes();
                 drop(world);
             }
-            us_per_su[i].push(started.elapsed().as_secs_f64() * 1e6 / sizes[1] as f64);
+            seconds[i].push(started.elapsed().as_secs_f64());
         }
     }
-    let [small, large] = us_per_su.map(|mut v| {
-        v.sort_by(f64::total_cmp);
-        v[1]
-    });
+    [0, 1].map(|i| {
+        seconds[i].sort_by(f64::total_cmp);
+        (
+            seconds[i][1] * 1e6 / sizes[1] as f64,
+            bytes[i] as f64 / sizes[i] as f64,
+        )
+    })
+}
+
+#[test]
+#[ignore = "release-mode scale gate (CI scale job)"]
+fn sparse_customization_cost_per_su_grows_at_most_half_from_n_to_4n() {
+    let _guard = time_alone();
+    let [(small, _), (large, _)] =
+        customization_cost(grid_radio(InterferenceModel::Truncated { epsilon: 0.1 }));
     eprintln!(
-        "sparse customization: {small:.1} us/SU at n = {}, {large:.1} us/SU at n = {} ({:.2}x)",
-        sizes[0],
-        sizes[1],
+        "sparse customization: {small:.1} us/SU at n = 10000, {large:.1} us/SU at n = 40000 \
+         ({:.2}x)",
         large / small
     );
     assert!(
-        large <= MAX_PER_SU_GROWTH * small,
-        "customization is not linear: {large:.1} us/SU at n = {} against {small:.1} at n = {} \
-         (more than {MAX_PER_SU_GROWTH}x)",
-        sizes[1],
-        sizes[0]
+        large <= MAX_COST_GROWTH * small,
+        "customization is not linear: {large:.1} us/SU at n = 40000 against {small:.1} at \
+         n = 10000 (more than {MAX_COST_GROWTH}x)"
+    );
+}
+
+/// How much the gain tables may grow per SU from n = 10,000 to 40,000 at
+/// `P_p` 100, `P_s` 1. There every slot climbs its PU ladder to rung 3,
+/// serving every PU within 8 cutoffs (about 520 units): that disk covers
+/// most of the 10,000-SU world (side 700) but under half of the
+/// 40,000-SU one (side 1,400), so a slot serves about 1.5 times as many
+/// PUs at 40,000. A slot that served every PU would serve 4 times as
+/// many.
+const MAX_BYTES_PER_SU_GROWTH: f64 = 2.0;
+
+/// The same gate at a PU power 100 times the SU power, where every slot
+/// serves PUs past its cutoff. The rung its budget needs serves more PUs
+/// per slot at 40,000 SUs than at 10,000 (see
+/// [`MAX_BYTES_PER_SU_GROWTH`]), so its cost per SU grows with them by
+/// geometry: the gate holds the cost per byte of the tables built, which
+/// a build linear in its output keeps flat and a per-slot fold over every
+/// PU grows with n, and bounds the bytes per SU, which a ladder that
+/// climbs past the rung a slot needs grows.
+#[test]
+#[ignore = "release-mode scale gate (CI scale job)"]
+fn sparse_customization_cost_per_table_byte_holds_at_the_pulling_budget() {
+    let _guard = time_alone();
+    let radio = grid_radio(InterferenceModel::Truncated { epsilon: 0.1 });
+    let phy = radio.phy;
+    let mut b = PhyParams::builder();
+    b.alpha(phy.alpha())
+        .pu_power(100.0)
+        .su_power(1.0)
+        .pu_radius(phy.pu_radius())
+        .su_radius(phy.su_radius())
+        .pu_sir_threshold(phy.pu_sir_threshold())
+        .su_sir_threshold(phy.su_sir_threshold());
+    let pulling = radio.phy(b.build().expect("valid powers"));
+    let [(small_su, small_b), (large_su, large_b)] = customization_cost(pulling);
+    let (small, large) = (1e3 * small_su / small_b, 1e3 * large_su / large_b);
+    eprintln!(
+        "sparse customization at P_p 100, P_s 1: {small_su:.1} us/SU, {small_b:.0} B/SU and \
+         {small:.2} ns/B at n = 10000; {large_su:.1} us/SU, {large_b:.0} B/SU and {large:.2} \
+         ns/B at n = 40000 ({:.2}x per SU, {:.2}x B/SU, {:.2}x per byte)",
+        large_su / small_su,
+        large_b / small_b,
+        large / small
+    );
+    assert!(
+        large_b <= MAX_BYTES_PER_SU_GROWTH * small_b,
+        "gain tables at P_p 100, P_s 1 grew from {small_b:.0} B/SU at n = 10000 to \
+         {large_b:.0} at n = 40000 (more than {MAX_BYTES_PER_SU_GROWTH}x)"
+    );
+    assert!(
+        large <= MAX_COST_GROWTH * small,
+        "customization at P_p 100, P_s 1 is not linear in its tables: {large:.2} ns/B at \
+         n = 40000 against {small:.2} at n = 10000 (more than {MAX_COST_GROWTH}x)"
     );
 }

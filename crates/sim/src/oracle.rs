@@ -15,7 +15,11 @@
 //!   range, and every *successful* transmission's SIR clears the decode
 //!   threshold under the **exact** cumulative model recomputed from node
 //!   positions — even when the engine runs the truncated near-field
-//!   tables, so the Lemma-2 truncation certificate is audited on line.
+//!   tables, so the Lemma-2 truncation certificate is audited on line:
+//!   there a success may hide at most the receiver slot's certified
+//!   budget `B_s = ε·p_s·g_min/η_s` of exact interference, the one
+//!   engine-derived value the oracle reads (a pure function of the PHY
+//!   and the tree).
 //! - **PU protection** (Section III) — no SU starts transmitting while an
 //!   ON primary user senses it, and a PU activation aborts every covered
 //!   transmission in the same instant (spectrum handoff).
@@ -164,7 +168,9 @@ struct NodeState {
 #[derive(Clone, Copy, Debug)]
 struct ActiveSir {
     rx: u32,
-    /// SIR dipped below threshold with margin (a `Success` is a bug).
+    /// SIR dipped below threshold with margin, after the receiver slot's
+    /// certified budget is taken off the exact interference (a `Success`
+    /// is a bug).
     ever_bad_strict: bool,
     /// SIR dipped below threshold within tolerance (absolves a
     /// `SirLoss`).
@@ -346,6 +352,12 @@ impl InvariantChecker {
     /// monotone-fail verdicts on both the full-scan and delta SIR paths
     /// (neither re-verdicts on interference decrease, so auditing
     /// additions covers every latch site).
+    ///
+    /// A truncated engine may leave out up to the receiver slot's
+    /// certified budget `B_s`, so a success is judged against the exact
+    /// interference less `B_s` (`B_s = 0` on an exact world). Truncation
+    /// only ever hides interference, so a loss is judged against the
+    /// exact interference itself.
     fn recheck_exact_sir(&mut self) {
         let phy = self.world.phy();
         let alpha = phy.alpha();
@@ -358,6 +370,12 @@ impl InvariantChecker {
             let su = self.active[i];
             let rx = self.sir[su as usize].expect("active SU has SIR state").rx;
             let rx_pos = sus[rx as usize];
+            // A node that is no parent (a hygiene violation already) has
+            // no certificate, so its link gets no slack.
+            let budget = self
+                .world
+                .receiver_slot(rx)
+                .map_or(0.0, |slot| self.world.certified_budget(slot));
             // The intended link carries any injected degradation (×1.0
             // exactly in fault-free runs); interference terms do not.
             let signal = p_s
@@ -376,7 +394,7 @@ impl InvariantChecker {
             }
             if interference > 0.0 {
                 let st = self.sir[su as usize].as_mut().expect("active SU");
-                if signal < eta * interference * (1.0 - SIR_TOL) {
+                if signal < eta * (interference - budget) * (1.0 - SIR_TOL) {
                     st.ever_bad_strict = true;
                 }
                 if signal < eta * interference * (1.0 + SIR_TOL) {
@@ -648,8 +666,9 @@ impl InvariantChecker {
                     self.record(
                         InvariantKind::ConcurrentSet,
                         format!(
-                            "SU {su} → {rx} succeeded though the exact cumulative model \
-                             put its SIR below threshold mid-flight"
+                            "SU {su} → {rx} succeeded though the exact cumulative model, \
+                             less the receiver's certified budget, put its SIR below \
+                             threshold mid-flight"
                         ),
                     );
                 }
@@ -1462,6 +1481,116 @@ mod tests {
             .iter()
             .any(|v| v.invariant == InvariantKind::PacketConservation
                 && v.detail.contains("empty queue")));
+    }
+
+    /// The SU pair 0 ← 1 (7 apart) of a truncated world, sensing at the
+    /// SU radius, with one PU straight past the receiver, away from the
+    /// transmitter: ON, its exact interference at the receiver is `scale`
+    /// times `S/η_s + B_s`, and the transmitter does not sense it.
+    fn pu_past_the_budget(scale: f64) -> Arc<SimWorld> {
+        let phy = PhyParams::paper_simulation_defaults();
+        let (rx, tx) = (Point::new(5.0, 30.0), Point::new(12.0, 30.0));
+        let world = |pu: Point| {
+            SimWorld::builder(Region::square(40.0))
+                .su_positions(vec![rx, tx])
+                .pu_positions(vec![pu])
+                .parents(vec![None, Some(0)])
+                .phy(phy)
+                .sense_range(phy.su_radius())
+                .interference(crate::InterferenceModel::Truncated { epsilon: 0.1 })
+                .build()
+                .unwrap()
+        };
+        let budget = world(Point::ORIGIN).certified_budget(0);
+        assert!(budget > 0.0, "a truncated slot certifies a budget");
+        let signal = phy.su_power() * path_gain(7.0, phy.alpha());
+        let target = scale * (signal / phy.su_sir_threshold() + budget);
+        // p_p·d^-α = target.
+        let d = (phy.pu_power() / target).powf(1.0 / phy.alpha());
+        assert!(tx.distance(Point::new(5.0, 30.0 - d)) > phy.su_radius());
+        Arc::new(world(Point::new(5.0, 30.0 - d)))
+    }
+
+    /// Runs SU 1's successful transmission to the base station under the
+    /// world's one PU, ON throughout.
+    fn success_under_on_pu(world: &Arc<SimWorld>) -> InvariantChecker {
+        let mut c = checker_for(world);
+        let cw = MacConfig::default().contention_window;
+        c.on_event(&ev(0.0, TraceEventKind::PacketGenerated { su: 1 }));
+        c.on_event(&ev(0.0, TraceEventKind::PuOn { pu: 0 }));
+        c.on_event(&ev(
+            0.0,
+            TraceEventKind::BackoffStart {
+                su: 1,
+                t_i: cw / 2.0,
+                cw,
+            },
+        ));
+        c.on_event(&ev(cw / 2.0, TraceEventKind::TxStart { su: 1, rx: 0 }));
+        c.on_event(&ev(
+            cw / 2.0 + MacConfig::default().airtime,
+            TraceEventKind::TxEnd {
+                su: 1,
+                rx: 0,
+                outcome: TxOutcome::Success,
+            },
+        ));
+        c
+    }
+
+    #[test]
+    fn tampered_success_beyond_the_certified_budget_is_caught() {
+        // Just inside `S/η_s + B_s` a truncated engine may succeed: it may
+        // have left out up to `B_s` of exact interference.
+        let within = success_under_on_pu(&pu_past_the_budget(1.0 - 1e-6));
+        assert!(
+            !within
+                .violations()
+                .iter()
+                .any(|v| v.invariant == InvariantKind::ConcurrentSet),
+            "{:?}",
+            within.violations()
+        );
+        // Just past it, no certificate covers the success.
+        let beyond = success_under_on_pu(&pu_past_the_budget(1.0 + 1e-6));
+        assert!(
+            beyond
+                .violations()
+                .iter()
+                .any(|v| v.invariant == InvariantKind::ConcurrentSet
+                    && v.detail.contains("certified budget")),
+            "{:?}",
+            beyond.violations()
+        );
+    }
+
+    #[test]
+    fn tampered_transmission_to_a_leaf_is_caught() {
+        // SU 1 of a 3-chain sends to SU 2, its child: a leaf, with no
+        // receiver slot and so no certified budget, under an ON PU that
+        // puts its exact interference above zero.
+        let world = chain_world(3, vec![Point::new(50.0, 50.0)]);
+        let mut c = checker_for(&world);
+        let cw = MacConfig::default().contention_window;
+        c.on_event(&ev(0.0, TraceEventKind::PacketGenerated { su: 1 }));
+        c.on_event(&ev(0.0, TraceEventKind::PuOn { pu: 0 }));
+        c.on_event(&ev(
+            0.0,
+            TraceEventKind::BackoffStart {
+                su: 1,
+                t_i: cw / 2.0,
+                cw,
+            },
+        ));
+        c.on_event(&ev(cw / 2.0, TraceEventKind::TxStart { su: 1, rx: 2 }));
+        assert!(
+            c.violations()
+                .iter()
+                .any(|v| v.invariant == InvariantKind::SchedulerHygiene
+                    && v.detail.contains("not its overlay parent")),
+            "{:?}",
+            c.violations()
+        );
     }
 
     #[test]

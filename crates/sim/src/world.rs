@@ -435,6 +435,13 @@ impl SimWorld {
         self.radio.near_pu_gain(&self.topology, pu, slot)
     }
 
+    /// Slot `slot`'s certified truncation budget `B_s = ε·p_s·g_min/η_s`:
+    /// the most interference its truncated tables may leave out. `0.0` in
+    /// exact mode. A pure function of the PHY and the tree.
+    pub(crate) fn certified_budget(&self, slot: u32) -> f64 {
+        self.radio.certified_budget(slot)
+    }
+
     /// The interference model this world was customized with.
     #[must_use]
     pub fn interference_model(&self) -> InterferenceModel {
@@ -442,10 +449,11 @@ impl SimWorld {
     }
 
     /// Bytes held by the path-gain storage (dense tables, or the sparse
-    /// cutoffs, near-field PU id rows, bounds, levels and residuals) —
-    /// the memory the truncated model exists to shrink. A table two of this world's stages share counts once; one
-    /// shared with another world (after [`SimWorld::recustomize`]) counts
-    /// in full for each.
+    /// cutoffs, near-field and served PU id rows, ladder steps, `ext` rows
+    /// and residuals) — the memory the truncated model exists to shrink. A
+    /// table two of this world's stages share counts once; one shared with
+    /// another world (after [`SimWorld::recustomize`]) counts in full for
+    /// each.
     #[must_use]
     pub fn gain_table_bytes(&self) -> usize {
         self.radio.gain_table_bytes()
@@ -453,18 +461,18 @@ impl SimWorld {
 
     /// Truncation diagnostics: per-slot `(cutoff radii, excluded-PU
     /// residual powers)`. A residual is a certified upper bound on the
-    /// power every excluded PU delivers when all transmit at once: the
-    /// far-field bound where that fits the slot's budget, and exact at
-    /// the slots that fall back to the exact fold. `None` in exact mode.
+    /// power every excluded PU delivers when all transmit at once: `P_p`
+    /// times the bound of the first step of the slot's ladder that fits
+    /// its budget. `None` in exact mode.
     #[must_use]
     pub fn truncation_stats(&self) -> Option<(&[f64], &[f64])> {
         self.radio.truncation_stats()
     }
 
     /// One 64-bit FNV-1a digest of every truncation table, bit for bit:
-    /// cutoffs, the PU near-field id rows, bounds, pulled id lists,
-    /// levels, served id rows and residuals, offsets included. Builds that
-    /// agree on every table agree on it. `None` in exact mode.
+    /// cutoffs, the ladder steps (bounds and reaches), the `ext` and PU
+    /// near-field id rows, served id rows and residuals, offsets included.
+    /// Builds that agree on every table agree on it. `None` in exact mode.
     #[must_use]
     pub fn tables_digest(&self) -> Option<u64> {
         self.radio.tables_digest()

@@ -94,6 +94,29 @@ fn seed_corpus_replays_clean() {
     }
 }
 
+/// Scaled-preset worlds (`crn run --sus 600 --pus 63 --side 140 --pt 0.3
+/// --interference truncated:0.1`) whose ADDC runs see a success with its
+/// exact SIR just under the threshold, inside the slack the truncation
+/// certificate allows. The oracle judges those successes by the receiver
+/// slot's certified budget, so the runs replay clean; held to the exact
+/// model alone, each of these seeds was a false `concurrent-set`
+/// violation.
+#[test]
+fn truncated_scaled_preset_seeds_replay_clean() {
+    for seed in [1, 2, 17] {
+        let params = ScenarioParams::builder()
+            .num_sus(600)
+            .num_pus(63)
+            .area_side(140.0)
+            .p_t(0.3)
+            .seed(seed)
+            .interference(InterferenceModel::Truncated { epsilon: 0.1 })
+            .build();
+        let scenario = Scenario::generate(&params).unwrap();
+        assert_clean(&scenario, CollectionAlgorithm::Addc);
+    }
+}
+
 /// End-to-end injected bug: run the real engine with the fairness wait
 /// disabled while the oracle audits against a configuration that
 /// promises it — the exact failure mode of a MAC that drops

@@ -25,10 +25,10 @@
 //!
 //! Every world also prints a `digest`: FNV-1a over the bits of every
 //! truncation table ([`crn_sim::SimWorld::tables_digest`]: cutoffs, the
-//! PU ladder's step offsets, bounds and reaches, `ext` id rows, PU
-//! near-field id rows, served id rows and residuals, offsets included; a
-//! truncated world stores no gain, so none is digested, and an `Exact`
-//! world has no such table), continued
+//! PU ladder's step offsets, bounds and reaches, `ext` id rows and base
+//! PU id rows, offsets included; a truncated world stores no gain, and
+//! reads its served PUs and residuals off the ladder, so none of those
+//! is digested, and an `Exact` world has no such table), continued
 //! over its capped run's report and then over the equivalence run's.
 //! Those are the same on any number of cores, so CI compares the digests
 //! of a run pinned to one core (`taskset -c 0`, serial radio builds) with

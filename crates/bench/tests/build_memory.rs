@@ -2,12 +2,15 @@
 //! global allocator (hence a test binary of its own).
 //!
 //! A `Truncated` build writes every table once, in place, so its peak
-//! live heap stays near what the world keeps; a power-only
-//! re-customization shares every table and allocates only its per-slot
-//! residuals.
+//! live heap stays near what the world keeps. A power-only
+//! re-customization whose budget the stored PU ladders cover shares every
+//! table and builds nothing, even where slots move to other ladder steps:
+//! a slot's served PUs and residual are read off its ladder when asked.
 
 use crn_bench::synthetic::{bump_su_power, grid_radio, grid_topology};
+use crn_interference::PhyParams;
 use crn_sim::{InterferenceModel, MacConfig, SimReport, SimWorld, Simulator};
+use crn_spectrum::PuActivity;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
@@ -83,12 +86,15 @@ const N: usize = 5_000;
 
 const TRUNCATED: InterferenceModel = InterferenceModel::Truncated { epsilon: 0.1 };
 
-fn run(world: SimWorld) -> SimReport {
+/// A capped run of `world` whose PUs transmit with probability `p_t` a
+/// slot (0 is the simulator's default, a silent primary network).
+fn run(world: SimWorld, p_t: f64) -> SimReport {
     Simulator::builder(world)
         .mac(MacConfig {
             max_sim_time: 0.01,
             ..MacConfig::default()
         })
+        .activity(PuActivity::bernoulli(p_t).expect("valid p_t"))
         .seed(42)
         .build()
         .expect("valid simulator")
@@ -135,7 +141,62 @@ fn power_recustomize_allocates_almost_nothing() {
         "a power-only recustomize requested {requested} B against {tables} B of gain tables"
     );
     let fresh = SimWorld::new(topology, bumped).expect("valid grid world");
-    let report = run(recustomized);
+    let report = run(recustomized, 0.0);
     assert!(report.attempts > 0, "the capped run made no progress");
-    assert_eq!(report, run(fresh));
+    assert_eq!(report, run(fresh, 0.0));
+}
+
+/// `phy` with its transmit powers replaced.
+fn with_powers(phy: &PhyParams, pu_power: f64, su_power: f64) -> PhyParams {
+    let mut b = PhyParams::builder();
+    b.alpha(phy.alpha())
+        .pu_power(pu_power)
+        .su_power(su_power)
+        .pu_radius(phy.pu_radius())
+        .su_radius(phy.su_radius())
+        .pu_sir_threshold(phy.pu_sir_threshold())
+        .su_sir_threshold(phy.su_sir_threshold());
+    b.build().expect("valid powers")
+}
+
+/// At `P_p` 100, `P_s` 1 the grid's slots climb their PU ladders; at
+/// `P_s` 10 the budget is looser, so the stored ladders cover it and slots
+/// step down them. With `P_p` fixed, a residual that changes is a step
+/// that moved.
+#[test]
+fn recustomize_that_moves_ladder_steps_allocates_almost_nothing() {
+    let n = 2_000;
+    let _guard = measure_alone();
+    let topology = Arc::new(grid_topology(n));
+    let params = grid_radio(TRUNCATED);
+    let pulling = params.phy(with_powers(&params.phy, 100.0, 1.0));
+    let looser = params.phy(with_powers(&params.phy, 100.0, 10.0));
+    let world = SimWorld::new(topology.clone(), pulling).expect("valid grid world");
+    let before = REQUESTED.load(SeqCst);
+    let recustomized = world.recustomize(looser).expect("power-only recustomize");
+    let requested = REQUESTED.load(SeqCst) - before;
+    let tables = world.gain_table_bytes();
+    let residuals = |w: &SimWorld| w.truncation_stats().expect("a truncated world").1;
+    let (from, to) = (residuals(&world), residuals(&recustomized));
+    let moved = from
+        .iter()
+        .zip(&to)
+        .filter(|(a, b)| a.to_bits() != b.to_bits())
+        .count();
+    eprintln!(
+        "n = {n}: {moved} of {} residuals moved; recustomize requested {requested} B \
+         against {tables} B of gain tables ({:.2}%)",
+        from.len(),
+        100.0 * requested as f64 / tables as f64
+    );
+    assert!(moved > 0, "no slot moved to another ladder step");
+    assert!(
+        (requested as f64) < 0.02 * tables as f64,
+        "a recustomize that moves ladder steps requested {requested} B against {tables} B of \
+         gain tables"
+    );
+    let fresh = SimWorld::new(topology, looser).expect("valid grid world");
+    let report = run(recustomized, 0.3);
+    assert!(report.attempts > 0, "the capped run made no progress");
+    assert_eq!(report, run(fresh, 0.3));
 }

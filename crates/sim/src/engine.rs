@@ -242,8 +242,8 @@ impl LiveCells {
     /// arithmetic cannot split a heard pair; one empty cell on the scan
     /// path.
     fn new(world: &SimWorld, path: SirPath) -> Self {
-        let cells = match (path, world.truncation_stats()) {
-            (SirPath::Delta, Some((cutoff, _))) => {
+        let cells = match (path, world.cutoffs()) {
+            (SirPath::Delta, Some(cutoff)) => {
                 let reach = cutoff.iter().fold(0.0f64, |a, &c| a.max(c));
                 let sus = world.su_positions().iter().copied();
                 Cells::new(sus, 1.0, reach * (1.0 + 1e-6))
@@ -553,7 +553,7 @@ impl<P: Probe> Simulator<P> {
         }
         // Dense radios keep no per-slot cutoffs, so they always take the
         // reference scan path (it doubles as the bit-exact oracle).
-        let path = if !full_scan && world.truncation_stats().is_some() {
+        let path = if !full_scan && world.cutoffs().is_some() {
             SirPath::Delta
         } else {
             SirPath::Scan
@@ -974,12 +974,15 @@ impl<P: Probe> Simulator<P> {
                 self.check_all_sir();
 
                 // Cumulative interference the new reception starts with.
-                // In truncated mode only the receiver's near-field PU list
-                // is scanned; exact mode sums every active PU.
+                // In truncated mode only the PUs the receiver serves are
+                // scanned, base row then ladder prefix as the delta path
+                // sums them; exact mode sums every active PU.
                 match world.near_pus(rx_slot) {
-                    Some(ids) => {
-                        for &k in ids.iter().filter(|&&k| self.pu_on[k as usize]) {
-                            intf.add(p_p * world.near_pu_gain(k, rx_slot));
+                    Some((base, prefix)) => {
+                        for &k in base.iter().chain(prefix) {
+                            if self.pu_on[k as usize] {
+                                intf.add(p_p * world.near_pu_gain(k, rx_slot));
+                            }
                         }
                     }
                     None => {
@@ -1551,8 +1554,8 @@ impl<P: Probe> Simulator<P> {
             if self.slot[s as usize].head != r.su {
                 continue;
             }
-            let ids = world.near_pus(s).expect("delta runs on sparse radios");
-            for &k in ids {
+            let (base, prefix) = world.near_pus(s).expect("delta runs on sparse radios");
+            for &k in base.iter().chain(prefix) {
                 if self.pu_scratch[k as usize] != self.pu_on[k as usize] {
                     self.pu_terms.push((k, s, world.near_pu_gain(k, s)));
                 }
@@ -1732,8 +1735,8 @@ impl<P: Probe> Simulator<P> {
     }
 
     /// Delta path: slot `s`'s sum over the transmitters `txs` it hears, in
-    /// their order (the owner's term kept apart), then over the on-PUs of
-    /// its served near row.
+    /// their order (the owner's term kept apart), then over the on-PUs it
+    /// serves: its base row, then its ladder prefix.
     fn slot_sum(&self, s: u32, txs: impl Iterator<Item = u32>) -> SlotAcc {
         let (p_s, p_p) = (self.world.phy().su_power(), self.world.phy().pu_power());
         let owner = self.world.receivers()[s as usize];
@@ -1746,8 +1749,8 @@ impl<P: Probe> Simulator<P> {
                 acc.intf.add(p_s * g);
             }
         }
-        let ids = self.world.near_pus(s).expect("delta runs on sparse radios");
-        for &k in ids {
+        let (base, prefix) = self.world.near_pus(s).expect("delta runs on sparse radios");
+        for &k in base.iter().chain(prefix) {
             if self.pu_on[k as usize] {
                 acc.intf.add(p_p * self.world.near_pu_gain(k, s));
             }

@@ -321,14 +321,15 @@ struct CutoffStage {
 /// budget that needs more steps than a slot stores rebuilds the
 /// structure.
 ///
-/// Rows hold PU ids only: [`SparseRadio::near_pu_gain`] recomputes a
-/// gain from positions with the expression the build evaluated.
+/// The structure is each slot's whole certificate: under its step it
+/// serves its base row, then the first `reach` PUs of its `ext` row, and
+/// leaves out PUs whose gains sum to at most that step's bound. Rows hold
+/// PU ids only: [`SparseRadio::near_pu_gain`] recomputes a gain from
+/// positions with the expression the build evaluated.
 #[derive(Debug)]
 struct PuStructure {
     key: StructureKey,
-    /// `Arc`-shared: when every slot serves rung 0, the radio serves these
-    /// very rows instead of a copy.
-    base: Arc<IdRows>,
+    base: IdRows,
     /// Slot `s`'s steps are `step_off[s]..step_off[s + 1]`, at least one.
     step_off: Vec<u32>,
     /// Per step, its bound, certified in floating point (see
@@ -361,51 +362,16 @@ impl PuStructure {
     }
 }
 
-/// The served near-field PU rows for one `ext` count per slot: slot `s`
-/// serves its base row merged with its first `pulls(s)` `ext` PUs, ids
-/// ascending, written into tables sized exactly once. They are a pure
-/// function of the [`PuStructure`] and the counts, so radios that agree
-/// on every count share one copy, and when no slot serves past its
-/// cutoff they are the structure's `base`.
-fn served_lists(
-    structure: &PuStructure,
-    pulls: impl Fn(usize) -> u32,
-) -> Result<Arc<IdRows>, WorldError> {
-    let m = structure.step_off.len() - 1;
-    let extra: usize = (0..m).map(|s| pulls(s) as usize).sum();
-    if extra == 0 {
-        return Ok(structure.base.clone());
-    }
-    let entries = structure.base.ids.len() + extra;
-    // Every row offset is at most `entries`, so one check covers them all.
-    offset("served PU", entries)?;
-    let mut off = vec![0u32; m + 1];
-    let mut ids = Vec::with_capacity(entries);
-    for s in 0..m {
-        let start = ids.len();
-        ids.extend_from_slice(structure.base.row(s));
-        ids.extend_from_slice(&structure.ext.row(s)[..pulls(s) as usize]);
-        ids[start..].sort_unstable();
-        off[s + 1] = ids.len() as u32;
-    }
-    Ok(Arc::new(IdRows { off, ids }))
-}
-
 /// Sparse gain stages (`Truncated` model). No gain is stored:
 /// [`SparseRadio::su_gain`] and [`SparseRadio::near_pu_gain`] recompute
-/// each from positions.
+/// each from positions. Nor is any value of one budget: [`Radio::step`]
+/// reads a slot's served PUs and residual off its ladder when asked.
 #[derive(Clone, Debug)]
 struct SparseRadio {
     law: PathLoss,
     gmin: Arc<GminStage>,
     cutoff: Arc<CutoffStage>,
     structure: Arc<PuStructure>,
-    /// Per slot, the PUs it sums, ids ascending.
-    served: Arc<IdRows>,
-    /// Per-slot certified upper bound on the power received if every
-    /// excluded PU transmitted at once (the PU-side truncation error):
-    /// `P_p` times the bound of the slot's first step that fits.
-    pu_residual: Arc<[f64]>,
 }
 
 #[derive(Clone, Debug)]
@@ -589,34 +555,17 @@ impl Radio {
                 let g_min = &gmin.g_min;
                 let m = g_min.len();
                 let threshold = |s: usize| pu_threshold(phy, epsilon, g_min[s]);
-                // Slot `s`'s served `ext` count and residual under `st`;
-                // `None` where it needs more steps than `st` holds.
-                let step_in = |st: &PuStructure, s: usize| {
-                    let (k, bound) = st.pull(s, threshold(s))?;
-                    Some((k, phy.pu_power() * bound))
-                };
-                // Tables are pure functions of the structure and the steps:
-                // the predecessor's structure is kept where it holds every
-                // step, its served rows where every count agrees (a row's
-                // length is its base row's plus its count), and its
-                // residuals where every bit does, copied where one does not.
-                let reused = prev_sparse
-                    .filter(|p| p.structure.key == skey)
-                    .and_then(|p| {
-                        let (mut counts_held, mut residuals) = (true, p.pu_residual.clone());
-                        let (base, served) = (&p.structure.base.off, &p.served.off);
-                        for s in 0..m {
-                            let (k, r) = step_in(&p.structure, s)?;
-                            counts_held &= served[s + 1] - served[s] == base[s + 1] - base[s] + k;
-                            if residuals[s].to_bits() != r.to_bits() {
-                                Arc::make_mut(&mut residuals)[s] = r;
-                            }
-                        }
-                        Some((p, counts_held, residuals))
-                    });
-                let structure = match &reused {
-                    Some((p, ..)) => p.structure.clone(),
-                    None => Arc::new(build_pu_structure(
+                // The predecessor's structure serves every slot it holds a
+                // fitting step for: bounds are pure functions of the
+                // geometry, whichever budget built them.
+                let structure = match prev_sparse {
+                    Some(p)
+                        if p.structure.key == skey
+                            && (0..m).all(|s| p.structure.pull(s, threshold(s)).is_some()) =>
+                    {
+                        p.structure.clone()
+                    }
+                    _ => Arc::new(build_pu_structure(
                         topology,
                         &law,
                         &cutoff.cutoff,
@@ -627,22 +576,11 @@ impl Radio {
                         ranges.unwrap_or_else(|| range_count(m)),
                     )?),
                 };
-                let step = |s| step_in(&structure, s).expect("the structure covers every budget");
-                let served = match &reused {
-                    Some((p, true, _)) => p.served.clone(),
-                    _ => served_lists(&structure, |s| step(s).0)?,
-                };
-                let pu_residual = match reused {
-                    Some((.., residuals)) => residuals,
-                    None => (0..m).map(|s| step(s).1).collect(),
-                };
                 RadioGains::Sparse(SparseRadio {
                     law,
                     gmin,
                     cutoff,
                     structure,
-                    served,
-                    pu_residual,
                 })
             }
         };
@@ -678,24 +616,30 @@ impl Radio {
     }
 
     /// The gain from `pu` at `slot`: the dense table entry, or on a
-    /// truncated radio [`SparseRadio::near_pu_gain`] over `topology` where
-    /// the slot's served row holds `pu`, and `0.0` elsewhere.
+    /// truncated radio [`Radio::served_pu_gain`]. Kept this small so the
+    /// dense lookup inlines into the scan path's loops.
+    #[inline]
     pub(crate) fn pu_gain(&self, topology: &Topology, pu: usize, slot: u32) -> f64 {
         match &self.gains {
             RadioGains::Dense(d) => d.pu_gain[pu * d.slots + slot as usize],
-            RadioGains::Sparse(s) => {
-                let pu = pu as u32;
-                if s.served.row(slot as usize).binary_search(&pu).is_ok() {
-                    s.near_pu_gain(topology, pu, slot)
-                } else {
-                    0.0
-                }
-            }
+            RadioGains::Sparse(s) => self.served_pu_gain(s, topology, pu as u32, slot),
         }
     }
 
-    /// The gain from `pu` at `slot`, for a `pu` in the slot's
-    /// [`Radio::near_pus`] row: [`Radio::pu_gain`] without the row search.
+    /// [`SparseRadio::near_pu_gain`] over `topology` where `slot` serves
+    /// `pu` (a binary search of its base row, then a scan of its ladder
+    /// prefix), and `0.0` elsewhere.
+    fn served_pu_gain(&self, s: &SparseRadio, topology: &Topology, pu: u32, slot: u32) -> f64 {
+        let (base, prefix) = self.near_pus(slot).expect("a sparse radio serves PUs");
+        if base.binary_search(&pu).is_ok() || prefix.contains(&pu) {
+            s.near_pu_gain(topology, pu, slot)
+        } else {
+            0.0
+        }
+    }
+
+    /// The gain from `pu` at `slot`, for a PU the slot serves (see
+    /// [`Radio::near_pus`]): [`Radio::pu_gain`] without the row search.
     #[inline]
     pub(crate) fn near_pu_gain(&self, topology: &Topology, pu: u32, slot: u32) -> f64 {
         match &self.gains {
@@ -716,11 +660,37 @@ impl Radio {
         }
     }
 
-    pub(crate) fn near_pus(&self, slot: u32) -> Option<&[u32]> {
-        match &self.gains {
-            RadioGains::Dense(_) => None,
-            RadioGains::Sparse(s) => Some(s.served.row(slot as usize)),
+    /// Slot `slot`'s step under this radio's budget, its first whose bound
+    /// fits: how many `ext` PUs it serves past its base row, and the bound
+    /// on the rest. `None` on a dense radio.
+    fn step(&self, slot: usize) -> Option<(u32, f64)> {
+        match (&self.gains, self.params.interference) {
+            (RadioGains::Sparse(s), InterferenceModel::Truncated { epsilon }) => {
+                let threshold = pu_threshold(&self.params.phy, epsilon, s.gmin.g_min[slot]);
+                Some(s.structure.pull(slot, threshold).expect("a step fits"))
+            }
+            _ => None,
         }
+    }
+
+    /// The PUs slot `slot` serves, in the order every sum over them runs:
+    /// its base row (ids ascending), then the prefix of its `ext` row that
+    /// its step serves (ring by ring outward). `None` on a dense radio.
+    #[inline]
+    pub(crate) fn near_pus(&self, slot: u32) -> Option<(&[u32], &[u32])> {
+        let RadioGains::Sparse(s) = &self.gains else {
+            return None;
+        };
+        let (st, slot) = (&s.structure, slot as usize);
+        let ext = st.ext.row(slot);
+        // A slot that never climbed serves its base row alone at every
+        // step, so the engine's hot paths read no step for it.
+        let k = if ext.is_empty() {
+            0
+        } else {
+            self.step(slot)?.0
+        };
+        Some((st.base.row(slot), &ext[..k as usize]))
     }
 
     /// Slot `slot`'s certified budget `ε·p_s·g_min/η_s`, split in halves
@@ -735,17 +705,26 @@ impl Radio {
         }
     }
 
-    pub(crate) fn truncation_stats(&self) -> Option<(&[f64], &[f64])> {
+    /// Per-slot SU cutoff radii; `None` on a dense radio.
+    pub(crate) fn cutoffs(&self) -> Option<&[f64]> {
         match &self.gains {
             RadioGains::Dense(_) => None,
-            RadioGains::Sparse(s) => Some((&s.cutoff.cutoff, &s.pu_residual)),
+            RadioGains::Sparse(s) => Some(&s.cutoff.cutoff),
         }
     }
 
+    /// Per-slot cutoffs and residuals, each residual `P_p` times the bound
+    /// of the slot's step, computed by this call.
+    pub(crate) fn truncation_stats(&self) -> Option<(&[f64], Vec<f64>)> {
+        let cutoffs = self.cutoffs()?;
+        let p_p = self.params.phy.pu_power();
+        let residual = |s| p_p * self.step(s).expect("a sparse radio").1;
+        Some((cutoffs, (0..cutoffs.len()).map(residual).collect()))
+    }
+
     /// FNV-1a (64-bit) over every sparse table, in bit patterns: cutoffs,
-    /// step offsets, bounds and reaches, `ext` id rows, base id rows,
-    /// served id rows and residuals, each row table with its offsets.
-    /// `None` in exact mode.
+    /// step offsets, bounds and reaches, `ext` id rows and base id rows,
+    /// each row table with its offsets. `None` in exact mode.
     pub(crate) fn tables_digest(&self) -> Option<u64> {
         let RadioGains::Sparse(s) = &self.gains else {
             return None;
@@ -756,31 +735,20 @@ impl Radio {
         h.u32s(&st.step_off);
         h.f64s(&st.bound);
         h.u32s(&st.reach);
-        for rows in [&st.ext, &st.base, &s.served] {
+        for rows in [&st.ext, &st.base] {
             h.u32s(&rows.off);
             h.u32s(&rows.ids);
         }
-        h.f64s(&s.pu_residual);
         Some(h.0)
     }
 
-    /// Bytes this radio holds in gain tables. A table shared between
-    /// stages (the served PU lists are the structure's base lists when
-    /// every slot serves rung 0) counts once; tables shared with another
-    /// radio count in full for each, since each holds them.
+    /// Bytes this radio holds in gain tables: dense gains, or the sparse
+    /// cutoffs and PU structure. Tables shared with another radio count in
+    /// full for each, since each holds them.
     pub(crate) fn gain_table_bytes(&self) -> usize {
         match &self.gains {
             RadioGains::Dense(d) => (d.pu_gain.len() + d.su_gain.len()) * 8,
-            RadioGains::Sparse(s) => {
-                let served_lists = if Arc::ptr_eq(&s.served, &s.structure.base) {
-                    0
-                } else {
-                    s.served.bytes()
-                };
-                (s.cutoff.cutoff.len() + s.pu_residual.len()) * 8
-                    + s.structure.bytes()
-                    + served_lists
-            }
+            RadioGains::Sparse(s) => s.cutoff.cutoff.len() * 8 + s.structure.bytes(),
         }
     }
 }
@@ -1460,10 +1428,10 @@ fn build_pu_structure(
     }
     Ok(PuStructure {
         key,
-        base: Arc::new(IdRows {
+        base: IdRows {
             off: base_off,
             ids: base_id,
-        }),
+        },
         step_off,
         bound,
         reach,
@@ -1609,13 +1577,10 @@ mod tests {
             Arc::ptr_eq(&old.structure, &new.structure),
             "PU structure rebuilt on a looser budget"
         );
-        assert!(
-            Arc::ptr_eq(&old.served, &new.served),
-            "served PU lists rebuilt though no pull count moved"
-        );
-        assert!(
-            Arc::ptr_eq(&old.pu_residual, &new.pu_residual),
-            "residual rebuilt though P_p and every excluded gain held"
+        assert_eq!(
+            radio.truncation_stats(),
+            re.truncation_stats(),
+            "residuals moved though P_p and every step held"
         );
         assert_eq!(radio.gain_table_bytes(), re.gain_table_bytes());
         // And the reused stages still produce exactly a fresh build.
@@ -1644,33 +1609,40 @@ mod tests {
         }
     }
 
+    /// How many PUs past their base rows the slots of `radio` serve.
     fn total_pulls(radio: &Radio) -> usize {
-        let s = sparse(radio);
-        (0..s.pu_residual.len())
-            .map(|i| s.served.row(i).len() - s.structure.base.row(i).len())
+        (0..sparse(radio).gmin.g_min.len() as u32)
+            .map(|s| radio.near_pus(s).unwrap().1.len())
             .sum()
     }
 
+    fn served_pus(radio: &Radio) -> Vec<(&[u32], &[u32])> {
+        (0..sparse(radio).gmin.g_min.len() as u32)
+            .map(|s| radio.near_pus(s).unwrap())
+            .collect()
+    }
+
     #[test]
-    fn served_lists_follow_pull_counts_along_a_chain() {
+    fn served_pus_follow_pull_counts_along_a_chain() {
         let topo = grid();
         let pulling = powered(sparse_params(), 100.0, 1.0);
         let radio = Radio::customize(&topo, &pulling).unwrap();
         assert!(total_pulls(&radio) > 0, "the tight budget must pull");
-        assert!(!Arc::ptr_eq(
-            &sparse(&radio).served,
-            &sparse(&radio).structure.base
-        ));
         // Scaling both powers keeps every threshold, hence every pull
-        // count: the lists are kept, only the residual moves.
+        // count: the structure and every served PU are kept, only the
+        // residuals move.
         let same_counts = radio
             .recustomize(&topo, &powered(sparse_params(), 200.0, 2.0))
             .unwrap();
         assert!(Arc::ptr_eq(
-            &sparse(&radio).served,
-            &sparse(&same_counts).served
+            &sparse(&radio).structure,
+            &sparse(&same_counts).structure
         ));
-        assert_ne!(sparse(&radio).pu_residual, sparse(&same_counts).pu_residual);
+        assert_eq!(served_pus(&radio), served_pus(&same_counts));
+        assert_ne!(
+            radio.truncation_stats().unwrap().1,
+            same_counts.truncation_stats().unwrap().1
+        );
         assert_eq!(radio.gain_table_bytes(), same_counts.gain_table_bytes());
         // A looser budget keeps the structure but pulls fewer PUs; a hop
         // back and a hop to no pulls at all land on fresh builds too.
@@ -1685,9 +1657,10 @@ mod tests {
             assert_same_tables(&topo, &next, &Radio::customize(&topo, &params).unwrap());
             prev = next;
         }
-        assert!(
-            Arc::ptr_eq(&sparse(&prev).served, &sparse(&prev).structure.base),
-            "with no pulls the served lists are the base lists"
+        assert_eq!(
+            total_pulls(&prev),
+            0,
+            "every slot serves its base row alone"
         );
     }
 
@@ -1841,10 +1814,11 @@ mod tests {
     }
 
     /// Checks every slot of `radio` against a brute-force scan of `topo`:
-    /// its served row is exactly the PUs within its rung's radius (at rung
-    /// 0, its base row), and the bound its residual carries is at least
-    /// the id-order fold over the PUs it leaves out and at most its
-    /// threshold. Returns how many slots serve a rung above 0.
+    /// its base row is exactly the PUs within its cutoff, ids ascending;
+    /// the PUs it serves are exactly those within its rung's radius, each
+    /// once; and the bound its residual carries is at least the id-order
+    /// fold over the PUs it leaves out and at most its threshold. Returns
+    /// how many slots serve a rung above 0.
     fn assert_ladder_certifies(topo: &Topology, radio: &Radio, what: &str) -> usize {
         let params = radio.params();
         let InterferenceModel::Truncated { epsilon } = params.interference else {
@@ -1854,19 +1828,20 @@ mod tests {
         let (cutoff, residual) = radio.truncation_stats().unwrap();
         let mut climbed = 0;
         for (slot, step) in steps(radio, params).into_iter().enumerate() {
-            let (_, pus) = scan(topo, radio, slot);
+            let (cutoff_sq, pus) = scan(topo, radio, slot);
             let rung = step.saturating_sub(1);
             let r = cutoff[slot] * RUNG_RATIO.powi(rung as i32);
-            let within: Vec<u32> = pus
-                .iter()
-                .filter(|&&(_, d2, _)| d2 <= r * r)
-                .map(|&(k, _, _)| k)
-                .collect();
-            let served = radio.near_pus(slot as u32).unwrap();
-            assert_eq!(served, within, "{what}: slot {slot} at rung {rung}");
-            if rung == 0 {
-                assert_eq!(served, s.structure.base.row(slot), "{what}: slot {slot}");
-            }
+            let within = |r_sq: f64| -> Vec<u32> {
+                pus.iter()
+                    .filter(|&&(_, d2, _)| d2 <= r_sq)
+                    .map(|&(k, _, _)| k)
+                    .collect()
+            };
+            let (base, prefix) = radio.near_pus(slot as u32).unwrap();
+            assert_eq!(base, within(cutoff_sq), "{what}: slot {slot} base row");
+            let mut served = [base, prefix].concat();
+            served.sort_unstable();
+            assert_eq!(served, within(r * r), "{what}: slot {slot} at rung {rung}");
             let fold: f64 = pus
                 .iter()
                 .filter(|&&(_, d2, _)| d2 > r * r)
@@ -1941,31 +1916,34 @@ mod tests {
     }
 
     #[test]
-    fn a_ladder_ends_at_the_rung_that_covers_every_pu_past_a_nan_position() {
-        // A PU at NaN lands in leaf cell 0 and no served radius holds it,
-        // while `gain_sq` gives its NaN distance the gain at 1e-9: every
-        // sum that evaluates that cell is about 1e36, so no bound
-        // computed past it fits a budget.
+    fn a_ladder_ends_at_the_rung_that_covers_every_pu() {
+        // At a PU power 10¹² times the SU power no bound over a PU left
+        // out fits a budget, so every slot climbs to the rung that serves
+        // every PU.
         let side = 7.0 * 39.0 + 2.0;
-        let mut pus = pu_lattice(20, side / 20.0, Point::new(6.0, 6.0));
-        pus.push(Point::new(f64::NAN, f64::NAN));
-        let topo = lattice_world(40, side, pus);
-        let params = powered(sparse_params(), 400.0, 1.0);
+        let topo = lattice_world(40, side, pu_lattice(20, side / 20.0, Point::new(6.0, 6.0)));
+        let params = powered(sparse_params(), 1e12, 1.0);
         let radio = Radio::customize(&topo, &params).unwrap();
         let s = sparse(&radio);
-        let mut climbed = 0;
         for (slot, step) in steps(&radio, &params).into_iter().enumerate() {
             // Rung 0's two bounds, then one rung per doubling of the
             // cutoff until it spans the deployment's diagonal.
             let rungs = (side * std::f64::consts::SQRT_2 / s.cutoff.cutoff[slot]).log2();
             let stored = s.structure.step_off[slot + 1] - s.structure.step_off[slot];
             assert!(
-                f64::from(stored) <= 2.0 + rungs.ceil() && step < stored as usize,
+                f64::from(stored) <= 2.0 + rungs.ceil() && step + 1 == stored as usize,
                 "slot {slot}: {stored} steps, deciding at {step}"
             );
-            climbed += usize::from(step > 1);
+            let (base, prefix) = radio.near_pus(slot as u32).unwrap();
+            let mut served = [base, prefix].concat();
+            served.sort_unstable();
+            assert!(
+                served.iter().copied().eq(0..topo.num_pus() as u32),
+                "slot {slot}"
+            );
+            let last = s.structure.step_off[slot + 1] as usize - 1;
+            assert_eq!(s.structure.bound[last], 0.0, "slot {slot}");
         }
-        assert!(climbed > 0, "no slot climbed past rung 0");
     }
 
     #[test]
@@ -2018,11 +1996,19 @@ mod tests {
     }
 
     /// Every sparse table of `a` and `b`, bit for bit: cutoffs, base rows,
-    /// steps, `ext` rows, served rows and residuals.
+    /// steps and `ext` rows; and what is read off them, the served PUs and
+    /// the residuals.
     fn assert_same_sparse_bits(a: &Radio, b: &Radio, what: &str) {
-        let (a_digest, b_digest) = (a.tables_digest(), b.tables_digest());
-        let (a, b) = (sparse(a), sparse(b));
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(served_pus(a), served_pus(b), "{what}: served PUs");
+        let (a_stats, b_stats) = (a.truncation_stats().unwrap(), b.truncation_stats().unwrap());
+        assert_eq!(bits(&a_stats.1), bits(&b_stats.1), "{what}: residuals");
+        assert_eq!(
+            a.tables_digest(),
+            b.tables_digest(),
+            "{what}: tables digest"
+        );
+        let (a, b) = (sparse(a), sparse(b));
         assert_eq!(
             bits(&a.cutoff.cutoff),
             bits(&b.cutoff.cutoff),
@@ -2030,8 +2016,7 @@ mod tests {
         );
         let (sa, sb) = (&a.structure, &b.structure);
         for (la, lb, table) in [
-            (&*sa.base, &*sb.base, "base rows"),
-            (&*a.served, &*b.served, "served lists"),
+            (&sa.base, &sb.base, "base rows"),
             (&sa.ext, &sb.ext, "ext rows"),
         ] {
             assert_eq!(la.off, lb.off, "{what}: {table}");
@@ -2040,12 +2025,6 @@ mod tests {
         assert_eq!(sa.step_off, sb.step_off, "{what}: step offsets");
         assert_eq!(bits(&sa.bound), bits(&sb.bound), "{what}: bounds");
         assert_eq!(sa.reach, sb.reach, "{what}: reaches");
-        assert_eq!(
-            bits(&a.pu_residual),
-            bits(&b.pu_residual),
-            "{what}: residuals"
-        );
-        assert_eq!(a_digest, b_digest, "{what}: tables digest");
     }
 
     #[test]
@@ -2100,22 +2079,15 @@ mod tests {
             Arc::get_mut(shared).unwrap()
         }
         type Flip = fn(&mut SparseRadio);
-        let flips: [(&str, Flip); 11] = [
+        let flips: [(&str, Flip); 8] = [
             ("cutoffs", |s| f(&mut own(&mut s.cutoff).cutoff[0])),
             ("step offsets", |s| own(&mut s.structure).step_off[0] ^= 1),
             ("bounds", |s| f(&mut own(&mut s.structure).bound[0])),
             ("reaches", |s| own(&mut s.structure).reach[0] ^= 1),
             ("ext offsets", |s| own(&mut s.structure).ext.off[0] ^= 1),
             ("ext ids", |s| own(&mut s.structure).ext.ids[0] ^= 1),
-            ("base offsets", |s| {
-                own(&mut own(&mut s.structure).base).off[0] ^= 1
-            }),
-            ("base ids", |s| {
-                own(&mut own(&mut s.structure).base).ids[0] ^= 1
-            }),
-            ("served offsets", |s| own(&mut s.served).off[0] ^= 1),
-            ("served ids", |s| own(&mut s.served).ids[0] ^= 1),
-            ("residuals", |s| f(&mut own(&mut s.pu_residual)[0])),
+            ("base offsets", |s| own(&mut s.structure).base.off[0] ^= 1),
+            ("base ids", |s| own(&mut s.structure).base.ids[0] ^= 1),
         ];
         for (table, flip) in flips {
             for flipped in [true, false] {
@@ -2156,15 +2128,18 @@ mod tests {
         for (pu_power, su_power) in [(10.0, 10.0), (100.0, 1.0)] {
             let radio =
                 Radio::customize(&topo, &powered(sparse_params(), pu_power, su_power)).unwrap();
-            let s = sparse(&radio);
-            let shared = Arc::ptr_eq(&s.served, &s.structure.base);
-            assert_eq!(shared, total_pulls(&radio) == 0);
-            let served_lists = if shared { 0 } else { s.served.bytes() };
+            let (s, m) = (sparse(&radio), topo.num_receiver_slots());
+            let st = &s.structure;
+            assert_eq!(
+                (st.base.off.len(), st.ext.off.len(), st.step_off.len()),
+                (m + 1, m + 1, m + 1)
+            );
+            assert_eq!(st.reach.len(), st.bound.len());
             assert_eq!(
                 radio.gain_table_bytes(),
-                (s.cutoff.cutoff.len() + s.pu_residual.len()) * 8
-                    + s.structure.bytes()
-                    + served_lists
+                m * 8
+                    + (3 * (m + 1) + st.base.ids.len() + st.ext.ids.len() + st.reach.len()) * 4
+                    + st.bound.len() * 8
             );
         }
     }

@@ -17,8 +17,9 @@ use crn_geometry::{GridIndex, Point, Region};
 /// A `Topology` knows nothing about powers, path loss, sensing ranges,
 /// or interference models — those belong to [`crate::RadioParams`] and
 /// are applied by [`crate::Radio::customize`]. Validation here covers
-/// exactly the radio-independent invariants: a non-empty SU set, parent
-/// pointers that form a tree rooted at node 0, and indices in range.
+/// exactly the radio-independent invariants: a non-empty SU set, finite
+/// positions, parent pointers that form a tree rooted at node 0, and
+/// indices in range.
 /// Link-length admissibility (`d ≤ r`) depends on the SU radius and is
 /// checked at customization time.
 #[derive(Clone, Debug)]
@@ -103,8 +104,9 @@ impl TopologyBuilder {
     /// # Errors
     ///
     /// Returns the first violated structural requirement as a
-    /// [`WorldError`] (`NoSecondaryUsers`, `ParentLengthMismatch`,
-    /// `BadRootStructure`, `BadParent`, or `UnreachableRoot`).
+    /// [`WorldError`] (`NoSecondaryUsers`, `NonFinitePosition`,
+    /// `ParentLengthMismatch`, `BadRootStructure`, `BadParent`, or
+    /// `UnreachableRoot`).
     pub fn build(self) -> Result<Topology, WorldError> {
         let Self {
             region,
@@ -115,6 +117,15 @@ impl TopologyBuilder {
         let n = su_positions.len();
         if n == 0 {
             return Err(WorldError::NoSecondaryUsers);
+        }
+        for (which, positions) in [("su", &su_positions), ("pu", &pu_positions)] {
+            if let Some(index) = positions
+                .iter()
+                .position(|p| !(p.x.is_finite() && p.y.is_finite()))
+            {
+                let index = index as u32;
+                return Err(WorldError::NonFinitePosition { which, index });
+            }
         }
         if parents.len() != n {
             return Err(WorldError::ParentLengthMismatch {
@@ -392,6 +403,37 @@ mod tests {
             .build()
             .unwrap_err();
         assert!(matches!(e, WorldError::UnreachableRoot { .. }));
+    }
+
+    #[test]
+    fn rejects_non_finite_positions() {
+        let finite = vec![Point::new(1.0, 1.0), Point::new(2.0, 1.0)];
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for p in [Point::new(bad, 1.0), Point::new(1.0, bad)] {
+                let e = Topology::builder(Region::square(20.0))
+                    .su_positions(vec![finite[0], p])
+                    .pu_positions(finite.clone())
+                    .parents(vec![None, Some(0)])
+                    .build()
+                    .unwrap_err();
+                let want = WorldError::NonFinitePosition {
+                    which: "su",
+                    index: 1,
+                };
+                assert_eq!(e, want, "SU at ({}, {})", p.x, p.y);
+                let e = Topology::builder(Region::square(20.0))
+                    .su_positions(finite.clone())
+                    .pu_positions(vec![finite[0], finite[1], p])
+                    .parents(vec![None, Some(0)])
+                    .build()
+                    .unwrap_err();
+                let want = WorldError::NonFinitePosition {
+                    which: "pu",
+                    index: 2,
+                };
+                assert_eq!(e, want, "PU at ({}, {})", p.x, p.y);
+            }
+        }
     }
 
     #[test]

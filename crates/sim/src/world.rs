@@ -73,6 +73,14 @@ pub enum WorldError {
         /// The entries it would hold.
         entries: u64,
     },
+    /// A position has a NaN or infinite coordinate: no distance to it is
+    /// a number, so no gain or certificate could be.
+    NonFinitePosition {
+        /// Whose position (`"su"` or `"pu"`).
+        which: &'static str,
+        /// Its index among those nodes.
+        index: u32,
+    },
 }
 
 impl fmt::Display for WorldError {
@@ -119,6 +127,9 @@ impl fmt::Display for WorldError {
                 "the {table} table would hold {entries} entries, more than its u32 offsets address ({})",
                 u32::MAX
             ),
+            WorldError::NonFinitePosition { which, index } => {
+                write!(f, "{which} {index} has a non-finite position")
+            }
         }
     }
 }
@@ -421,15 +432,18 @@ impl SimWorld {
         self.radio.su_gain(&self.topology, su, slot)
     }
 
-    /// The near-field PU row of a receiver slot, ids ascending, each PU's
-    /// gain given by [`SimWorld::near_pu_gain`]; `None` in dense (exact)
-    /// mode, where callers must sum over every PU.
-    pub(crate) fn near_pus(&self, slot: u32) -> Option<&[u32]> {
+    /// The PUs a receiver slot serves, each PU's gain given by
+    /// [`SimWorld::near_pu_gain`]: its base row (the PUs within its
+    /// cutoff, ids ascending), then the ladder prefix its certificate's
+    /// step serves under this world's budget, read off the ladder on each
+    /// call. Every sum over them runs in that order. `None` in dense
+    /// (exact) mode, where callers must sum over every PU.
+    pub(crate) fn near_pus(&self, slot: u32) -> Option<(&[u32], &[u32])> {
         self.radio.near_pus(slot)
     }
 
-    /// The gain from `pu`, a PU of `slot`'s near row, recomputed from
-    /// positions: [`SimWorld::pu_gain`] without looking `pu` up.
+    /// The gain from `pu`, a PU `slot` serves, recomputed from positions:
+    /// [`SimWorld::pu_gain`] without looking `pu` up.
     #[inline]
     pub(crate) fn near_pu_gain(&self, pu: u32, slot: u32) -> f64 {
         self.radio.near_pu_gain(&self.topology, pu, slot)
@@ -449,30 +463,36 @@ impl SimWorld {
     }
 
     /// Bytes held by the path-gain storage (dense tables, or the sparse
-    /// cutoffs, near-field and served PU id rows, ladder steps, `ext` rows
-    /// and residuals) — the memory the truncated model exists to shrink. A
-    /// table two of this world's stages share counts once; one shared with
-    /// another world (after [`SimWorld::recustomize`]) counts in full for
-    /// each.
+    /// cutoffs, base PU id rows, ladder steps and `ext` rows) — the memory
+    /// the truncated model exists to shrink. A table shared with another
+    /// world (after [`SimWorld::recustomize`]) counts in full for each.
     #[must_use]
     pub fn gain_table_bytes(&self) -> usize {
         self.radio.gain_table_bytes()
+    }
+
+    /// Per-slot SU cutoff radii, read without computing anything; `None`
+    /// in exact mode.
+    pub(crate) fn cutoffs(&self) -> Option<&[f64]> {
+        self.radio.cutoffs()
     }
 
     /// Truncation diagnostics: per-slot `(cutoff radii, excluded-PU
     /// residual powers)`. A residual is a certified upper bound on the
     /// power every excluded PU delivers when all transmit at once: `P_p`
     /// times the bound of the first step of the slot's ladder that fits
-    /// its budget. `None` in exact mode.
+    /// its budget, computed by this call (no residual is stored). `None`
+    /// in exact mode.
     #[must_use]
-    pub fn truncation_stats(&self) -> Option<(&[f64], &[f64])> {
+    pub fn truncation_stats(&self) -> Option<(&[f64], Vec<f64>)> {
         self.radio.truncation_stats()
     }
 
     /// One 64-bit FNV-1a digest of every truncation table, bit for bit:
-    /// cutoffs, the ladder steps (bounds and reaches), the `ext` and PU
-    /// near-field id rows, served id rows and residuals, offsets included.
-    /// Builds that agree on every table agree on it. `None` in exact mode.
+    /// cutoffs, the ladder steps (bounds and reaches), the `ext` and base
+    /// PU id rows, offsets included. Those are all a truncated world
+    /// stores: its served PUs and residuals are read off them. Builds that
+    /// agree on every table agree on it. `None` in exact mode.
     #[must_use]
     pub fn tables_digest(&self) -> Option<u64> {
         self.radio.tables_digest()
@@ -750,6 +770,10 @@ mod tests {
                 table: "SU near-field",
                 entries: 1 << 32,
             },
+            WorldError::NonFinitePosition {
+                which: "pu",
+                index: 3,
+            },
         ] {
             assert!(!e.to_string().is_empty());
         }
@@ -946,11 +970,58 @@ mod tests {
     fn sparse_near_pu_lists_are_sorted_and_consistent() {
         let w = grid_world(InterferenceModel::Truncated { epsilon: 0.1 });
         for s in 0..w.num_receiver_slots() as u32 {
-            let ids = w.near_pus(s).unwrap();
-            assert!(ids.windows(2).all(|w| w[0] < w[1]), "slot {s} ids unsorted");
-            for &k in ids {
-                assert_eq!(w.pu_gain(k as usize, s), w.near_pu_gain(k, s));
+            let (base, prefix) = w.near_pus(s).unwrap();
+            assert!(
+                base.windows(2).all(|w| w[0] < w[1]),
+                "slot {s} base row unsorted"
+            );
+            let mut served = [base, prefix].concat();
+            served.sort_unstable();
+            served.dedup();
+            assert_eq!(
+                served.len(),
+                base.len() + prefix.len(),
+                "slot {s} serves a PU twice"
+            );
+            for k in 0..w.num_pus() as u32 {
+                let want = if served.binary_search(&k).is_ok() {
+                    w.near_pu_gain(k, s)
+                } else {
+                    0.0
+                };
+                assert_eq!(w.pu_gain(k as usize, s), want, "slot {s} pu {k}");
             }
+        }
+    }
+
+    #[test]
+    fn rejects_non_finite_positions() {
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let e = SimWorld::builder(Region::square(20.0))
+                .su_positions(vec![Point::new(1.0, 1.0), Point::new(bad, 1.0)])
+                .parents(vec![None, Some(0)])
+                .build()
+                .unwrap_err();
+            assert_eq!(
+                e,
+                WorldError::NonFinitePosition {
+                    which: "su",
+                    index: 1
+                }
+            );
+            let e = SimWorld::builder(Region::square(20.0))
+                .su_positions(vec![Point::new(1.0, 1.0), Point::new(4.0, 1.0)])
+                .pu_positions(vec![Point::new(5.0, bad)])
+                .parents(vec![None, Some(0)])
+                .build()
+                .unwrap_err();
+            assert_eq!(
+                e,
+                WorldError::NonFinitePosition {
+                    which: "pu",
+                    index: 0
+                }
+            );
         }
     }
 }

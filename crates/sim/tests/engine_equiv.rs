@@ -9,7 +9,7 @@
 //! the full event stream of every case is pinned too, as an FNV-64
 //! digest of its [`TraceLog`] in `tests/corpus/engine_traces.txt`.
 //!
-//! Four lanes:
+//! Four lanes, and two targeted comparisons beside them:
 //! 1. `reports_match_pinned_digests` — every corpus case (both
 //!    interference models, both sensing configurations, fault-free and
 //!    fault-plan runs) hashed against the pre-change digests.
@@ -22,6 +22,10 @@
 //! 4. `traces_match_pinned_digests` — every corpus case traced on both
 //!    SIR paths, each event stream hashed against its pinned digest.
 //!
+//! `delta_matches_scan_when_one_long_link_widens_the_cells` and
+//! `delta_matches_scan_where_slots_serve_past_their_cutoff` compare the
+//! two paths on worlds no corpus case builds, and pin nothing.
+//!
 //! Regenerating the digests (only legitimate when the *intended*
 //! behavior changes) rewrites both corpus files:
 //! `ENGINE_EQUIV_REGEN=1 cargo test -p crn-sim --test engine_equiv --
@@ -31,7 +35,7 @@
 //! pinned contract: changing it invalidates the stored digests.
 
 use crn_geometry::{Point, Region};
-use crn_interference::PhyParams;
+use crn_interference::{path_gain, PhyParams};
 use crn_sim::{
     ChurnSpec, FaultEvent, FaultKind, FaultPlan, FaultSchedule, InterferenceModel,
     InvariantChecker, MacConfig, SimReport, SimWorld, Simulator, TraceLog,
@@ -547,5 +551,108 @@ fn traces_match_pinned_digests() {
                 case.id
             );
         }
+    }
+}
+
+/// A jitter world of 8×8 SUs, truncated at ε = 0.1, with a PU power 100
+/// times the SU power (`P_p` 100, `P_s` 1), where the PUs beyond some
+/// slots' cutoffs outweigh their budgets.
+fn climbing_world(seed: u64) -> Arc<SimWorld> {
+    let world = jitter_world(8, seed, InterferenceModel::Truncated { epsilon: 0.1 }, 25.0);
+    let phy = world.phy();
+    let mut b = PhyParams::builder();
+    b.alpha(phy.alpha())
+        .pu_power(100.0)
+        .su_power(1.0)
+        .pu_radius(phy.pu_radius())
+        .su_radius(phy.su_radius())
+        .pu_sir_threshold(phy.pu_sir_threshold())
+        .su_sir_threshold(phy.su_sir_threshold());
+    let params = world.radio_params().phy(b.build().expect("valid powers"));
+    Arc::new(world.recustomize(params).expect("valid radio"))
+}
+
+/// The slots of `world` that must serve PUs past their cutoffs: those
+/// whose PUs beyond the cutoff, all on, deliver more than the PU half of
+/// the slot's budget, `0.5·ε·P_s·g_min/η_s`. A certificate that served
+/// none of them would leave out at least that much, so its bound could
+/// not fit. Computed from positions alone.
+fn slots_past_their_cutoff(world: &SimWorld, epsilon: f64) -> usize {
+    let phy = world.phy();
+    let (cutoff, _) = world.truncation_stats().expect("a truncated world");
+    let sus = world.su_positions();
+    let mut past = 0;
+    for (s, &rx) in world.receivers().iter().enumerate() {
+        let q = sus[rx as usize];
+        let g_min = (0..sus.len())
+            .filter(|&i| world.parents()[i] == Some(rx))
+            .map(|i| path_gain(sus[i].distance(q), phy.alpha()))
+            .fold(f64::INFINITY, f64::min);
+        let far: f64 = world
+            .pu_positions()
+            .iter()
+            .map(|p| p.distance(q))
+            .filter(|&d| d > cutoff[s])
+            .map(|d| phy.pu_power() * path_gain(d, phy.alpha()))
+            .sum();
+        let half_budget = 0.5 * epsilon * phy.su_power() * g_min / phy.su_sir_threshold();
+        past += usize::from(far > half_budget * (1.0 + 1e-9));
+    }
+    past
+}
+
+/// At `P_p` 100, `P_s` 1 some slots serve PUs past their cutoffs, so
+/// their sums run over a ladder prefix as well as a base row. The delta
+/// path must still match the scan reference, report and event stream
+/// alike, and run clean under the oracle.
+#[test]
+fn delta_matches_scan_where_slots_serve_past_their_cutoff() {
+    let mac = MacConfig {
+        max_sim_time: 0.3,
+        ..MacConfig::default()
+    };
+    for seed in [1, 2, 3, 4] {
+        let world = climbing_world(seed);
+        let past = slots_past_their_cutoff(&world, 0.1);
+        assert!(past > 0, "seed {seed}: no slot serves past its cutoff");
+        let sim = |full_scan: bool| {
+            Simulator::builder(world.clone())
+                .mac(mac)
+                .activity(PuActivity::bernoulli(0.3).expect("valid p_t"))
+                .seed(seed)
+                .full_scan(full_scan)
+        };
+        let traced = |full_scan: bool| {
+            sim(full_scan)
+                .probe(TraceLog::unbounded())
+                .build()
+                .expect("case builds")
+                .run_with_probe()
+        };
+        let ((delta, delta_log), (scan, scan_log)) = (traced(false), traced(true));
+        assert!(delta.attempts > 0, "seed {seed}: nothing transmitted");
+        assert_eq!(
+            format!("{delta:?}"),
+            format!("{scan:?}"),
+            "seed {seed} ({past} slots past their cutoff): delta diverged from scan"
+        );
+        assert_eq!(
+            trace_digest(&delta_log),
+            trace_digest(&scan_log),
+            "seed {seed}"
+        );
+        let checker = InvariantChecker::new(world.clone(), mac)
+            .with_repro(seed, "engine_equiv climbing lane");
+        let (checked, oracle) = sim(false)
+            .probe(checker)
+            .build()
+            .expect("case builds")
+            .run_with_probe();
+        assert!(
+            oracle.is_clean(),
+            "seed {seed}: {:?}",
+            oracle.first_violation()
+        );
+        assert_eq!(format!("{checked:?}"), format!("{delta:?}"), "seed {seed}");
     }
 }
